@@ -70,9 +70,14 @@ class RunConfig:
 def _config_from_args(args) -> RunConfig:
     base = {}
     if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
-        if isinstance(loaded, dict) and isinstance(loaded.get("config"), dict):
+        try:
+            with open(args.config) as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise InvalidConfig(f"cannot read config file: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise InvalidConfig("config file must hold a JSON object")
+        if isinstance(loaded.get("config"), dict):
             loaded = loaded["config"]
         known = {f.name for f in dataclasses.fields(RunConfig)}
         unknown = set(loaded) - known
@@ -84,7 +89,16 @@ def _config_from_args(args) -> RunConfig:
         if val is not None:
             base[f.name] = val
     cfg = RunConfig(**base)
-    cfg.interval = (float(cfg.interval[0]), float(cfg.interval[1]))
+    # a config file can carry any JSON value; each field takes its default's type
+    for f in dataclasses.fields(RunConfig):
+        kinds = (int, float) if f.type == "float" else (type(f.default),)
+        if f.name != "interval" and type(getattr(cfg, f.name)) not in kinds:
+            raise InvalidConfig(f"config value {f.name!r} must be of type {f.type}")
+    try:
+        lo, hi = (float(v) for v in cfg.interval)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig("interval must be two numbers") from exc
+    cfg.interval = (lo, hi)
     if not cfg.interval[1] > cfg.interval[0]:
         raise InvalidConfig("interval must satisfy a < b")
     if cfg.grid_exp < 4:
@@ -99,11 +113,17 @@ def _parse_alpha(cfg: RunConfig):
     a, b = cfg.interval
     count = cfg.subintervals
     if spec.startswith("linear:"):
-        lo, hi = (float(v) for v in spec[len("linear:"):].split(","))
+        try:
+            lo, hi = (float(v) for v in spec[len("linear:"):].split(","))
+        except ValueError as exc:
+            raise InvalidConfig(f"want linear:lo,hi, got {spec!r}") from exc
         fn = lambda x: lo + (hi - lo) * (np.asarray(x) - a) / (b - a)
         return ScalingVector([fn] * count, domain=(a, b))
     if spec.startswith("sine:"):
-        amp = float(spec[len("sine:"):])
+        try:
+            amp = float(spec[len("sine:"):])
+        except ValueError as exc:
+            raise InvalidConfig(f"want sine:amp, got {spec!r}") from exc
         fn = lambda x: amp * (
             0.55 + 0.45 * np.sin(2 * np.pi * (np.asarray(x) - a) / (b - a))
         )
@@ -246,7 +266,8 @@ def cmd_build(cfg: RunConfig, out: Path) -> int:
         )
     _write_json(out / "meta.json", _meta(cfg, results, _jsonable(res.diagnostics)))
     print(
-        f"build: {res.iterations} sweeps, residual {res.residual:.3e}, "
+        f"build: {res.iterations} sweeps ({_solve_summary(res)}), "
+        f"residual {res.residual:.3e}, "
         f"wrote {out / 'fif.csv'} and {out / 'meta.json'}"
     )
     return 0
@@ -364,8 +385,8 @@ def cmd_smooth(cfg: RunConfig, out: Path) -> int:
         out / "meta.json", _meta(cfg, results, _jsonable(res.diagnostics))
     )
     print(
-        f"smooth: order {cfg.order}, {res.iterations} sweeps, "
-        f"residual {res.residual:.3e}"
+        f"smooth: order {cfg.order}, {res.iterations} sweeps "
+        f"({_solve_summary(res)}), residual {res.residual:.3e}"
     )
     return 0
 
@@ -441,6 +462,11 @@ def cmd_bounds(cfg: RunConfig, out: Path) -> int:
             line += f"  {_fmt(error_bound_discrete(sup, om, om_k))}"
         print(line)
     return 0
+
+
+def _solve_summary(res) -> str:
+    d = res.diagnostics
+    return f"{d['solve_method']} in {d['solve_steps']} steps"
 
 
 def _central_diff(values: np.ndarray, step: float) -> np.ndarray:

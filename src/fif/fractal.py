@@ -16,14 +16,21 @@ subinterval ``i``.  Three variants differ only in what plays the roles of
     smooth    height = f itself,            base = four-layer operator;
               derivative levels get their own fixed-point equations
 
-Solving is plain Picard iteration on a dense uniform grid, stopping when
-one sweep moves the iterate by at most ``tol * (1 - contraction)``, which
-leaves the iterate within ``tol`` of the fixed point in sup norm.
+Solving works on a dense uniform grid.  On a uniform partition whose cell
+count is a multiple of the subinterval count, every pre-image of a grid
+point is itself a grid point, so the discrete equation reads
+``phi = c * phi[k] + o`` over integer indices ``k``.  The update composed
+with itself has the same form, so pointer jumping (Wyllie 1979; a prefix
+scan of affine maps) reaches Picard iterate ``n`` in ``log2 n`` array
+passes.  A non-uniform partition does not close the grid: there each
+pre-image value is interpolated between grid points and plain Picard
+sweeps run.  Either way the solve stops at an iterate that one further
+sweep moves by at most ``tol * (1 - contraction)``, which leaves it within
+``tol`` of the fixed point in sup norm.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,7 +140,7 @@ class FifResult:
 
 
 class _NodeGuard:
-    """Callable wrapper asserting evaluation happens only on allowed points."""
+    """Callable wrapper that raises unless evaluated only on allowed points."""
 
     def __init__(self, func, allowed, span):
         self.func = func
@@ -147,7 +154,8 @@ class _NodeGuard:
         near = np.minimum(
             np.abs(arr - self.allowed[pos - 1]), np.abs(arr - self.allowed[pos])
         )
-        assert np.all(near <= self.tol), "function evaluated away from its node grid"
+        if not np.all(near <= self.tol):
+            raise CrossCheckError("function evaluated away from its node grid")
         return self.func(x)
 
 
@@ -207,63 +215,152 @@ def _assemble(problem: FifProblem) -> _Pieces:
     )
 
 
+def _grid_index(n_sub, cells):
+    """Subinterval ``i`` of every grid point and the grid index of its pre-image.
+
+    Needs a uniform partition and ``cells`` a multiple of ``n_sub``; internal
+    knots go left, as in ``Partition.locate``.
+    """
+    g = np.arange(cells + 1)
+    per = cells // n_sub
+    i_idx = np.clip(-(-g // per), 1, n_sub)
+    return i_idx, n_sub * g - (i_idx - 1) * cells
+
+
+def _sweeps(plan, nxt, n, change, steps, threshold, max_sweeps):
+    """Single Picard sweeps on from ``nxt``, iterate ``n + 1``, which the
+    sweep producing it moved by ``change``; ``steps`` passes so far.
+
+    Stops at the first iterate ``m <= max_sweeps`` whose producing sweep
+    moved it by at most ``threshold`` and returns
+    ``(values, m, steps, residual)``.
+    """
+    while change > threshold and n + 1 < max_sweeps:
+        phi = nxt
+        nxt = plan.apply(phi)
+        change = float(np.max(np.abs(nxt - phi)))
+        n += 1
+        steps += 1
+    residual = float(np.max(np.abs(plan.apply(nxt) - nxt)))
+    if change > threshold:
+        raise NonConvergence(
+            f"no convergence in {max_sweeps} sweeps (last residual {residual:.3e})",
+            values=nxt,
+            residual=residual,
+            iterations=max_sweeps,
+        )
+    return nxt, n + 1, steps, residual
+
+
+class _GridPlan:
+    """The update ``phi -> coeff * phi[k] + offset`` on a grid that every
+    pre-image map sends onto itself; the endpoints carry ``coeff = 0`` and
+    ``offset = beta``.  Takes ownership of ``coeff``."""
+
+    method = "doubling"
+    __slots__ = ("k", "coeff", "offset", "contraction")
+
+    def __init__(self, k, coeff, height, base, beta1, beta2, contraction):
+        self.offset = height - coeff * base[k]
+        self.offset[0] = beta1
+        self.offset[-1] = beta2
+        coeff[0] = coeff[-1] = 0.0
+        self.coeff = coeff
+        self.k = k
+        self.contraction = contraction
+
+    def apply(self, values):
+        return self.coeff * values[self.k] + self.offset
+
+    def slack(self, values):
+        return 0.0
+
+    def solve(self, start, tol, max_sweeps):
+        """Picard iterate ``m <= max_sweeps`` of ``start`` that the sweep
+        producing it moved by at most ``tol * (1 - contraction)``.
+
+        Returns ``(values, m, steps, residual)``.  The update composed with
+        itself is again of the form ``coeff * phi[k] + offset``, so each
+        doubling step takes the power ``p`` to ``2 p`` in one array pass
+        (pointer jumping).  Where the next doubling would pass the budget,
+        single sweeps continue up to it.
+        """
+        threshold = tol * (1.0 - self.contraction)
+        nxt = self.apply(start)
+        gap = float(np.max(np.abs(nxt - start)))
+        n, change, steps = 0, gap, 1
+        # the sweep after iterate p moves it by |coeff_p * (phi_1 - phi_0)[k_p]|,
+        # at most max|coeff_p| * gap: iterate p is formed and checked only once
+        # that bound passes, or when the budget stops the doubling
+        coeff, offset, k = self.coeff.copy(), self.offset.copy(), self.k
+        p = 1
+        while change > threshold and p < max_sweeps:
+            if 2 * p < max_sweeps and float(np.max(np.abs(coeff))) * gap > threshold:
+                offset += coeff * offset[k]
+                coeff *= coeff[k]
+                k = k[k]
+                p *= 2
+                steps += 1
+                continue
+            phi = coeff * start[k] + offset
+            nxt = self.apply(phi)
+            change = float(np.max(np.abs(nxt - phi)))
+            n = p
+            break
+        del coeff, offset, k  # the single sweeps need only the plan
+        return _sweeps(self, nxt, n, change, steps, threshold, max_sweeps)
+
+
 class _SweepPlan:
-    """One precomputed pass of the self-referential update on a fixed grid."""
+    """The update on a grid the pre-image maps do not close (a non-uniform
+    partition): each pre-image value is interpolated linearly between its two
+    neighbouring grid points, and the update runs one Picard sweep at a time.
+    """
 
-    __slots__ = (
-        "x",
-        "coeff",
-        "offset",
-        "j",
-        "w",
-        "w_snap_err",
-        "beta1",
-        "beta2",
-        "contraction",
-        "i_idx",
-        "pre",
-    )
+    method = "picard"
+    __slots__ = ("coeff", "offset", "j", "w", "w_snap_err", "beta1", "beta2", "contraction")
 
-    def __init__(self, problem, cells, pieces, coeff, offset, beta1, beta2, contraction):
+    def __init__(self, problem, x, height, pieces):
         part = problem.partition
-        x = np.linspace(part.a, part.b, cells + 1)
         i_idx = part.locate(x)
         pre = np.clip(part.inverse(i_idx, x), part.a, part.b)
-        step = (part.b - part.a) / cells
-        jf = (pre - part.a) / step
+        self.coeff = problem.scaling.values_at(i_idx, pre)
+        self.offset = height - self.coeff * pieces.base_eval(pre)
+        cells = x.size - 1
+        jf = (pre - part.a) / ((part.b - part.a) / cells)
         near = np.round(jf)
         snapped = np.abs(jf - near) <= 1e-9
         self.w_snap_err = np.where(snapped, np.abs(jf - near), 0.0)
         jf = np.where(snapped, near, jf)
-        j = np.floor(jf).astype(np.int64)
-        j = np.minimum(j, cells - 1)
-        self.x = x
-        self.i_idx = i_idx
-        self.pre = pre
-        self.j = j
-        self.w = jf - j
-        self.coeff = coeff
-        self.offset = offset
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.contraction = contraction
-
-    def interpolate(self, values):
-        return values[self.j] * (1.0 - self.w) + values[self.j + 1] * self.w
+        self.j = np.minimum(np.floor(jf).astype(np.int64), cells - 1)
+        self.w = jf - self.j
+        self.beta1 = pieces.beta1
+        self.beta2 = pieces.beta2
+        self.contraction = problem.scaling.sup_norm
 
     def apply(self, values):
-        out = self.coeff * self.interpolate(values) + self.offset
+        inter = values[self.j] * (1.0 - self.w) + values[self.j + 1] * self.w
+        out = self.coeff * inter + self.offset
         out[0] = self.beta1
         out[-1] = self.beta2
         return out
 
-    def slack_estimate(self, values):
+    def slack(self, values):
+        """Bound on what linear interpolation of ``values`` misses."""
         d2 = np.zeros_like(values)
         d2[1:-1] = np.abs(values[2:] - 2.0 * values[1:-1] + values[:-2])
         local = np.maximum(d2[self.j], d2[np.minimum(self.j + 1, values.size - 1)])
         curve = 0.5 * self.w * (1.0 - self.w) * local
         snap = self.w_snap_err * np.abs(values[self.j + 1] - values[self.j])
         return float(np.max(np.abs(self.coeff) * (curve + snap)))
+
+    def solve(self, start, tol, max_sweeps):
+        """Picard sweeps until one moves the iterate by at most
+        ``tol * (1 - contraction)``; returns ``(values, m, m, residual)``."""
+        nxt = self.apply(start)
+        change = float(np.max(np.abs(nxt - start)))
+        threshold = tol * (1.0 - self.contraction)
+        return _sweeps(self, nxt, 0, change, 1, threshold, max_sweeps)
 
 
 def _validate_cells(problem, cells):
@@ -281,43 +378,29 @@ def _validate_cells(problem, cells):
 
 
 def _build_plan(problem, cells, pieces):
+    """The update on ``cells`` uniform cells: ``(plan, grid, height, base)``.
+
+    A uniform partition with ``cells`` a multiple of its size closes the
+    grid under every pre-image map, so ``base`` at a pre-image is a gather
+    from ``base`` on the grid and no value is interpolated.
+    """
     part = problem.partition
     x = np.linspace(part.a, part.b, cells + 1)
-    i_idx = part.locate(x)
-    pre = np.clip(part.inverse(i_idx, x), part.a, part.b)
-    coeff = problem.scaling.values_at(i_idx, pre)
-    offset = pieces.height_eval(x) - coeff * pieces.base_eval(pre)
-    return _SweepPlan(
-        problem,
-        cells,
-        pieces,
-        coeff,
-        offset,
-        pieces.beta1,
-        pieces.beta2,
-        problem.scaling.sup_norm,
-    )
+    height = pieces.height_eval(x)
+    base = pieces.base_eval(x)
+    if part.is_uniform and cells % part.size == 0:
+        i_idx, k = _grid_index(part.size, cells)
+        coeff = problem.scaling.values_at(i_idx, x[k])
+        plan = _GridPlan(
+            k, coeff, height, base, pieces.beta1, pieces.beta2,
+            problem.scaling.sup_norm,
+        )
+    else:
+        plan = _SweepPlan(problem, x, height, pieces)
+    return plan, x, height, base
 
 
-def _picard(plan, start, tol, max_sweeps):
-    threshold = tol * (1.0 - plan.contraction)
-    phi = start
-    for sweep in range(1, max_sweeps + 1):
-        nxt = plan.apply(phi)
-        change = float(np.max(np.abs(nxt - phi)))
-        phi = nxt
-        if change <= threshold:
-            return phi, sweep
-    residual = float(np.max(np.abs(plan.apply(phi) - phi)))
-    raise NonConvergence(
-        f"no convergence in {max_sweeps} sweeps (last residual {residual:.3e})",
-        values=phi,
-        residual=residual,
-        iterations=max_sweeps,
-    )
-
-
-def _knot_checks(problem, plan, pieces, values, tol_knot=1e-9):
+def _knot_checks(problem, x, pieces, values, tol_knot=1e-9):
     """Continuity across subinterval junctions and knot reproduction."""
     part = problem.partition
     span = part.b - part.a
@@ -332,7 +415,7 @@ def _knot_checks(problem, plan, pieces, values, tol_knot=1e-9):
     for i in range(1, part.size):
         knot = float(part.knots[i])
         g = round((knot - part.a) / step)
-        if abs(plan.x[g] - knot) > 1e-9 * span:
+        if abs(x[g] - knot) > 1e-9 * span:
             continue
         alpha_r = float(
             problem.scaling.values_at(np.asarray([i + 1]), np.asarray([part.a]))[0]
@@ -353,50 +436,47 @@ def _solve_core(problem, cells, tol, max_sweeps):
     cells = _validate_cells(problem, cells)
     if not tol > 0:
         raise InvalidConfig("tolerance must be positive")
+    if not max_sweeps >= 1:
+        raise InvalidConfig("sweep budget must be at least 1")
     pieces = _assemble(problem)
-    plan = _build_plan(problem, cells, pieces)
-    height = pieces.height_eval(plan.x)
+    plan, x, height, base = _build_plan(problem, cells, pieces)
     start = height.copy()
     start[0] = pieces.beta1
     start[-1] = pieces.beta2
-    values, sweeps = _picard(plan, start, tol, max_sweeps)
-    residual = float(np.max(np.abs(plan.apply(values) - values)))
-    cont_max, knot_max = _knot_checks(problem, plan, pieces, values)
-    contraction = plan.contraction
-    predicted = (
-        math.ceil(math.log(tol) / math.log(contraction)) if contraction > 0 else 1
-    )
+    values, sweeps, steps, residual = plan.solve(start, tol, max_sweeps)
+    cont_max, knot_max = _knot_checks(problem, x, pieces, values)
     diagnostics = {
         "variant": problem.variant,
         "cells": cells,
         "tol": tol,
-        "contraction": contraction,
-        "predicted_sweeps": predicted,
+        "contraction": plan.contraction,
+        "solve_method": plan.method,
+        "solve_steps": steps,
         "junction_mismatch": cont_max,
         "knot_deviation": knot_max,
         "fd_fallback": pieces.fd_used,
     }
     result = FifResult(
-        grid=plan.x,
+        grid=x,
         values=values,
         residual=residual,
         iterations=sweeps,
-        grid_slack=plan.slack_estimate(values),
+        grid_slack=plan.slack(values),
         y_min=float(np.min(values)),
         y_max=float(np.max(values)),
-        base=pieces.base_eval(plan.x),
+        base=base,
         height=height,
         diagnostics=diagnostics,
         problem=problem,
     )
-    return result, plan, pieces
+    return result, plan
 
 
 def solve_fif(problem: FifProblem, cells=None, tol=DEFAULT_TOL, max_sweeps=DEFAULT_MAX_SWEEPS):
     """Render the fixed point of the basic construction on a dense grid."""
     if problem.variant != "alpha":
         raise InvalidConfig("solve_fif handles the alpha variant; see the others")
-    result, _, _ = _solve_core(problem, cells, tol, max_sweeps)
+    result, _ = _solve_core(problem, cells, tol, max_sweeps)
     return result
 
 
@@ -404,7 +484,7 @@ def solve_fif_discrete(problem: FifProblem, cells=None, tol=DEFAULT_TOL, max_swe
     """Render the node-data-only construction (f is never read off-node)."""
     if problem.variant != "discrete":
         raise InvalidConfig("solve_fif_discrete needs a discrete-variant problem")
-    result, _, _ = _solve_core(problem, cells, tol, max_sweeps)
+    result, _ = _solve_core(problem, cells, tol, max_sweeps)
     result.diagnostics["height_nodes"] = problem.partition.size
     return result
 
@@ -454,31 +534,31 @@ def solve_fif_smooth(problem: FifProblem, cells=None, tol=DEFAULT_TOL, max_sweep
             float(abs(y1 - fk_knots[-1])),
         )
 
-    result, plan, pieces = _solve_core(problem, cells, tol, max_sweeps)
-    x = plan.x
-    i0 = plan.i_idx - 1
+    # the partition is uniform, so every level's grid closes like level 0's
+    result, plan = _solve_core(problem, cells, tol, max_sweeps)
+    x = result.grid
+    i0 = _grid_index(part.size, x.size - 1)[0] - 1
     per_order = {}
     fd_any = result.diagnostics["fd_fallback"]
     for k in range(1, cfg.r + 1):
-        coeff_k = alphas[i0] / slopes[i0] ** k
         contraction_k = float(np.max(np.abs(alphas) / slopes**k))
         fk_x, fd = input_derivative(problem.f, k, x, fd_step)
         fd_any = fd_any or fd
-        s_k_pre = nn_eval_derivative(cfg, problem.f, k, plan.pre)
-        deriv_plan = _SweepPlan.__new__(_SweepPlan)
-        for name in ("x", "i_idx", "pre", "j", "w", "w_snap_err"):
-            setattr(deriv_plan, name, getattr(plan, name))
-        deriv_plan.coeff = coeff_k
-        deriv_plan.offset = fk_x - coeff_k * s_k_pre
-        deriv_plan.beta1, deriv_plan.beta2 = endpoint_values[k]
-        deriv_plan.contraction = contraction_k
+        deriv_plan = _GridPlan(
+            plan.k,
+            (alphas / slopes**k)[i0],
+            fk_x,
+            nn_eval_derivative(cfg, problem.f, k, x),
+            *endpoint_values[k],
+            contraction_k,
+        )
         start = fk_x.copy()
         start[0], start[-1] = endpoint_values[k]
-        dvals, dsweeps = _picard(deriv_plan, start, tol, max_sweeps)
-        dres = float(np.max(np.abs(deriv_plan.apply(dvals) - dvals)))
+        dvals, dsweeps, dsteps, dres = deriv_plan.solve(start, tol, max_sweeps)
         result.derivatives[k] = dvals
         per_order[k] = {
             "iterations": dsweeps,
+            "steps": dsteps,
             "residual": dres,
             "contraction": contraction_k,
             "matching_residual": matching_residuals[k],
@@ -509,8 +589,8 @@ def rb_apply(problem: FifProblem, phi: SampledFunction) -> SampledFunction:
         raise InvalidConfig(
             "phi is not in the endpoint-matching class X_{beta1}^{beta2}"
         )
-    plan = _build_plan(problem, phi.cells, pieces)
-    return SampledFunction(part.a, part.b, plan.apply(phi.values.copy()))
+    plan = _build_plan(problem, phi.cells, pieces)[0]
+    return SampledFunction(part.a, part.b, plan.apply(phi.values))
 
 
 def chaos_game_render(problem: FifProblem, point_count: int, seed: int, burn_in: int = 100):

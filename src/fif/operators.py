@@ -87,7 +87,10 @@ class FunctionInput:
 
     @classmethod
     def tabulated(cls, values):
-        arr = np.asarray(values, dtype=float)
+        # a private read-only copy: the weight table cache keys on this input,
+        # so the caller's later edits must not reach it
+        arr = np.array(values, dtype=float)
+        arr.flags.writeable = False
         if arr.ndim != 1 or arr.size < 2:
             raise InvalidConfig("table must be a 1-d array of at least 2 values")
         if not np.all(np.isfinite(arr)):

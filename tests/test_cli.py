@@ -70,6 +70,33 @@ def test_invalid_flags_exit_2(tmp_path):
     assert run(base + ["--alpha", "what"]) == 2
     assert run(base + ["--function", "nope"]) == 2
     assert run(base + ["--kernel", "gaussian"]) == 2
+    assert run(base + ["--alpha", "linear:0.1"]) == 2
+    assert run(base + ["--alpha", "sine:big"]) == 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"interval": [0]}, {"interval": "ab"}, {"grid_exp": "x"}, [1, 2]],
+    ids=["short-interval", "text-interval", "text-grid-exp", "not-an-object"],
+)
+def test_malformed_config_exits_2(tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert run(["build", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+
+def test_build_reports_the_solve_method(tmp_path, capsys):
+    code = run(
+        [
+            "build", "--function", "sin", "--N", "5", "--alpha", "0.9",
+            "--grid-exp", "6", "--out", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    diag = json.loads((tmp_path / "meta.json").read_text())["diagnostics"]
+    assert diag["solve_method"] == "doubling"
+    assert "predicted_sweeps" not in diag
+    assert f"doubling in {diag['solve_steps']} steps" in capsys.readouterr().out
 
 
 def test_nonconvergence_exit_3(tmp_path):

@@ -1,13 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fif
 from fif.errors import (
+    CrossCheckError,
     InvalidConfig,
     MatchingConditionError,
     NonConvergence,
 )
 from fif.fractal import (
     FifProblem,
+    _assemble,
+    _NodeGuard,
+    _SweepPlan,
     chaos_game_render,
     rb_apply,
     solve_fif,
@@ -133,6 +143,77 @@ def test_variable_scaling_solve():
     assert np.max(np.abs(res.values[idx] - np.sin(knots))) <= 1e-9
 
 
+# ------------------------------------------------------------- grid solver
+
+
+def interpolating_picard(problem, cells, tol, max_sweeps=10**4):
+    """Reference solve: Picard sweeps with linearly interpolated pre-images."""
+    pieces = _assemble(problem)
+    part = problem.partition
+    grid = np.linspace(part.a, part.b, cells + 1)
+    height = pieces.height_eval(grid)
+    start = height.copy()
+    start[0], start[-1] = pieces.beta1, pieces.beta2
+    return _SweepPlan(problem, grid, height, pieces).solve(start, tol, max_sweeps)
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_doubling_matches_interpolating_picard(count):
+    # N = 3 and 5 put cycles into the pre-image index map, so Picard
+    # contracts by only alpha per sweep there
+    prob = sine_problem(alpha=0.9, count=count, b=1.0)
+    tol = 1e-9
+    cells = count * 2**8
+    ref, sweeps, _, _ = interpolating_picard(prob, cells, tol)
+    res = solve_fif(prob, cells=cells, tol=tol)
+    assert np.max(np.abs(res.values - ref)) <= 2 * tol
+    assert res.residual <= tol * (1 - 0.9)
+    assert res.grid_slack == 0.0
+    assert res.diagnostics["solve_method"] == "doubling"
+    assert res.diagnostics["solve_steps"] < 16 < sweeps
+
+
+def test_budget_between_powers_of_two_still_converges():
+    prob = sine_problem(alpha=0.9, count=5, b=1.0)
+    tol = 1e-9
+    cells = 5 * 2**6
+    _, need, _, _ = interpolating_picard(prob, cells, tol)
+    s = need.bit_length() - 1
+    assert 2**s < need  # the budget is not itself a power of two
+    res = solve_fif(prob, cells=cells, tol=tol, max_sweeps=need)
+    assert res.iterations <= need
+    assert res.residual <= tol * (1 - 0.9)
+    # doubling up to 2^s, then single sweeps: not a Picard run from the start
+    assert res.diagnostics["solve_steps"] <= s + 1 + (need - 2**s)
+
+
+def test_slow_contraction_takes_few_steps():
+    # Picard contracts by 0.99 per sweep here and needs more than the
+    # default budget of 1000 sweeps
+    prob = sine_problem(alpha=0.99, count=5, b=1.0)
+    res = solve_fif(prob, cells=5 * 2**16, max_sweeps=4096)
+    assert 1000 < res.iterations <= 4096
+    assert res.residual <= 1e-12
+    assert res.diagnostics["solve_steps"] <= 13
+
+
+def test_non_uniform_partition_runs_picard_and_reproduces_knots():
+    # the knot 0.25 is a grid point, but the second map's pre-images are not
+    part = Partition(np.array([0.0, 0.25, 1.0]))
+    sv = ScalingVector.constant([0.3, 0.5])
+    op = OperatorConfig(ramp(), 0.0, 1.0, 16)
+    prob = FifProblem(part, sv, op, make_function("exp"), "alpha")
+    tol = 1e-10
+    res = solve_fif(prob, cells=2 * 2**7, tol=tol)
+    assert res.diagnostics["solve_method"] == "picard"
+    assert res.diagnostics["solve_steps"] == res.iterations
+    assert res.grid_slack > 0.0
+    assert res.residual <= tol
+    idx = np.searchsorted(res.grid, part.knots)
+    assert np.array_equal(res.grid[idx], part.knots)
+    assert np.max(np.abs(res.values[idx] - np.exp(part.knots))) <= 1e-9
+
+
 # ------------------------------------------------------------ one-sweep map
 
 
@@ -202,6 +283,33 @@ def test_discrete_knot_interpolation():
     res = solve_fif_discrete(prob, cells=16 * 2**8, tol=1e-10)
     idx = np.searchsorted(res.grid, knots)
     assert np.max(np.abs(res.values[idx] - vals)) <= 1e-9
+
+
+def test_node_guard_rejects_off_grid_evaluation():
+    guard = _NodeGuard(np.exp, np.linspace(0.0, 1.0, 5), 1.0)
+    assert np.allclose(guard(np.array([0.25, 1.0])), np.exp([0.25, 1.0]))
+    with pytest.raises(CrossCheckError, match="node grid"):
+        guard(np.array([0.3]))
+
+
+def test_node_guard_survives_optimized_mode():
+    code = (
+        "import numpy as np\n"
+        "from fif.errors import CrossCheckError\n"
+        "from fif.fractal import _NodeGuard\n"
+        "guard = _NodeGuard(np.exp, np.linspace(0.0, 1.0, 5), 1.0)\n"
+        "try:\n"
+        "    guard(np.array([0.3]))\n"
+        "except CrossCheckError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(fif.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_discrete_grid_compatibility_enforced():

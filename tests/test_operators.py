@@ -198,3 +198,19 @@ def test_scalar_input_gives_float():
     cfg = OperatorConfig(ramp(), 0.0, 1.0, 8)
     out = nn_eval(cfg, FunctionInput.analytic(np.sin), 0.37)
     assert isinstance(out, float)
+
+
+def test_tabulated_input_is_a_read_only_copy():
+    # the weight table is cached per input, so editing the caller's array
+    # must change neither the input nor what the operator returns
+    cfg = OperatorConfig(ramp(), 0.0, 1.0, 4)
+    arr = np.zeros(5)
+    f = FunctionInput.tabulated(arr)
+    before = nn_eval(cfg, f, 0.3)
+    arr[:] = 2.0
+    assert not np.shares_memory(f.values, arr)
+    assert np.all(f.values == 0.0)
+    assert nn_eval(cfg, f, 0.3) == before == 0.0
+    with pytest.raises(ValueError):
+        f.values[0] = 1.0
+    assert nn_eval(cfg, FunctionInput.tabulated(arr), 0.3) == pytest.approx(2.0)
