@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,14 +15,6 @@ from .sampled import SampledFunction
 DEFAULT_SCALES = tuple(2.0**-j for j in range(4, 13))
 
 SEMINORM_MAX_POINTS = 4001
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("FIF_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def modulus_of_continuity(phi: SampledFunction, delta: float) -> float:
@@ -163,18 +153,46 @@ def knot_data_collinear(x, y) -> bool:
     return bool(np.max(resid) <= 1e-9 * max(rng, 1.0))
 
 
-def _count_boxes(xn, yn, inv: int) -> int:
-    # curve-aware count: the points sample a continuous graph, so within
-    # one column every box between the column's extremes is occupied
+def _column_extremes(xn, yn, inv: int):
+    """Lowest and highest ``yn`` in each of ``inv`` columns (inf/-inf if empty)."""
     ix = np.minimum((xn * inv).astype(np.int64), inv - 1)
     lo = np.full(inv, np.inf)
     hi = np.full(inv, -np.inf)
     np.minimum.at(lo, ix, yn)
     np.maximum.at(hi, ix, yn)
+    return lo, hi
+
+
+def _boxes_spanned(lo, hi, inv: int) -> int:
+    # curve-aware count: the points sample a continuous graph, so within
+    # one column every box between the column's extremes is occupied
     seen = hi >= lo
     ilo = np.clip(np.floor(lo[seen] * inv).astype(np.int64), 0, inv - 1)
     ihi = np.clip(np.floor(hi[seen] * inv).astype(np.int64), 0, inv - 1)
     return int(np.sum(ihi - ilo + 1))
+
+
+def _count_boxes(xn, yn, inv: int) -> int:
+    return _boxes_spanned(*_column_extremes(xn, yn, inv), inv)
+
+
+def _dyadic_counts(xn, yn, invs) -> list:
+    """Box counts for power-of-two ``invs`` from one column pass at the finest.
+
+    Multiplying by a power of two is exact, so the column of a point at
+    ``2^j`` columns is its column at the finest ``2^J`` shifted right by
+    ``J - j``: each coarser level's extremes are the pairwise min/max of the
+    level below, and every count equals ``_count_boxes`` exactly.
+    """
+    inv = max(invs)
+    lo, hi = _column_extremes(xn, yn, inv)
+    counts = {}
+    while inv >= min(invs):
+        counts[inv] = _boxes_spanned(lo, hi, inv)
+        lo = np.minimum(lo[0::2], lo[1::2])
+        hi = np.maximum(hi[0::2], hi[1::2])
+        inv //= 2
+    return [counts[i] for i in invs]
 
 
 def box_counting_dimension(x, y, scales=None) -> DimensionReport:
@@ -187,6 +205,9 @@ def box_counting_dimension(x, y, scales=None) -> DimensionReport:
     scales : sequence of box sizes, optional
         Each must subdivide the unit square integrally.  Defaults to
         2^-4 ... 2^-12.  At least 5 scales spanning a factor >= 100.
+        When every size is a power of two, the point set is binned into
+        columns once, at the finest size, and the coarser counts come from
+        a pairwise min/max pyramid; other sizes are binned one by one.
 
     Returns
     -------
@@ -218,10 +239,8 @@ def box_counting_dimension(x, y, scales=None) -> DimensionReport:
         raise InvalidConfig("degenerate point set")
     xn = (x - np.min(x)) / x_span
     yn = (y - np.min(y)) / y_span
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(lambda i: _count_boxes(xn, yn, i), invs))
+    if all(i & (i - 1) == 0 for i in invs):
+        counts = _dyadic_counts(xn, yn, invs)
     else:
         counts = [_count_boxes(xn, yn, i) for i in invs]
     if len(set(counts)) < 2:

@@ -41,6 +41,10 @@ from .operators import FunctionInput, OperatorConfig, nn_eval
 from .registry import make_function
 from .sampled import SampledFunction
 
+# the largest render grid, orbit and box count a run may ask for: at 2^24
+# each float64 array is 128 MiB, and a solve or orbit holds several
+MAX_SIZE_EXP = 24
+
 
 @dataclass
 class RunConfig:
@@ -105,6 +109,12 @@ def _config_from_args(args) -> RunConfig:
         raise InvalidConfig("grid exponent must be at least 4")
     if cfg.subintervals < 2:
         raise InvalidConfig("need at least 2 subintervals")
+    # checked before any array exists; the exponent first, so that no huge
+    # integer is formed either
+    if cfg.grid_exp > MAX_SIZE_EXP or cfg.cells() > 2**MAX_SIZE_EXP:
+        raise InvalidConfig(f"render grid above 2^{MAX_SIZE_EXP} cells")
+    if cfg.points > 2**MAX_SIZE_EXP:
+        raise InvalidConfig(f"orbit above 2^{MAX_SIZE_EXP} points")
     return cfg
 
 
@@ -147,6 +157,8 @@ def _parse_scales(spec: str):
         raise InvalidConfig(f"bad scales spec {spec!r}, want e.g. 4..12") from exc
     if j1 < j0:
         raise InvalidConfig("scales range is empty")
+    if j1 > MAX_SIZE_EXP:
+        raise InvalidConfig(f"box sizes below 2^-{MAX_SIZE_EXP}")
     return tuple(2.0**-j for j in range(j0, j1 + 1))
 
 

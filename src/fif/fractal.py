@@ -27,6 +27,13 @@ pre-image value is interpolated between grid points and plain Picard
 sweeps run.  Either way the solve stops at an iterate that one further
 sweep moves by at most ``tol * (1 - contraction)``, which leaves it within
 ``tol`` of the fixed point in sup norm.
+
+The random-orbit render (chaos game) follows one seeded orbit of the
+iterated function system instead.  Its x-orbit and its y-recurrence are
+first-order affine recurrences along the orbit, so the same doubling
+applies with index ``t - w`` in place of ``k``: a slice-based scan solves
+each in at most ``log2`` of the orbit length array passes, and stops early
+once every window's coefficient product has underflowed to exactly zero.
 """
 
 from __future__ import annotations
@@ -401,7 +408,8 @@ def _build_plan(problem, cells, pieces):
 
 
 def _knot_checks(problem, x, pieces, values, tol_knot=1e-9):
-    """Continuity across subinterval junctions and knot reproduction."""
+    """Continuity across subinterval junctions and knot reproduction at the
+    internal knots that are grid points: ``(mismatch, deviation, checked)``."""
     part = problem.partition
     span = part.b - part.a
     step = span / (values.size - 1)
@@ -409,6 +417,7 @@ def _knot_checks(problem, x, pieces, values, tol_knot=1e-9):
     base_at_a = float(pieces.base_eval(np.asarray([part.a]))[0])
     cont_max = 0.0
     knot_max = 0.0
+    checked = 0
     knot_data = [pieces.beta1] + [
         float(pieces.height_eval(np.asarray([k]))[0]) for k in part.knots[1:-1]
     ] + [pieces.beta2]
@@ -425,11 +434,12 @@ def _knot_checks(problem, x, pieces, values, tol_knot=1e-9):
         ) - alpha_r * base_at_a
         cont_max = max(cont_max, abs(float(values[g]) - right))
         knot_max = max(knot_max, abs(float(values[g]) - knot_data[i]))
+        checked += 1
     if cont_max > tol_knot * scale:
         raise CrossCheckError(
             f"junction continuity check failed: mismatch {cont_max:.3e}"
         )
-    return cont_max, knot_max
+    return cont_max, knot_max, checked
 
 
 def _solve_core(problem, cells, tol, max_sweeps):
@@ -444,7 +454,7 @@ def _solve_core(problem, cells, tol, max_sweeps):
     start[0] = pieces.beta1
     start[-1] = pieces.beta2
     values, sweeps, steps, residual = plan.solve(start, tol, max_sweeps)
-    cont_max, knot_max = _knot_checks(problem, x, pieces, values)
+    cont_max, knot_max, checked = _knot_checks(problem, x, pieces, values)
     diagnostics = {
         "variant": problem.variant,
         "cells": cells,
@@ -453,6 +463,7 @@ def _solve_core(problem, cells, tol, max_sweeps):
         "solve_method": plan.method,
         "solve_steps": steps,
         "junction_mismatch": cont_max,
+        "knots_checked": checked,
         "knot_deviation": knot_max,
         "fd_fallback": pieces.fd_used,
     }
@@ -593,11 +604,43 @@ def rb_apply(problem: FifProblem, phi: SampledFunction) -> SampledFunction:
     return SampledFunction(part.a, part.b, plan.apply(phi.values))
 
 
+def _affine_scan(coeff, offset):
+    """Solve ``v[t] = coeff[t] * v[t - 1] + offset[t]`` in place.
+
+    ``coeff[0]`` must be 0, so ``v[0] = offset[0]``; on return ``offset``
+    holds ``v`` and ``coeff`` is spent.  Each pass composes every entry's
+    window of ``w`` maps with the window before it (a doubling scan of affine
+    maps), so after it an entry spans ``2 w`` steps and one whose span
+    reaches ``t = 0`` carries coefficient 0 and its final value.  Passes stop
+    once every coefficient is exactly 0.0, where further passes would change
+    nothing (a product of 1024 factors 1/4 underflows), and in any case after
+    ``ceil(log2 n)``.  Returns the number of passes.
+    """
+    n = offset.size
+    scratch = np.empty(n - 1)
+    w, passes = 1, 0
+    while w < n and coeff[w:].any():
+        tmp = scratch[: n - w]
+        np.multiply(coeff[w:], offset[:-w], out=tmp)
+        offset[w:] += tmp
+        np.multiply(coeff[w:], coeff[:-w], out=tmp)
+        coeff[w:] = tmp
+        w *= 2
+        passes += 1
+    return passes
+
+
 def chaos_game_render(problem: FifProblem, point_count: int, seed: int, burn_in: int = 100):
     """Random-orbit render: returns ``(x, y)`` arrays of ``point_count`` points.
 
     The orbit starts at the left interpolation point, picks maps uniformly
-    from a seeded generator, and discards ``burn_in`` initial steps.
+    from a seeded generator, and discards ``burn_in`` initial steps.  Both
+    the x-orbit ``x[t+1] = slope_k x[t] + intercept_k`` and the y-recurrence
+    ``y[t+1] = alpha_k(x[t]) y[t] + shift[t]`` are affine recurrences, each
+    solved in place by a doubling scan (Wyllie 1979; Blelloch 1990) of at
+    most ``ceil(log2(burn_in + point_count + 1))`` array passes, fewer once
+    the window coefficients underflow.  The result matches the step-by-step
+    loop up to rounding in the order of the additions.
     """
     if point_count < 1000:
         raise InvalidConfig("need at least 1000 points")
@@ -606,22 +649,20 @@ def chaos_game_render(problem: FifProblem, point_count: int, seed: int, burn_in:
     total = burn_in + int(point_count)
     rng = np.random.default_rng(seed)
     idx = rng.integers(1, part.size + 1, size=total)
-    slopes = [float(s) for s in part.slopes]
-    intercepts = [float(c) for c in part.intercepts]
+    coeff = np.empty(total + 1)
     xs = np.empty(total + 1)
-    xs[0] = part.a
-    cur = part.a
-    for t in range(total):
-        k = idx[t] - 1
-        cur = slopes[k] * cur + intercepts[k]
-        xs[t + 1] = cur
+    coeff[0], xs[0] = 0.0, part.a
+    np.take(part.slopes, idx - 1, out=coeff[1:])
+    np.take(part.intercepts, idx - 1, out=xs[1:])
+    _affine_scan(coeff, xs)
     np.clip(xs, part.a, part.b, out=xs)
-    alpha_t = problem.scaling.values_at(idx, xs[:-1])
-    shift = pieces.height_eval(xs[1:]) - alpha_t * pieces.base_eval(xs[:-1])
+    coeff[0] = 0.0
+    coeff[1:] = problem.scaling.values_at(idx, xs[:-1])
+    # ys[1:] = height(x[t+1]) - alpha_t * base(x[t]), the recurrence's shift
     ys = np.empty(total + 1)
     ys[0] = pieces.beta1
-    y = pieces.beta1
-    for t in range(total):
-        y = alpha_t[t] * y + shift[t]
-        ys[t + 1] = y
+    ys[1:] = pieces.base_eval(xs[:-1])
+    ys[1:] *= coeff[1:]
+    np.subtract(pieces.height_eval(xs[1:]), ys[1:], out=ys[1:])
+    _affine_scan(coeff, ys)
     return xs[burn_in + 1 :], ys[burn_in + 1 :]

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import fif.analysis
 from fif.analysis import (
+    DEFAULT_SCALES,
     DimensionReport,
     HolderParams,
     box_counting_dimension,
@@ -15,6 +17,11 @@ from fif.analysis import (
     theoretical_box_dimension,
 )
 from fif.errors import InvalidConfig
+from fif.fractal import FifProblem, chaos_game_render, solve_fif
+from fif.kernels import ramp
+from fif.maps import Partition, ScalingVector
+from fif.operators import OperatorConfig
+from fif.registry import make_function
 from fif.sampled import SampledFunction
 
 
@@ -311,11 +318,40 @@ def test_box_counting_degenerate():
         box_counting_dimension(t, np.zeros_like(t))  # flat: no y extent
 
 
-def test_box_counting_threaded_matches_serial(monkeypatch):
+def _point_sets():
+    part = Partition.uniform(0.0, 1.0, 4)
+    op = OperatorConfig(ramp(), 0.0, 1.0, 1)
+    prob = FifProblem(part, ScalingVector.broadcast(0.55, 4), op,
+                      make_function("poly:0,1,-1"))
+    res = solve_fif(prob, cells=2**17)
+    t = np.linspace(0.0, 1.0, 10**5 + 1)
+    return {
+        "grid": (res.grid, res.values),
+        "orbit": chaos_game_render(prob, 10**5, seed=3),
+        "sine": (t, np.sin(5 * t)),
+    }
+
+
+@pytest.mark.parametrize(
+    "scales", [DEFAULT_SCALES, tuple(2.0**-j for j in range(4, 12))],
+    ids=["default", "4..11"],
+)
+def test_box_counting_pyramid_matches_per_scale_counts(scales):
+    for name, (x, y) in _point_sets().items():
+        xn = (x - x.min()) / (x.max() - x.min())
+        yn = (y - y.min()) / (y.max() - y.min())
+        brute = [fif.analysis._count_boxes(xn, yn, round(1 / s)) for s in scales]
+        assert list(box_counting_dimension(x, y, scales).counts) == brute, name
+
+
+def test_box_counting_non_dyadic_scales_count_per_scale(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("non-dyadic scales must not use the pyramid")
+
+    monkeypatch.setattr(fif.analysis, "_dyadic_counts", refuse)
     t = np.linspace(0.0, 1.0, 10**5 + 1)
     y = np.sin(5 * t)
-    serial = box_counting_dimension(t, y)
-    monkeypatch.setenv("FIF_THREADS", "4")
-    threaded = box_counting_dimension(t, y)
-    assert serial.counts == threaded.counts
-    assert serial.estimated_dimension == threaded.estimated_dimension
+    yn = (y - y.min()) / (y.max() - y.min())
+    invs = (10, 20, 50, 100, 1000)
+    report = box_counting_dimension(t, y, scales=[1.0 / i for i in invs])
+    assert list(report.counts) == [fif.analysis._count_boxes(t, yn, i) for i in invs]

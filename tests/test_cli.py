@@ -1,7 +1,11 @@
 import json
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fif.cli import main
 
@@ -72,6 +76,43 @@ def test_invalid_flags_exit_2(tmp_path):
     assert run(base + ["--kernel", "gaussian"]) == 2
     assert run(base + ["--alpha", "linear:0.1"]) == 2
     assert run(base + ["--alpha", "sine:big"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["build", "--grid-exp", "60"],
+        ["build", "--N", str(2**21), "--grid-exp", "4"],
+        ["dimension", "--chaos", "--points", "1000000000000000"],
+        ["dimension", "--grid-exp", "4", "--scales", "4..60"],
+    ],
+    ids=["grid-exp", "cells", "points", "scales"],
+)
+def test_size_caps_exit_2_before_allocating(tmp_path, flags):
+    tracemalloc.start()
+    try:
+        code = run(flags + ["--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 2**20
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    command=st.sampled_from(["build", "dimension", "dimension --chaos"]),
+    grid_exp=st.sampled_from(["-1", "3", "4", "5", "60"]),
+    points=st.sampled_from(["0", "999", "1000", str(10**15)]),
+    alpha=st.sampled_from(["0.3", "1.5", "linear:0.1", "x"]),
+    count=st.sampled_from(["0", "1", "2", "4"]),
+)
+def test_any_argv_exits_with_a_documented_code(command, grid_exp, points, alpha, count):
+    argv = command.split() + [
+        "--grid-exp", grid_exp, "--points", points, "--alpha", alpha, "--N", count,
+    ]
+    with tempfile.TemporaryDirectory() as out:
+        assert run(argv + ["--out", out]) in (0, 2, 3, 4)
 
 
 @pytest.mark.parametrize(

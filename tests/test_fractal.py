@@ -18,6 +18,7 @@ from fif.fractal import (
     _assemble,
     _NodeGuard,
     _SweepPlan,
+    _affine_scan,
     chaos_game_render,
     rb_apply,
     solve_fif,
@@ -56,6 +57,7 @@ def test_result_metadata():
     assert res.y_min <= res.values.min() and res.y_max >= res.values.max()
     assert res.diagnostics["variant"] == "alpha"
     assert res.diagnostics["junction_mismatch"] <= 1e-9
+    assert res.diagnostics["knots_checked"] == 3
     sf = res.sampled()
     assert isinstance(sf, SampledFunction)
     assert np.array_equal(sf.values, res.values)
@@ -212,6 +214,15 @@ def test_non_uniform_partition_runs_picard_and_reproduces_knots():
     idx = np.searchsorted(res.grid, part.knots)
     assert np.array_equal(res.grid[idx], part.knots)
     assert np.max(np.abs(res.values[idx] - np.exp(part.knots))) <= 1e-9
+
+
+def test_off_grid_knots_are_counted_as_unchecked():
+    part = Partition(np.array([0.0, 0.3, 1.0]))
+    op = OperatorConfig(ramp(), 0.0, 1.0, 16)
+    prob = FifProblem(part, ScalingVector.constant([0.3, 0.5]), op, make_function("exp"))
+    res = solve_fif(prob, cells=256)
+    assert res.diagnostics["knots_checked"] == 0
+    assert res.diagnostics["junction_mismatch"] == 0.0
 
 
 # ------------------------------------------------------------ one-sweep map
@@ -477,6 +488,75 @@ def test_orbit_is_deterministic_per_seed():
     xs3, _ = chaos_game_render(prob, 5000, seed=43)
     assert np.array_equal(xs1, xs2) and np.array_equal(ys1, ys2)
     assert not np.array_equal(xs1, xs3)
+
+
+def _sequential_orbit(problem, point_count, seed, burn_in=100):
+    # the chaos game one step at a time: the reference for the scan
+    part = problem.partition
+    pieces = _assemble(problem)
+    total = burn_in + int(point_count)
+    idx = np.random.default_rng(seed).integers(1, part.size + 1, size=total)
+    slopes = [float(s) for s in part.slopes]
+    intercepts = [float(c) for c in part.intercepts]
+    xs = np.empty(total + 1)
+    xs[0] = cur = part.a
+    for t in range(total):
+        k = idx[t] - 1
+        cur = slopes[k] * cur + intercepts[k]
+        xs[t + 1] = cur
+    np.clip(xs, part.a, part.b, out=xs)
+    alpha_t = problem.scaling.values_at(idx, xs[:-1])
+    shift = pieces.height_eval(xs[1:]) - alpha_t * pieces.base_eval(xs[:-1])
+    ys = np.empty(total + 1)
+    ys[0] = y = pieces.beta1
+    for t in range(total):
+        y = alpha_t[t] * y + shift[t]
+        ys[t + 1] = y
+    return xs[burn_in + 1 :], ys[burn_in + 1 :]
+
+
+def _orbit_case(name):
+    op = OperatorConfig(ramp(), 0.0, 1.0, 8)
+    f = make_function("sin")
+    if name == "knots":
+        part = Partition(np.array([0.0, 0.25, 1.0]))
+        return FifProblem(part, ScalingVector.constant([0.3, 0.5]), op, f)
+    if name == "x-dependent":
+        fn = lambda x: 0.4 * np.sin(7.0 * np.asarray(x))
+        sv = ScalingVector([fn] * 4, domain=(0.0, 1.0))
+        return FifProblem(Partition.uniform(0.0, 1.0, 4), sv, op, f)
+    count, alpha = {"N4": (4, 0.55), "N5": (5, 0.99), "N3-negative": (3, -0.9)}[name]
+    part = Partition.uniform(0.0, 1.0, count)
+    return FifProblem(part, ScalingVector.broadcast(alpha, count), op, f)
+
+
+@pytest.mark.parametrize("name", ["N4", "N5", "N3-negative", "knots", "x-dependent"])
+def test_orbit_scan_matches_sequential_loop(name):
+    prob = _orbit_case(name)
+    xs, ys = chaos_game_render(prob, 2 * 10**5, seed=3)
+    ref_x, ref_y = _sequential_orbit(prob, 2 * 10**5, seed=3)
+    span = prob.partition.b - prob.partition.a
+    assert np.max(np.abs(xs - ref_x)) <= 1e-15 * span
+    assert np.max(np.abs(ys - ref_y)) <= 1e-13 * max(1.0, np.max(np.abs(ref_y)))
+
+
+def test_affine_scan_stops_when_coefficients_underflow():
+    rng = np.random.default_rng(0)
+    n = 10**5 + 1
+    offset = rng.standard_normal(n)
+    coeff = np.full(n, 0.25)
+    coeff[0] = 0.0
+    ref = offset.copy()
+    for t in range(1, n):
+        ref[t] += 0.25 * ref[t - 1]
+    # windows of 1024 maps multiply to 2^-2048, which is exactly 0.0
+    assert _affine_scan(coeff, offset) == 10
+    assert not coeff.any()
+    assert np.max(np.abs(offset - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # no underflow: the scan runs to ceil(log2 n) passes
+    coeff = np.full(n, 0.999999)
+    coeff[0] = 0.0
+    assert _affine_scan(coeff, np.ones(n)) == 17
 
 
 def test_orbit_point_budget_checked():
