@@ -41,8 +41,9 @@ from .operators import FunctionInput, OperatorConfig, nn_eval
 from .registry import make_function
 from .sampled import SampledFunction
 
-# the largest render grid, orbit and box count a run may ask for: at 2^24
-# each float64 array is 128 MiB, and a solve or orbit holds several
+# the largest render grid, orbit, box count and operator node count a run may
+# ask for: at 2^24 each float64 array is 128 MiB, and a solve or orbit holds
+# several
 MAX_SIZE_EXP = 24
 
 
@@ -115,6 +116,8 @@ def _config_from_args(args) -> RunConfig:
         raise InvalidConfig(f"render grid above 2^{MAX_SIZE_EXP} cells")
     if cfg.points > 2**MAX_SIZE_EXP:
         raise InvalidConfig(f"orbit above 2^{MAX_SIZE_EXP} points")
+    if cfg.nodes > 2**MAX_SIZE_EXP:
+        raise InvalidConfig(f"operator above 2^{MAX_SIZE_EXP} nodes")
     return cfg
 
 
@@ -503,6 +506,8 @@ def _parse_ladder(spec: str):
         raise InvalidConfig(f"bad ladder spec {spec!r}") from exc
     if not ladder or any(n < 1 for n in ladder):
         raise InvalidConfig("ladder must list positive node counts")
+    if max(ladder) > 2**MAX_SIZE_EXP:
+        raise InvalidConfig(f"ladder entry above 2^{MAX_SIZE_EXP} nodes")
     return ladder
 
 

@@ -112,18 +112,6 @@ class FifProblem:
         self.f = f
         self.variant = variant
 
-    @classmethod
-    def alpha_fractal(cls, partition, scaling, operator, f):
-        return cls(partition, scaling, operator, f, "alpha")
-
-    @classmethod
-    def discrete(cls, partition, scaling, operator, f):
-        return cls(partition, scaling, operator, f, "discrete")
-
-    @classmethod
-    def smooth(cls, partition, scaling, operator, f):
-        return cls(partition, scaling, operator, f, "smooth")
-
 
 @dataclass
 class FifResult:

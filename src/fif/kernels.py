@@ -22,6 +22,14 @@ Three families are shipped:
     bump          C^inf       exp(-1/t) glue, all derivatives flat
     ============  ==========  =======================================
 
+Every family is one transition profile ``P`` on [0, 1], rising from 0 to 1,
+with ``sigma(x) = P((x + m) / 2m)``; :func:`transition` evaluates ``P`` and
+its derivatives with exact saturation.  The polynomial families differentiate
+their coefficients.  The bump profile is the logistic of a rational function,
+``P(t) = L(1/(1-t) - 1/t)`` with ``L(z) = 1 / (1 + exp(-z))``, and its
+derivatives come in closed form from the Taylor jet of that composition,
+using ``L' = L (1 - L)``.
+
 Tabulated or merely continuous profiles are rejected: every family must
 supply exact saturation and closed-form derivatives up to its smoothness.
 """
@@ -34,13 +42,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import sympy
 
 # Sentinel smoothness order for the C^inf family.
 UNBOUNDED_ORDER = 10**6
 
-# Inside (0, 1) but closer to the ends than this, exp(-1/t) terms are below
-# the subnormal floor; the exact saturation value is returned instead.
+# Inside (0, 1) but closer to the ends than this, the bump profile is within
+# 1e-289 of 0 or 1; the exact saturation value is returned instead.
 _BUMP_TAIL = 1.5e-3
 
 _FAMILIES = ("ramp", "smoothstep", "bump")
@@ -76,15 +83,6 @@ class SigmoidalKernel:
         if self.family == "smoothstep":
             return self.order
         return 0
-
-    def sigma(self, x):
-        return sigma_eval(self, x)
-
-    def xi(self, x):
-        return xi_eval(self, x)
-
-    def xi_deriv(self, order, x):
-        return xi_derivative(self, order, x)
 
     def describe(self) -> str:
         if self.family == "smoothstep":
@@ -123,34 +121,17 @@ def kernel_from_name(name: str, m: float = 0.5) -> SigmoidalKernel:
 
 
 @lru_cache(maxsize=None)
-def _transition_poly(order: int) -> np.polynomial.Polynomial:
-    # Unique degree 2k+1 polynomial with p(0)=0, p(1)=1 and k flat
-    # derivatives at both ends: the normalized integral of t^k (1-t)^k.
-    # Coefficients are assembled exactly in rational arithmetic.
+def _transition_poly(order: int, d: int) -> np.polynomial.Polynomial:
+    # d-th derivative of the unique degree 2k+1 polynomial with p(0)=0,
+    # p(1)=1 and k flat derivatives at both ends: the normalized integral of
+    # t^k (1-t)^k.  Coefficients are assembled exactly in rational arithmetic.
     k = order
     beta = Fraction(math.factorial(k) ** 2, math.factorial(2 * k + 1))
     coeffs = [Fraction(0)] * (2 * k + 2)
     for i in range(k + 1):
         c = Fraction(math.comb(k, i) * (-1) ** i, k + i + 1) / beta
         coeffs[k + i + 1] = c
-    return np.polynomial.Polynomial([float(c) for c in coeffs])
-
-
-@lru_cache(maxsize=None)
-def _transition_poly_deriv(order: int, d: int) -> np.polynomial.Polynomial:
-    return _transition_poly(order).deriv(d)
-
-
-@lru_cache(maxsize=None)
-def _bump_profile_deriv(d: int):
-    # d-th derivative of exp(-1/t) / (exp(-1/t) + exp(-1/(1-t))) on (0, 1),
-    # kept in the negative-exponent form so it never overflows on the band
-    # where it is evaluated.
-    t = sympy.Symbol("t")
-    g = sympy.exp(-1 / t)
-    h = sympy.exp(-1 / (1 - t))
-    expr = sympy.diff(g / (g + h), t, d)
-    return sympy.lambdify(t, expr, modules="numpy")
+    return np.polynomial.Polynomial([float(c) for c in coeffs]).deriv(d)
 
 
 def _as_array(x):
@@ -166,52 +147,72 @@ def _shaped(out, like):
     return out
 
 
+def _bump_profile(d: int, t):
+    """d-th derivative of the bump profile at ``t`` in (0, 1/2].
+
+    ``P = L(z)`` with the logistic ``L(z) = 1 / (1 + exp(-z))`` and
+    ``z = 1/(1-t) - 1/t``.  The Taylor coefficients of ``z`` at ``t`` are
+    ``z_k = (1-t)^-(k+1) + (-1/t)^(k+1)``; those of ``Y = L(z(t + e))``
+    follow from ``Y' = Y (1 - Y) z'`` one order at a time.
+    """
+    a, b = 1.0 / (1.0 - t), -1.0 / t
+    z = [a + b]
+    for _ in range(d):
+        a, b = a / (1.0 - t), b * (-1.0 / t)
+        z.append(a + b)
+    e = np.exp(z[0])  # z <= 0 on this half, so e never overflows
+    y = [e / (1.0 + e)]
+    w = [y[0] * (1.0 - y[0])]  # coefficients of L'(z) = Y (1 - Y)
+    for k in range(1, d + 1):
+        y.append(sum(w[i] * (k - i) * z[k - i] for i in range(k)) / k)
+        w.append(y[k] - sum(y[i] * y[k - i] for i in range(k + 1)))
+    return math.factorial(d) * y[d]
+
+
+def transition(kernel: SigmoidalKernel, d: int, t):
+    """d-th derivative of the kernel's transition profile ``P`` on [0, 1].
+
+    ``P`` rises from 0 to 1 and ``sigma(x) = P((x + m) / 2m)``.  The value
+    saturates exactly (0 at or below the band, 1 at or above it) and every
+    derivative is exactly 0 outside the open band.  The band is (0, 1),
+    narrowed for ``bump`` by ``_BUMP_TAIL`` at both ends.
+    """
+    t = np.asarray(t, dtype=float)
+    lo = _BUMP_TAIL if kernel.family == "bump" else 0.0
+    out = np.where(t >= 1.0 - lo, 1.0, 0.0) if d == 0 else np.zeros_like(t)
+    inner = (t > lo) & (t < 1.0 - lo)
+    if not np.any(inner):
+        return out
+    ti = t[inner]
+    if kernel.family == "bump":
+        # evaluate on the half where P <= 1/2, so that 1 - P does not cancel,
+        # and reflect: P(1-t) = 1 - P(t)
+        flip = ti > 0.5
+        vals = _bump_profile(d, np.where(flip, 1.0 - ti, ti))
+        if d == 0:
+            vals = np.where(flip, 1.0 - vals, vals)
+        elif d % 2 == 0:
+            vals = np.where(flip, -vals, vals)
+        out[inner] = vals
+    else:
+        out[inner] = _transition_poly(kernel.order, d)(ti)
+    return out
+
+
 def _sigma_derivative(kernel: SigmoidalKernel, d: int, x):
     """d-th derivative of sigma, exact zeros outside the transition band."""
-    arr = _as_array(x)
     m = kernel.m
-    t = (arr + m) / (2.0 * m)
-    out = np.zeros_like(t)
-    if kernel.family == "bump":
-        inner = (t > _BUMP_TAIL) & (t < 1.0 - _BUMP_TAIL)
-        if np.any(inner):
-            vals = _bump_profile_deriv(d)(t[inner])
-            out[inner] = np.asarray(vals, dtype=float) / (2.0 * m) ** d
-    else:
-        poly = _transition_poly_deriv(kernel.order, d)
-        inner = (t > 0.0) & (t < 1.0)
-        if np.any(inner):
-            out[inner] = poly(t[inner]) / (2.0 * m) ** d
-    return out
+    return transition(kernel, d, (_as_array(x) + m) / (2.0 * m)) / (2.0 * m) ** d
 
 
 def sigma_eval(kernel: SigmoidalKernel, x):
     """Evaluate the sigmoid.  Saturation is exact: 0 below -m, 1 above m."""
-    arr = _as_array(x)
-    m = kernel.m
-    t = (arr + m) / (2.0 * m)
-    out = np.where(t >= 1.0, 1.0, 0.0)
-    if kernel.family == "bump":
-        inner = (t > _BUMP_TAIL) & (t < 1.0 - _BUMP_TAIL)
-        if np.any(inner):
-            out[inner] = np.asarray(_bump_profile_deriv(0)(t[inner]), dtype=float)
-        # between the tail cut and the saturation point the true value
-        # rounds to 0.0 or 1.0 in double precision already
-        out[(t > 0.0) & (t <= _BUMP_TAIL)] = 0.0
-        out[(t >= 1.0 - _BUMP_TAIL) & (t < 1.0)] = 1.0
-    else:
-        inner = (t > 0.0) & (t < 1.0)
-        if np.any(inner):
-            out[inner] = _transition_poly(kernel.order)(t[inner])
-    return _shaped(out, x)
+    return _shaped(_sigma_derivative(kernel, 0, x), x)
 
 
 def xi_eval(kernel: SigmoidalKernel, x):
     """Window value sigma(x + m) - sigma(x - m); support is [-2m, 2m]."""
-    arr = _as_array(x)
-    m = kernel.m
-    out = sigma_eval(kernel, arr + m) - sigma_eval(kernel, arr - m)
-    return _shaped(out, x)
+    return xi_derivative(kernel, 0, x)
 
 
 def xi_derivative(kernel: SigmoidalKernel, order: int, x):
@@ -227,8 +228,6 @@ def xi_derivative(kernel: SigmoidalKernel, order: int, x):
     """
     if order < 0:
         raise ValueError("derivative order must be nonnegative")
-    if order == 0:
-        return xi_eval(kernel, x)
     if order > kernel.smoothness:
         raise ValueError("insufficient kernel smoothness")
     arr = _as_array(x)

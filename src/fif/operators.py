@@ -3,15 +3,21 @@
 The zeroth-order operator attaches one translated window to each node
 ``a_k = a + k h`` and sums ``f(a_k) * xi((2m/h)(x - a_k))``.  Because the
 window is supported on ``[-2m, 2m]`` and the argument is rescaled by
-``2m / h``, only the two nodes bracketing ``x`` can contribute; the
-implementation skips all other terms by index range rather than by testing
-values.  The two-translate identity of the window makes the operator
-reproduce constants and interpolate ``f`` at every node.
+``2m / h``, only the two nodes bracketing ``x`` contribute, and by the
+window's two-translate identity their weights are ``1 - P(s)`` and ``P(s)``,
+where ``P`` is the kernel's transition profile (:func:`fif.kernels.transition`)
+and ``s = (x - a_k) / h`` in [0, 1].  The operator is therefore the blend
+``f(a_k) (1 - P(s)) + f(a_{k+1}) P(s)``: it reproduces constants,
+interpolates ``f`` at every node, and the half-width ``m`` cancels out.
 
 The four-layer variant adds ``r`` derivative channels: node weights
 ``h^j / ((2m)^j j!) * f_j(a_k)`` against profile ``u^j xi(u)`` for the
-``j``-th channel, which reproduces derivative values at the nodes when the
-window is flat enough there.
+``j``-th channel.  Summed over the channels, each node contributes its
+order-``r`` Taylor polynomial ``T_k(x) = sum_j f_j(a_k) (x - a_k)^j / j!``,
+so the operator is the blend ``T_k(x) (1 - P(s)) + T_{k+1}(x) P(s)``; its
+derivatives follow by the Leibniz rule with ``d^i P(s) / dx^i = P^(i)(s) / h^i``.
+It reproduces derivative values at the nodes when the profile is flat
+enough there.
 """
 
 from __future__ import annotations
@@ -24,7 +30,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidConfig
-from .kernels import SigmoidalKernel, xi_derivative, xi_eval
+from .kernels import SigmoidalKernel, transition
+# not called here: the benchmark's tracer (bench/spans.py) wraps these two by
+# name as attributes of this module
+from .kernels import xi_derivative, xi_eval  # noqa: F401
 
 # Relative step used when a derivative has to be approximated from values.
 FD_STEP_SCALE = 1e-3
@@ -138,7 +147,7 @@ def input_derivative(f: FunctionInput, order: int, x, fd_step: float):
 
 @lru_cache(maxsize=128)
 def _weight_table(cfg: OperatorConfig, f: FunctionInput, upto: int):
-    """Per-channel node weights, shape (upto+1, n+1), plus a fallback flag."""
+    """Node derivatives ``f^(j)(a_k)``, shape (upto+1, n+1), plus a fallback flag."""
     nodes = cfg.nodes
     if f.mode == "tabulated":
         if upto >= 1:
@@ -151,11 +160,9 @@ def _weight_table(cfg: OperatorConfig, f: FunctionInput, upto: int):
     rows = np.empty((upto + 1, cfg.n + 1))
     rows[0] = _call_vectorized(f.func, nodes)
     fd_used = False
-    two_m = 2.0 * cfg.kernel.m
     for j in range(1, upto + 1):
-        dv, fd = input_derivative(f, j, nodes, cfg.h * FD_STEP_SCALE)
+        rows[j], fd = input_derivative(f, j, nodes, cfg.h * FD_STEP_SCALE)
         fd_used = fd_used or fd
-        rows[j] = dv * cfg.h**j / (two_m**j * math.factorial(j))
     if fd_used:
         warnings.warn(
             "derivative callables missing; central differences substituted",
@@ -181,39 +188,28 @@ def _bracket(cfg: OperatorConfig, x):
     return u, klo
 
 
-def _accumulate(cfg, table, u, klo, deriv_order):
-    """Compensated two-node sum over channels, nodes ascending outside."""
-    two_m = 2.0 * cfg.kernel.m
-    total = np.zeros_like(u)
-    carry = np.zeros_like(u)
-    channels = table.shape[0]
-    for off in (0, 1):
-        node = klo + off
-        uu = two_m * (u - node)
-        for j in range(channels):
-            if deriv_order == 0:
-                profile = uu**j * xi_eval(cfg.kernel, uu) if j else xi_eval(
-                    cfg.kernel, uu
-                )
-            else:
-                profile = _profile_derivative(cfg.kernel, j, deriv_order, uu)
-            term = table[j, node] * profile
-            y = term - carry
-            t = total + y
-            carry = (t - total) - y
-            total = t
-    if deriv_order:
-        total = total * (two_m / cfg.h) ** deriv_order
-    return total
-
-
-def _profile_derivative(kernel: SigmoidalKernel, j: int, order: int, u):
-    # Leibniz rule for d^order/du^order of u^j * xi(u).
-    out = np.zeros_like(u)
-    for i in range(min(j, order) + 1):
-        c = math.comb(order, i) * math.perm(j, i)
-        out += c * u ** (j - i) * xi_derivative(kernel, order - i, u)
+def _taylor(rows, dx, q):
+    """q-th derivative at ``a_k + dx`` of ``sum_j rows[j] dx^j / j!`` (Horner)."""
+    top = rows.shape[0] - 1
+    out = rows[top]
+    for j in range(top - 1, q - 1, -1):
+        out = rows[j] + out * dx / (j + 1 - q)
     return out
+
+
+def _blend(cfg, table, u, klo, order):
+    """``order``-th derivative of ``T_k (1 - P(s)) + T_{k+1} P(s)``, Leibniz rule."""
+    s = u - klo
+    left, right = table[:, klo], table[:, klo + 1]
+    dx_left, dx_right = cfg.h * s, cfg.h * (s - 1.0)
+    total = 0.0
+    for i in range(order + 1):
+        p = transition(cfg.kernel, i, s) / cfg.h**i
+        q = 1.0 - p if i == 0 else -p
+        total = total + math.comb(order, i) * (
+            _taylor(left, dx_left, order - i) * q + _taylor(right, dx_right, order - i) * p
+        )
+    return total
 
 
 def _shaped(out, like):
@@ -226,14 +222,14 @@ def nn_eval(cfg: OperatorConfig, f: FunctionInput, x):
     """Zeroth-order operator value at ``x`` (scalar or array)."""
     table, _ = _weight_table(cfg, f, 0)
     u, klo = _bracket(cfg, x)
-    return _shaped(_accumulate(cfg, table, u, klo, 0), x)
+    return _shaped(_blend(cfg, table, u, klo, 0), x)
 
 
 def nn_eval_four_layer(cfg: OperatorConfig, f: FunctionInput, x):
     """Operator with ``cfg.r`` derivative channels; equals nn_eval at r=0."""
     table, _ = _weight_table(cfg, f, cfg.r)
     u, klo = _bracket(cfg, x)
-    return _shaped(_accumulate(cfg, table, u, klo, 0), x)
+    return _shaped(_blend(cfg, table, u, klo, 0), x)
 
 
 def nn_eval_derivative(cfg: OperatorConfig, f: FunctionInput, order: int, x):
@@ -244,7 +240,7 @@ def nn_eval_derivative(cfg: OperatorConfig, f: FunctionInput, order: int, x):
         raise InvalidConfig("derivative order exceeds the layer order r")
     table, _ = _weight_table(cfg, f, cfg.r)
     u, klo = _bracket(cfg, x)
-    return _shaped(_accumulate(cfg, table, u, klo, order), x)
+    return _shaped(_blend(cfg, table, u, klo, order), x)
 
 
 def operator_fd_fallback(cfg: OperatorConfig, f: FunctionInput) -> bool:

@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fif
 from fif.cli import main
 
 
@@ -66,6 +71,17 @@ def test_build_rejects_expansive_scaling(tmp_path, capsys):
     assert "< 1" in capsys.readouterr().err
 
 
+def test_cli_import_does_not_load_sympy():
+    # sympy is a test-only dependency: the closed-form kernels never need it
+    src = str(Path(fif.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fif.cli; print('sympy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_invalid_flags_exit_2(tmp_path):
     base = ["build", "--out", str(tmp_path)]
     assert run(base + ["--interval", "1", "0"]) == 2
@@ -85,8 +101,10 @@ def test_invalid_flags_exit_2(tmp_path):
         ["build", "--N", str(2**21), "--grid-exp", "4"],
         ["dimension", "--chaos", "--points", "1000000000000000"],
         ["dimension", "--grid-exp", "4", "--scales", "4..60"],
+        ["build", "--n", "1000000000000000", "--grid-exp", "4"],
+        ["converge", "--n-ladder", "8,1000000000000000"],
     ],
-    ids=["grid-exp", "cells", "points", "scales"],
+    ids=["grid-exp", "cells", "points", "scales", "nodes", "ladder"],
 )
 def test_size_caps_exit_2_before_allocating(tmp_path, flags):
     tracemalloc.start()
@@ -106,10 +124,12 @@ def test_size_caps_exit_2_before_allocating(tmp_path, flags):
     points=st.sampled_from(["0", "999", "1000", str(10**15)]),
     alpha=st.sampled_from(["0.3", "1.5", "linear:0.1", "x"]),
     count=st.sampled_from(["0", "1", "2", "4"]),
+    nodes=st.sampled_from(["0", "1", "32", str(2**24 + 1), str(10**15)]),
 )
-def test_any_argv_exits_with_a_documented_code(command, grid_exp, points, alpha, count):
+def test_any_argv_exits_with_a_documented_code(command, grid_exp, points, alpha, count, nodes):
     argv = command.split() + [
         "--grid-exp", grid_exp, "--points", points, "--alpha", alpha, "--N", count,
+        "--n", nodes,
     ]
     with tempfile.TemporaryDirectory() as out:
         assert run(argv + ["--out", out]) in (0, 2, 3, 4)

@@ -10,6 +10,7 @@ from fif.kernels import (
     sigma_eval,
     smooth_bump,
     smoothstep,
+    transition,
     xi_derivative,
     xi_eval,
 )
@@ -128,6 +129,28 @@ def test_bump_window_derivative_matches_fd():
         exact = xi_derivative(kernel, j, x)
         scale = max(np.max(np.abs(exact)), 1.0)
         assert np.max(np.abs(fd - exact)) <= 2e-4 * scale
+
+
+def test_bump_transition_matches_symbolic_derivatives():
+    # the closed-form logistic jet against sympy's derivative of the profile
+    # written as exp(-1/t) / (exp(-1/t) + exp(-1/(1-t)))
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    g, h = sympy.exp(-1 / t), sympy.exp(-1 / (1 - t))
+    x = np.linspace(1.5e-3, 1.0 - 1.5e-3, 4001)[1:-1]
+    for d in range(8):
+        ref = sympy.lambdify(t, sympy.diff(g / (g + h), t, d), modules="numpy")(x)
+        got = transition(smooth_bump(), d, x)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), d
+
+
+@pytest.mark.parametrize("kernel", ALL_FAMILIES, ids=ids(ALL_FAMILIES))
+def test_transition_is_flat_outside_its_band(kernel):
+    t = np.array([-1.0, 0.0, 1e-4, 1.0 - 1e-4, 1.0, 2.0])
+    value = transition(kernel, 0, t)
+    assert np.array_equal(value[[0, 1, 4, 5]], [0.0, 0.0, 1.0, 1.0])
+    for d in range(1, min(kernel.smoothness, 3) + 1):
+        assert np.all(transition(kernel, d, t)[[0, 1, 4, 5]] == 0.0)
 
 
 def test_smoothness_budget():
