@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from .errors import InvalidConfig
 from .sampled import SampledFunction
@@ -29,9 +28,15 @@ def modulus_of_continuity(phi: SampledFunction, delta: float) -> float:
     if step > delta / 16 * (1 + 1e-12):
         raise InvalidConfig("refine grid: need step <= delta / 16")
     k = int(math.floor(delta / step + 1e-9))
+    # k <= cells, and pairs at most k steps apart all lie in some full window
+    # of k + 1 samples; a doubling min/max table grows the width to that
     window = k + 1
-    hi = maximum_filter1d(phi.values, size=window, mode="nearest")
-    lo = minimum_filter1d(phi.values, size=window, mode="nearest")
+    hi, lo, width = phi.values, phi.values, 1
+    while width < window:
+        s = min(width, window - width)
+        hi = np.maximum(hi[:-s], hi[s:])
+        lo = np.minimum(lo[:-s], lo[s:])
+        width += s
     return float(np.max(hi - lo))
 
 

@@ -293,9 +293,8 @@ def cmd_converge(cfg: RunConfig, out: Path) -> int:
         raise InvalidConfig("converge needs an analytic function to compare against")
     ladder = _parse_ladder(cfg.n_ladder)
     a, b = cfg.interval
-    probe = _build_problem(dataclasses.replace(cfg, nodes=ladder[0]))
+    sup_alpha = _parse_alpha(cfg).sup_norm
     dense = SampledFunction.from_callable(make_function(cfg.function), a, b, 2**17)
-    sup_alpha = probe.scaling.sup_norm
     rows_n, rows_sub, errs, bounds = [], [], [], []
     for n in ladder:
         step_cfg = dataclasses.replace(cfg, nodes=n)
@@ -408,8 +407,8 @@ def cmd_smooth(cfg: RunConfig, out: Path) -> int:
 
 def cmd_holder(cfg: RunConfig, out: Path) -> int:
     ladder = _parse_ladder(cfg.n_ladder)
-    probe = _build_problem(dataclasses.replace(cfg, nodes=ladder[0]))
-    gate_terms = probe.scaling.sup_norms / probe.partition.slopes**cfg.mu
+    slopes = Partition.uniform(*cfg.interval, cfg.subintervals).slopes
+    gate_terms = _parse_alpha(cfg).sup_norms / slopes**cfg.mu
     worst = int(np.argmax(gate_terms))
     if gate_terms[worst] >= 1.0:
         raise InvalidConfig(
@@ -420,8 +419,8 @@ def cmd_holder(cfg: RunConfig, out: Path) -> int:
     truth = make_function(cfg.function)
     rows, sups, semis, norms = [], [], [], []
     for n in ladder:
-        problem = _build_problem(dataclasses.replace(cfg, nodes=n))
-        res = _solve_by_variant(problem, dataclasses.replace(cfg, nodes=n))
+        step_cfg = dataclasses.replace(cfg, nodes=n)
+        res = _solve_by_variant(_build_problem(step_cfg), step_cfg)
         diff = SampledFunction(
             res.grid[0], res.grid[-1], res.values - truth(res.grid)
         ).thin(params.max_points)

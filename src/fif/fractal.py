@@ -115,7 +115,13 @@ class FifProblem:
 
 @dataclass
 class FifResult:
-    """Converged render plus the evidence that it converged."""
+    """Converged render plus the evidence that it converged.
+
+    On a non-uniform partition ``residual`` measures only the interpolated
+    discrete equation.  The error to the true fixed point goes through
+    ``grid_slack`` (0.0 on a closed grid), a second-difference estimate of
+    what interpolation misses: about ``grid_slack / (1 - contraction) + tol``.
+    """
 
     grid: np.ndarray
     values: np.ndarray

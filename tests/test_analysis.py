@@ -86,9 +86,12 @@ def test_modulus_sine_small_delta():
 
 def test_modulus_matches_pair_scan():
     rng = np.random.default_rng(9)
-    sf = SampledFunction(0.0, 1.0, rng.standard_normal(257))
-    for delta in (0.0625, 0.125, 0.25):
-        assert modulus_of_continuity(sf, delta) == brute_modulus(sf, delta)
+    noise = SampledFunction(0.0, 1.0, rng.standard_normal(257))
+    walk = SampledFunction(0.0, 1.0, np.cumsum(np.random.default_rng(10).standard_normal(257)))
+    # windows of 17, 32 (a power of two), 101 and all 257 samples besides
+    for sf in (noise, walk):
+        for delta in (0.0625, 0.125, 0.25, 16 / 256, 31 / 256, 100 / 256, 1.0):
+            assert modulus_of_continuity(sf, delta) == brute_modulus(sf, delta)
 
 
 def test_modulus_monotone_in_delta():

@@ -72,14 +72,16 @@ def test_build_rejects_expansive_scaling(tmp_path, capsys):
 
 
 def test_cli_import_does_not_load_sympy():
-    # sympy is a test-only dependency: the closed-form kernels never need it
+    # sympy is a test-only dependency: the closed-form kernels never need it;
+    # scipy is no dependency at all
     src = str(Path(fif.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, fif.cli; print('sympy' in sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    for name in ("sympy", "scipy"):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys, fif.cli; print({name!r} in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False", name
 
 
 def test_invalid_flags_exit_2(tmp_path):

@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +225,86 @@ def test_off_grid_knots_are_counted_as_unchecked():
     res = solve_fif(prob, cells=256)
     assert res.diagnostics["knots_checked"] == 0
     assert res.diagnostics["junction_mismatch"] == 0.0
+
+
+def orbit_oracle(problem, cells, stride=1):
+    """phi at every ``stride``-th grid point, summed along backward orbits.
+
+    Unrolling the equation along ``x_0 = x, x_{d+1} = L_i^-1(x_d)`` gives
+    ``phi(x) = sum_d w_d (height(x_d) - alpha_i(x_{d+1}) base(x_{d+1}))``
+    with ``w_d`` the product of the scalings met so far.  The orbit runs in
+    exact fractions: in floats a map such as ``x -> 5x`` multiplies the
+    rounding error by 5 at every step.  Knots are taken as the nearest fractions with small
+    denominators, which is what the float knots stand for.
+    """
+    pieces = _assemble(problem)
+    scaling = problem.scaling
+    knots = [Fraction(k).limit_denominator(10**6) for k in problem.partition.knots]
+    a, span = knots[0], knots[-1] - knots[0]
+    inner = knots[1:-1]
+    maps = [(span / (hi - lo), a - lo * span / (hi - lo)) for lo, hi in zip(knots, knots[1:])]
+    depth = math.ceil(math.log(1e-16) / math.log(scaling.sup_norm))
+    g = np.arange(0, cells + 1, stride)
+    x = [a + span * Fraction(int(k), cells) for k in g]
+    xf = np.array([float(v) for v in x])
+    total = np.zeros(g.size)
+    weight = np.ones(g.size)
+    for _ in range(depth):
+        # internal knots go left, as in Partition.locate
+        i = [sum(v > k for k in inner) for v in x]
+        x = [v * maps[j][0] + maps[j][1] for v, j in zip(x, i)]
+        pf = np.array([float(v) for v in x])
+        coeff = scaling.values_at(np.array(i) + 1, pf)
+        total += weight * (pieces.height_eval(xf) - coeff * pieces.base_eval(pf))
+        weight = weight * coeff
+        xf = pf
+    return g, total
+
+
+def orbit_case(knots, alpha, name):
+    if isinstance(knots, int):
+        part = Partition.uniform(0.0, 1.0, knots)
+    else:
+        part = Partition(np.asarray(knots, dtype=float))
+    op = OperatorConfig(ramp(), 0.0, 1.0, 16)
+    return FifProblem(part, ScalingVector.constant(alpha), op, make_function(name))
+
+
+@pytest.mark.parametrize(
+    "knots, alpha, name, cells, stride",
+    [
+        (5, [0.9] * 5, "sin", 5 * 2**10, 37),
+        (4, [0.3, -0.5, 0.6, 0.2], "exp", 4 * 2**10, 5),
+    ],
+)
+def test_doubling_matches_orbit_oracle(knots, alpha, name, cells, stride):
+    prob = orbit_case(knots, alpha, name)
+    tol = 1e-9
+    res = solve_fif(prob, cells=cells, tol=tol)
+    assert res.diagnostics["solve_method"] == "doubling"
+    g, ref = orbit_oracle(prob, cells, stride)
+    assert np.max(np.abs(res.values[g] - ref)) <= 2 * tol
+
+
+@pytest.mark.parametrize(
+    "knots, alpha, name, cells",
+    [
+        ([0.0, 0.25, 1.0], [0.3, 0.5], "exp", 256),
+        ([0.0, 0.25, 1.0], [0.3, 0.5], "exp", 4096),
+        ([0.0, 0.3, 1.0], [0.6, -0.7], "sin", 256),
+        ([0.0, 0.1, 0.45, 1.0], [0.5, 0.8, -0.6], "cos", 384),
+    ],
+)
+def test_picard_error_is_bounded_through_grid_slack(knots, alpha, name, cells):
+    # the residual measures only the interpolated equation (1e-11 on the
+    # first case, whose true error is 6.7e-5); grid_slack carries the rest
+    prob = orbit_case(knots, alpha, name)
+    tol = 1e-10
+    res = solve_fif(prob, cells=cells, tol=tol)
+    assert res.diagnostics["solve_method"] == "picard"
+    g, ref = orbit_oracle(prob, cells)
+    err = np.max(np.abs(res.values[g] - ref))
+    assert err <= res.grid_slack / (1 - res.diagnostics["contraction"]) + tol
 
 
 # ------------------------------------------------------------ one-sweep map
