@@ -264,7 +264,6 @@ def cmd_build(cfg: RunConfig, out: Path) -> int:
     results = {
         "residual": res.residual,
         "iterations": res.iterations,
-        "grid_slack": res.grid_slack,
         "y_min": res.y_min,
         "y_max": res.y_max,
         "base_gap": base_gap,
@@ -304,16 +303,13 @@ def cmd_converge(cfg: RunConfig, out: Path) -> int:
         res = _solve_by_variant(problem, step_cfg)
         truth = make_function(cfg.function)(res.grid)
         err = float(np.max(np.abs(res.values - truth)))
+        om = modulus_of_continuity(dense, (b - a) / n)
         if cfg.discrete:
-            bound = error_bound_discrete(
-                sup_alpha,
-                modulus_of_continuity(dense, (b - a) / n),
-                modulus_of_continuity(dense, (b - a) / step_cfg.subintervals),
-            )
+            knots = step_cfg.subintervals
+            om_k = om if knots == n else modulus_of_continuity(dense, (b - a) / knots)
+            bound = error_bound_discrete(sup_alpha, om, om_k)
         else:
-            bound = error_bound_alpha(
-                sup_alpha, modulus_of_continuity(dense, (b - a) / n)
-            )
+            bound = error_bound_alpha(sup_alpha, om)
         rows_n.append(n)
         rows_sub.append(step_cfg.subintervals)
         errs.append(err)
@@ -472,7 +468,7 @@ def cmd_bounds(cfg: RunConfig, out: Path) -> int:
             f"{_fmt(error_bound_alpha(sup, gap))}  {_fmt(error_bound_alpha(sup, om))}"
         )
         if cfg.discrete:
-            om_k = modulus_of_continuity(dense, (b - a) / max(n, 2))
+            om_k = om if n >= 2 else modulus_of_continuity(dense, (b - a) / 2)
             line += f"  {_fmt(error_bound_discrete(sup, om, om_k))}"
         print(line)
     return 0

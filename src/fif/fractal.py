@@ -16,17 +16,19 @@ subinterval ``i``.  Three variants differ only in what plays the roles of
     smooth    height = f itself,            base = four-layer operator;
               derivative levels get their own fixed-point equations
 
-Solving works on a dense uniform grid.  On a uniform partition whose cell
-count is a multiple of the subinterval count, every pre-image of a grid
-point is itself a grid point, so the discrete equation reads
+Solving works on a render grid that every pre-image map sends into
+itself.  On a uniform partition that is the uniform grid: the pre-image of
+grid point ``g`` in subinterval ``i`` is grid point ``N g - (i - 1) cells``.
+On any other partition it is ``G_K``, the images of the endpoints under all
+depth-``K`` compositions of the maps (Barnsley 1986): ``N^K + 1`` points,
+built one level at a time, whose stride-``N`` subgrid is ``G_{K-1}``, so the
+same index formula holds.  Either way the discrete equation reads
 ``phi = c * phi[k] + o`` over integer indices ``k``.  The update composed
 with itself has the same form, so pointer jumping (Wyllie 1979; a prefix
 scan of affine maps) reaches Picard iterate ``n`` in ``log2 n`` array
-passes.  A non-uniform partition does not close the grid: there each
-pre-image value is interpolated between grid points and plain Picard
-sweeps run.  Either way the solve stops at an iterate that one further
-sweep moves by at most ``tol * (1 - contraction)``, which leaves it within
-``tol`` of the fixed point in sup norm.
+passes.  The solve stops at an iterate that one further sweep moves by at
+most ``tol * (1 - contraction)``, which leaves it within ``tol`` of the
+fixed point in sup norm.
 
 The random-orbit render (chaos game) follows one seeded orbit of the
 iterated function system instead.  Its x-orbit and its y-recurrence are
@@ -117,17 +119,15 @@ class FifProblem:
 class FifResult:
     """Converged render plus the evidence that it converged.
 
-    On a non-uniform partition ``residual`` measures only the interpolated
-    discrete equation.  The error to the true fixed point goes through
-    ``grid_slack`` (0.0 on a closed grid), a second-difference estimate of
-    what interpolation misses: about ``grid_slack / (1 - contraction) + tol``.
+    On a non-uniform partition ``grid`` is the closed grid ``G_K`` of
+    ``N^K`` cells, which is not evenly spaced: its largest gap is
+    ``(max slope)^K`` times the interval length.
     """
 
     grid: np.ndarray
     values: np.ndarray
     residual: float
     iterations: int
-    grid_slack: float
     y_min: float
     y_max: float
     base: np.ndarray
@@ -137,6 +137,8 @@ class FifResult:
     problem: FifProblem | None = None
 
     def sampled(self) -> SampledFunction:
+        if self.problem is not None and not self.problem.partition.is_uniform:
+            raise InvalidConfig("a non-uniform partition renders a non-uniform grid")
         return SampledFunction(float(self.grid[0]), float(self.grid[-1]), self.values)
 
 
@@ -219,13 +221,31 @@ def _assemble(problem: FifProblem) -> _Pieces:
 def _grid_index(n_sub, cells):
     """Subinterval ``i`` of every grid point and the grid index of its pre-image.
 
-    Needs a uniform partition and ``cells`` a multiple of ``n_sub``; internal
-    knots go left, as in ``Partition.locate``.
+    Holds on ``_render_grid``; internal knots go left, as in
+    ``Partition.locate``.
     """
     g = np.arange(cells + 1)
-    per = cells // n_sub
-    i_idx = np.clip(-(-g // per), 1, n_sub)
+    i_idx = np.clip(-(-n_sub * g // cells), 1, n_sub)
     return i_idx, n_sub * g - (i_idx - 1) * cells
+
+
+def _render_grid(part, cells):
+    """A grid of at least ``cells`` cells that every pre-image map closes.
+
+    Uniform partitions get ``cells`` uniform cells.  Otherwise the grid is
+    ``G_K`` with ``N^K >= cells`` the least such power: each level maps the
+    previous one into every subinterval, so point ``i M + t`` (``M`` cells per
+    subinterval) is ``L_i`` of point ``N t``, and the knots are written in
+    exactly at ``i M``.
+    """
+    if part.is_uniform:
+        return np.linspace(part.a, part.b, cells + 1)
+    x = np.array([part.a, part.b])
+    while x.size - 1 < cells:
+        inner = part.slopes[:, None] * x[1:] + part.intercepts[:, None]
+        x = np.concatenate(([part.a], inner.ravel()))
+        x[:: inner.shape[1]] = part.knots
+    return x
 
 
 def _sweeps(plan, nxt, n, change, steps, threshold, max_sweeps):
@@ -258,7 +278,6 @@ class _GridPlan:
     pre-image map sends onto itself; the endpoints carry ``coeff = 0`` and
     ``offset = beta``.  Takes ownership of ``coeff``."""
 
-    method = "doubling"
     __slots__ = ("k", "coeff", "offset", "contraction")
 
     def __init__(self, k, coeff, height, base, beta1, beta2, contraction):
@@ -272,9 +291,6 @@ class _GridPlan:
 
     def apply(self, values):
         return self.coeff * values[self.k] + self.offset
-
-    def slack(self, values):
-        return 0.0
 
     def solve(self, start, tol, max_sweeps):
         """Picard iterate ``m <= max_sweeps`` of ``start`` that the sweep
@@ -312,58 +328,6 @@ class _GridPlan:
         return _sweeps(self, nxt, n, change, steps, threshold, max_sweeps)
 
 
-class _SweepPlan:
-    """The update on a grid the pre-image maps do not close (a non-uniform
-    partition): each pre-image value is interpolated linearly between its two
-    neighbouring grid points, and the update runs one Picard sweep at a time.
-    """
-
-    method = "picard"
-    __slots__ = ("coeff", "offset", "j", "w", "w_snap_err", "beta1", "beta2", "contraction")
-
-    def __init__(self, problem, x, height, pieces):
-        part = problem.partition
-        i_idx = part.locate(x)
-        pre = np.clip(part.inverse(i_idx, x), part.a, part.b)
-        self.coeff = problem.scaling.values_at(i_idx, pre)
-        self.offset = height - self.coeff * pieces.base_eval(pre)
-        cells = x.size - 1
-        jf = (pre - part.a) / ((part.b - part.a) / cells)
-        near = np.round(jf)
-        snapped = np.abs(jf - near) <= 1e-9
-        self.w_snap_err = np.where(snapped, np.abs(jf - near), 0.0)
-        jf = np.where(snapped, near, jf)
-        self.j = np.minimum(np.floor(jf).astype(np.int64), cells - 1)
-        self.w = jf - self.j
-        self.beta1 = pieces.beta1
-        self.beta2 = pieces.beta2
-        self.contraction = problem.scaling.sup_norm
-
-    def apply(self, values):
-        inter = values[self.j] * (1.0 - self.w) + values[self.j + 1] * self.w
-        out = self.coeff * inter + self.offset
-        out[0] = self.beta1
-        out[-1] = self.beta2
-        return out
-
-    def slack(self, values):
-        """Bound on what linear interpolation of ``values`` misses."""
-        d2 = np.zeros_like(values)
-        d2[1:-1] = np.abs(values[2:] - 2.0 * values[1:-1] + values[:-2])
-        local = np.maximum(d2[self.j], d2[np.minimum(self.j + 1, values.size - 1)])
-        curve = 0.5 * self.w * (1.0 - self.w) * local
-        snap = self.w_snap_err * np.abs(values[self.j + 1] - values[self.j])
-        return float(np.max(np.abs(self.coeff) * (curve + snap)))
-
-    def solve(self, start, tol, max_sweeps):
-        """Picard sweeps until one moves the iterate by at most
-        ``tol * (1 - contraction)``; returns ``(values, m, m, residual)``."""
-        nxt = self.apply(start)
-        change = float(np.max(np.abs(nxt - start)))
-        threshold = tol * (1.0 - self.contraction)
-        return _sweeps(self, nxt, 0, change, 1, threshold, max_sweeps)
-
-
 def _validate_cells(problem, cells):
     n_sub = problem.partition.size
     if cells is None:
@@ -379,61 +343,42 @@ def _validate_cells(problem, cells):
 
 
 def _build_plan(problem, cells, pieces):
-    """The update on ``cells`` uniform cells: ``(plan, grid, height, base)``.
+    """The update on the render grid: ``(plan, grid, height, base)``.
 
-    A uniform partition with ``cells`` a multiple of its size closes the
-    grid under every pre-image map, so ``base`` at a pre-image is a gather
-    from ``base`` on the grid and no value is interpolated.
+    The grid is closed under every pre-image map, so ``base`` at a pre-image
+    is a gather from ``base`` on the grid and no value is interpolated.
     """
     part = problem.partition
-    x = np.linspace(part.a, part.b, cells + 1)
+    x = _render_grid(part, cells)
     height = pieces.height_eval(x)
     base = pieces.base_eval(x)
-    if part.is_uniform and cells % part.size == 0:
-        i_idx, k = _grid_index(part.size, cells)
-        coeff = problem.scaling.values_at(i_idx, x[k])
-        plan = _GridPlan(
-            k, coeff, height, base, pieces.beta1, pieces.beta2,
-            problem.scaling.sup_norm,
-        )
-    else:
-        plan = _SweepPlan(problem, x, height, pieces)
+    i_idx, k = _grid_index(part.size, x.size - 1)
+    plan = _GridPlan(
+        k, problem.scaling.values_at(i_idx, x[k]), height, base,
+        pieces.beta1, pieces.beta2, problem.scaling.sup_norm,
+    )
     return plan, x, height, base
 
 
-def _knot_checks(problem, x, pieces, values, tol_knot=1e-9):
+def _knot_checks(problem, pieces, values, tol_knot=1e-9):
     """Continuity across subinterval junctions and knot reproduction at the
-    internal knots that are grid points: ``(mismatch, deviation, checked)``."""
+    internal knots: ``(mismatch, deviation, checked)``.  Knot ``i`` is grid
+    point ``i cells / N`` on every render grid."""
     part = problem.partition
-    span = part.b - part.a
-    step = span / (values.size - 1)
-    scale = max(1.0, float(np.max(np.abs(values))))
+    inner = np.arange(1, part.size)
+    at_knots = values[inner * ((values.size - 1) // part.size)]
+    height = pieces.height_eval(part.knots[1:-1])
+    alpha_r = problem.scaling.values_at(inner + 1, np.full(inner.size, part.a))
     base_at_a = float(pieces.base_eval(np.asarray([part.a]))[0])
-    cont_max = 0.0
-    knot_max = 0.0
-    checked = 0
-    knot_data = [pieces.beta1] + [
-        float(pieces.height_eval(np.asarray([k]))[0]) for k in part.knots[1:-1]
-    ] + [pieces.beta2]
-    for i in range(1, part.size):
-        knot = float(part.knots[i])
-        g = round((knot - part.a) / step)
-        if abs(x[g] - knot) > 1e-9 * span:
-            continue
-        alpha_r = float(
-            problem.scaling.values_at(np.asarray([i + 1]), np.asarray([part.a]))[0]
-        )
-        right = alpha_r * values[0] + float(
-            pieces.height_eval(np.asarray([knot]))[0]
-        ) - alpha_r * base_at_a
-        cont_max = max(cont_max, abs(float(values[g]) - right))
-        knot_max = max(knot_max, abs(float(values[g]) - knot_data[i]))
-        checked += 1
+    right = alpha_r * values[0] + height - alpha_r * base_at_a
+    cont_max = float(np.max(np.abs(at_knots - right)))
+    knot_max = float(np.max(np.abs(at_knots - height)))
+    scale = max(1.0, float(np.max(np.abs(values))))
     if cont_max > tol_knot * scale:
         raise CrossCheckError(
             f"junction continuity check failed: mismatch {cont_max:.3e}"
         )
-    return cont_max, knot_max, checked
+    return cont_max, knot_max, inner.size
 
 
 def _solve_core(problem, cells, tol, max_sweeps):
@@ -448,13 +393,13 @@ def _solve_core(problem, cells, tol, max_sweeps):
     start[0] = pieces.beta1
     start[-1] = pieces.beta2
     values, sweeps, steps, residual = plan.solve(start, tol, max_sweeps)
-    cont_max, knot_max, checked = _knot_checks(problem, x, pieces, values)
+    cont_max, knot_max, checked = _knot_checks(problem, pieces, values)
     diagnostics = {
         "variant": problem.variant,
-        "cells": cells,
+        "cells": x.size - 1,
         "tol": tol,
         "contraction": plan.contraction,
-        "solve_method": plan.method,
+        "solve_method": "doubling",
         "solve_steps": steps,
         "junction_mismatch": cont_max,
         "knots_checked": checked,
@@ -466,7 +411,6 @@ def _solve_core(problem, cells, tol, max_sweeps):
         values=values,
         residual=residual,
         iterations=sweeps,
-        grid_slack=plan.slack(values),
         y_min=float(np.min(values)),
         y_max=float(np.max(values)),
         base=base,
@@ -579,9 +523,13 @@ def rb_apply(problem: FifProblem, phi: SampledFunction) -> SampledFunction:
     """One sweep of the self-referential update applied to ``phi``.
 
     ``phi`` must share the problem interval and match the endpoint data;
-    anything else is outside the function class the update acts on.
+    anything else is outside the function class the update acts on.  The
+    partition must be uniform: that closes the uniform grid of ``phi`` for
+    any cell count, so the sweep gathers exactly.
     """
     part = problem.partition
+    if not part.is_uniform:
+        raise InvalidConfig("rb_apply needs a uniform partition")
     span = part.b - part.a
     if abs(phi.a - part.a) > 1e-12 * span or abs(phi.b - part.b) > 1e-12 * span:
         raise InvalidConfig("sampled function must live on the problem interval")

@@ -164,6 +164,8 @@ class ScalingVector:
     def values_at(self, i, x):
         """alpha_i(x) with a per-point 1-based index array."""
         i = np.asarray(i)
+        if self.is_constant:
+            return self.constants()[i - 1]
         x = np.asarray(x, dtype=float)
         out = np.empty_like(x)
         for k, e in enumerate(self.entries):

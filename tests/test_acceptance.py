@@ -115,7 +115,7 @@ def test_05_self_referential_residual():
     res = solve_fif(prob, cells=2**14, tol=1e-10)
     phi = SampledFunction(0.0, np.pi, res.values)
     resid = float(np.max(np.abs(rb_apply(prob, phi).values - res.values)))
-    assert resid <= 1e-10 + res.grid_slack
+    assert resid <= 1e-10
     assert res.iterations <= 25
     _finish("[05] self-referential residual", t0, 10.0,
             f"{resid:.1e} in {res.iterations} sweeps")
@@ -170,7 +170,7 @@ def test_07_sup_error_bound():
                 truth = f(res.grid)
                 err = float(np.max(np.abs(res.values - truth)))
                 gap = float(np.max(np.abs(truth - nn_eval(op, f, res.grid))))
-                bound = error_bound_alpha(alpha, gap) + 2 * res.grid_slack
+                bound = error_bound_alpha(alpha, gap)
                 assert err <= bound + 1e-12, (name, alpha, n, err, bound)
                 count += 1
     _finish("[07] scaled-gap sup error bound", t0, 60.0, f"{count} solves")
@@ -190,7 +190,7 @@ def test_08_convergence_ladders():
                         cells=4 * 2**10, tol=1e-10)
         err = float(np.max(np.abs(res.values - f(res.grid))))
         bound = error_bound_alpha(0.5, modulus_of_continuity(dense, 1.0 / n))
-        assert err <= bound + 2 * res.grid_slack + 1e-12
+        assert err <= bound + 1e-12
         errs.append(err)
     assert all(b < a for a, b in zip(errs, errs[1:]))
 
@@ -203,7 +203,7 @@ def test_08_convergence_ladders():
         res = solve_fif_discrete(prob, cells=m * 2**8, tol=1e-10)
         err = float(np.max(np.abs(res.values - f(res.grid))))
         om = modulus_of_continuity(dense, 1.0 / m)
-        assert err <= error_bound_discrete(0.5, om, om) + 2 * res.grid_slack + 1e-12
+        assert err <= error_bound_discrete(0.5, om, om) + 1e-12
         errs2.append(err)
     assert all(b < a for a, b in zip(errs2, errs2[1:]))
     _finish("[08] convergence ladders", t0, 120.0,

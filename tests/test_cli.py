@@ -335,6 +335,30 @@ def test_bounds_prints_table(tmp_path, capsys):
     assert len(out.strip().splitlines()) == 3
 
 
+@pytest.mark.parametrize("command", ["converge", "bounds"])
+def test_discrete_ladder_scans_each_modulus_once(tmp_path, monkeypatch, command):
+    # for n >= 2 the knot modulus is the operator modulus: one scan per step,
+    # and a second one only at n = 1, where the knot count is 2
+    import fif.cli
+
+    calls = []
+    modulus = fif.cli.modulus_of_continuity
+
+    def counted(phi, delta):
+        calls.append(delta)
+        return modulus(phi, delta)
+
+    monkeypatch.setattr(fif.cli, "modulus_of_continuity", counted)
+    code = run(
+        [
+            command, "--function", "exp", "--alpha", "0.3", "--discrete",
+            "--n-ladder", "1,8,16", "--grid-exp", "6", "--out", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    assert calls == [1.0, 0.5, 1.0 / 8, 1.0 / 16]
+
+
 def test_table_input_round_trip(tmp_path):
     knots = np.linspace(0.0, 1.0, 9)
     table = tmp_path / "data.csv"

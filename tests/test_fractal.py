@@ -19,7 +19,6 @@ from fif.fractal import (
     FifProblem,
     _assemble,
     _NodeGuard,
-    _SweepPlan,
     _affine_scan,
     chaos_game_render,
     rb_apply,
@@ -55,7 +54,7 @@ def test_result_metadata():
     prob = sine_problem(alpha=0.3)
     res = solve_fif(prob, cells=4 * 2**8, tol=1e-9)
     assert res.grid.size == 4 * 2**8 + 1
-    assert res.residual <= 1e-9 + res.grid_slack
+    assert res.residual <= 1e-9
     assert res.y_min <= res.values.min() and res.y_max >= res.values.max()
     assert res.diagnostics["variant"] == "alpha"
     assert res.diagnostics["junction_mismatch"] <= 1e-9
@@ -77,7 +76,7 @@ def test_self_referential_residual_via_reapplication():
     prob = sine_problem(alpha=0.5, n=16)
     res = solve_fif(prob, cells=4 * 2**9, tol=1e-10)
     again = rb_apply(prob, res.sampled())
-    assert np.max(np.abs(again.values - res.values)) <= 1e-10 + res.grid_slack
+    assert np.max(np.abs(again.values - res.values)) <= 1e-10
 
 
 def test_two_starting_points_agree():
@@ -141,7 +140,7 @@ def test_variable_scaling_solve():
     op = OperatorConfig(ramp(), 0.0, 1.0, 32)
     prob = FifProblem(part, sv, op, make_function("sin"), "alpha")
     res = solve_fif(prob, cells=4 * 2**9, tol=1e-9)
-    assert res.residual <= 1e-9 + res.grid_slack
+    assert res.residual <= 1e-9
     knots = part.knots
     idx = np.searchsorted(res.grid, knots)
     assert np.max(np.abs(res.values[idx] - np.sin(knots))) <= 1e-9
@@ -150,15 +149,24 @@ def test_variable_scaling_solve():
 # ------------------------------------------------------------- grid solver
 
 
-def interpolating_picard(problem, cells, tol, max_sweeps=10**4):
-    """Reference solve: Picard sweeps with linearly interpolated pre-images."""
+def plain_picard(problem, cells, tol, max_sweeps=10**4):
+    """Reference solve: one ``rb_apply`` sweep at a time from the height.
+
+    Returns the first iterate ``m`` that its sweep moved by at most
+    ``tol * (1 - contraction)``, and ``m``.
+    """
     pieces = _assemble(problem)
     part = problem.partition
-    grid = np.linspace(part.a, part.b, cells + 1)
-    height = pieces.height_eval(grid)
-    start = height.copy()
-    start[0], start[-1] = pieces.beta1, pieces.beta2
-    return _SweepPlan(problem, grid, height, pieces).solve(start, tol, max_sweeps)
+    phi = SampledFunction.from_callable(pieces.height_eval, part.a, part.b, cells)
+    phi.values[0], phi.values[-1] = pieces.beta1, pieces.beta2
+    threshold = tol * (1.0 - problem.scaling.sup_norm)
+    for m in range(1, max_sweeps + 1):
+        nxt = rb_apply(problem, phi)
+        change = np.max(np.abs(nxt.values - phi.values))
+        phi = nxt
+        if change <= threshold:
+            return phi.values, m
+    raise AssertionError(f"no convergence in {max_sweeps} sweeps")
 
 
 @pytest.mark.parametrize("count", [3, 5])
@@ -168,11 +176,10 @@ def test_doubling_matches_interpolating_picard(count):
     prob = sine_problem(alpha=0.9, count=count, b=1.0)
     tol = 1e-9
     cells = count * 2**8
-    ref, sweeps, _, _ = interpolating_picard(prob, cells, tol)
+    ref, sweeps = plain_picard(prob, cells, tol)
     res = solve_fif(prob, cells=cells, tol=tol)
     assert np.max(np.abs(res.values - ref)) <= 2 * tol
     assert res.residual <= tol * (1 - 0.9)
-    assert res.grid_slack == 0.0
     assert res.diagnostics["solve_method"] == "doubling"
     assert res.diagnostics["solve_steps"] < 16 < sweeps
 
@@ -181,7 +188,7 @@ def test_budget_between_powers_of_two_still_converges():
     prob = sine_problem(alpha=0.9, count=5, b=1.0)
     tol = 1e-9
     cells = 5 * 2**6
-    _, need, _, _ = interpolating_picard(prob, cells, tol)
+    _, need = plain_picard(prob, cells, tol)
     s = need.bit_length() - 1
     assert 2**s < need  # the budget is not itself a power of two
     res = solve_fif(prob, cells=cells, tol=tol, max_sweeps=need)
@@ -201,64 +208,82 @@ def test_slow_contraction_takes_few_steps():
     assert res.diagnostics["solve_steps"] <= 13
 
 
-def test_non_uniform_partition_runs_picard_and_reproduces_knots():
-    # the knot 0.25 is a grid point, but the second map's pre-images are not
-    part = Partition(np.array([0.0, 0.25, 1.0]))
-    sv = ScalingVector.constant([0.3, 0.5])
-    op = OperatorConfig(ramp(), 0.0, 1.0, 16)
-    prob = FifProblem(part, sv, op, make_function("exp"), "alpha")
-    tol = 1e-10
-    res = solve_fif(prob, cells=2 * 2**7, tol=tol)
-    assert res.diagnostics["solve_method"] == "picard"
-    assert res.diagnostics["solve_steps"] == res.iterations
-    assert res.grid_slack > 0.0
-    assert res.residual <= tol
-    idx = np.searchsorted(res.grid, part.knots)
-    assert np.array_equal(res.grid[idx], part.knots)
-    assert np.max(np.abs(res.values[idx] - np.exp(part.knots))) <= 1e-9
+def exact_knots(problem):
+    # the nearest fractions with small denominators, which is what the
+    # float knots stand for
+    return [Fraction(k).limit_denominator(10**6) for k in problem.partition.knots]
 
 
-def test_off_grid_knots_are_counted_as_unchecked():
-    part = Partition(np.array([0.0, 0.3, 1.0]))
-    op = OperatorConfig(ramp(), 0.0, 1.0, 16)
-    prob = FifProblem(part, ScalingVector.constant([0.3, 0.5]), op, make_function("exp"))
-    res = solve_fif(prob, cells=256)
-    assert res.diagnostics["knots_checked"] == 0
-    assert res.diagnostics["junction_mismatch"] == 0.0
+def exact_grid(problem, cells):
+    """The render grid of ``cells`` cells in exact fractions.
+
+    Uniform partitions: ``cells`` even steps.  Otherwise ``G_K``, built level
+    by level from the endpoints through the exact maps.
+    """
+    knots = exact_knots(problem)
+    a, b = knots[0], knots[-1]
+    if problem.partition.is_uniform:
+        return [a + (b - a) * Fraction(k, cells) for k in range(cells + 1)]
+    x = [a, b]
+    while len(x) - 1 < cells:
+        x = [a] + [
+            lo + (hi - lo) * (v - a) / (b - a)
+            for lo, hi in zip(knots, knots[1:])
+            for v in x[1:]
+        ]
+    return x
 
 
-def orbit_oracle(problem, cells, stride=1):
-    """phi at every ``stride``-th grid point, summed along backward orbits.
+def test_knot_checks_take_one_pass_over_the_knots(monkeypatch):
+    # one scaling evaluation for the plan and one for all the junctions,
+    # however many subintervals there are
+    calls = []
+    values_at = ScalingVector.values_at
+
+    def counted(self, i, x):
+        calls.append(np.size(i))
+        return values_at(self, i, x)
+
+    monkeypatch.setattr(ScalingVector, "values_at", counted)
+    prob = sine_problem(alpha=0.3, n=16, count=512, b=1.0)
+    res = solve_fif(prob, cells=512 * 16)
+    assert res.diagnostics["knots_checked"] == 511
+    assert len(calls) <= 2
+
+
+def orbit_oracle(problem, points):
+    """phi at the exact ``points``, summed along backward orbits.
 
     Unrolling the equation along ``x_0 = x, x_{d+1} = L_i^-1(x_d)`` gives
     ``phi(x) = sum_d w_d (height(x_d) - alpha_i(x_{d+1}) base(x_{d+1}))``
-    with ``w_d`` the product of the scalings met so far.  The orbit runs in
+    with ``w_d`` the product of the scalings met so far, read from the
+    scaling entries rather than through ``values_at``.  The orbit runs in
     exact fractions: in floats a map such as ``x -> 5x`` multiplies the
-    rounding error by 5 at every step.  Knots are taken as the nearest fractions with small
-    denominators, which is what the float knots stand for.
+    rounding error by 5 at every step, and a 1-ulp offset from a grid point
+    is enough to leave the grid.
     """
     pieces = _assemble(problem)
     scaling = problem.scaling
-    knots = [Fraction(k).limit_denominator(10**6) for k in problem.partition.knots]
+    knots = exact_knots(problem)
     a, span = knots[0], knots[-1] - knots[0]
     inner = knots[1:-1]
     maps = [(span / (hi - lo), a - lo * span / (hi - lo)) for lo, hi in zip(knots, knots[1:])]
     depth = math.ceil(math.log(1e-16) / math.log(scaling.sup_norm))
-    g = np.arange(0, cells + 1, stride)
-    x = [a + span * Fraction(int(k), cells) for k in g]
+    x = list(points)
     xf = np.array([float(v) for v in x])
-    total = np.zeros(g.size)
-    weight = np.ones(g.size)
+    total = np.zeros(len(x))
+    weight = np.ones(len(x))
     for _ in range(depth):
         # internal knots go left, as in Partition.locate
         i = [sum(v > k for k in inner) for v in x]
         x = [v * maps[j][0] + maps[j][1] for v, j in zip(x, i)]
         pf = np.array([float(v) for v in x])
-        coeff = scaling.values_at(np.array(i) + 1, pf)
+        entries = [scaling.entries[j] for j in i]
+        coeff = np.array([e(v) if callable(e) else e for e, v in zip(entries, pf)])
         total += weight * (pieces.height_eval(xf) - coeff * pieces.base_eval(pf))
         weight = weight * coeff
         xf = pf
-    return g, total
+    return total
 
 
 def orbit_case(knots, alpha, name):
@@ -282,29 +307,46 @@ def test_doubling_matches_orbit_oracle(knots, alpha, name, cells, stride):
     tol = 1e-9
     res = solve_fif(prob, cells=cells, tol=tol)
     assert res.diagnostics["solve_method"] == "doubling"
-    g, ref = orbit_oracle(prob, cells, stride)
+    g = np.arange(0, cells + 1, stride)
+    exact = exact_grid(prob, cells)
+    ref = orbit_oracle(prob, [exact[k] for k in g])
     assert np.max(np.abs(res.values[g] - ref)) <= 2 * tol
 
 
 @pytest.mark.parametrize(
-    "knots, alpha, name, cells",
+    "knots, alpha, name, cells, rendered",
     [
-        ([0.0, 0.25, 1.0], [0.3, 0.5], "exp", 256),
-        ([0.0, 0.25, 1.0], [0.3, 0.5], "exp", 4096),
-        ([0.0, 0.3, 1.0], [0.6, -0.7], "sin", 256),
-        ([0.0, 0.1, 0.45, 1.0], [0.5, 0.8, -0.6], "cos", 384),
+        ([0.0, 0.25, 1.0], [0.3, 0.5], "exp", 256, 256),
+        ([0.0, 0.25, 1.0], [0.3, 0.5], "exp", 4096, 4096),
+        ([0.0, 0.3, 1.0], [0.6, -0.7], "sin", 256, 256),
+        ([0.0, 0.1, 0.45, 1.0], [0.5, 0.8, -0.6], "cos", 384, 729),
     ],
 )
-def test_picard_error_is_bounded_through_grid_slack(knots, alpha, name, cells):
-    # the residual measures only the interpolated equation (1e-11 on the
-    # first case, whose true error is 6.7e-5); grid_slack carries the rest
+def test_non_uniform_partition_matches_orbit_oracle(knots, alpha, name, cells, rendered):
+    # the render grid is G_K with N^K >= cells: closed under every pre-image
+    # map, so the doubling solve applies and nothing is interpolated
     prob = orbit_case(knots, alpha, name)
     tol = 1e-10
     res = solve_fif(prob, cells=cells, tol=tol)
-    assert res.diagnostics["solve_method"] == "picard"
-    g, ref = orbit_oracle(prob, cells)
-    err = np.max(np.abs(res.values[g] - ref))
-    assert err <= res.grid_slack / (1 - res.diagnostics["contraction"]) + tol
+    assert res.diagnostics["solve_method"] == "doubling"
+    assert res.diagnostics["cells"] == rendered == res.grid.size - 1
+    assert np.all(np.diff(res.grid) > 0)
+    count = prob.partition.size
+    assert np.array_equal(res.grid[:: rendered // count], prob.partition.knots)
+    exact = exact_grid(prob, cells)
+    assert np.max(np.abs(res.grid - [float(v) for v in exact])) <= 1e-15
+    ref = orbit_oracle(prob, exact)
+    assert np.max(np.abs(res.values - ref)) <= 2 * tol
+
+
+def test_non_uniform_knots_are_grid_points_and_checked():
+    part = Partition(np.array([0.0, 0.3, 1.0]))
+    op = OperatorConfig(ramp(), 0.0, 1.0, 16)
+    prob = FifProblem(part, ScalingVector.constant([0.3, 0.5]), op, make_function("exp"))
+    res = solve_fif(prob, cells=256)
+    assert res.diagnostics["knots_checked"] == 1
+    assert res.diagnostics["knot_deviation"] <= 1e-9
+    assert res.diagnostics["junction_mismatch"] <= 1e-9
 
 
 # ------------------------------------------------------------ one-sweep map
@@ -316,6 +358,34 @@ def test_apply_with_zero_scaling_returns_height():
     poly = np.interp(grid, prob.partition.knots, np.sin(prob.partition.knots))
     out = rb_apply(prob, SampledFunction(0.0, np.pi, poly))
     assert np.max(np.abs(out.values - np.sin(grid))) <= 1e-12
+
+
+def test_apply_on_a_grid_the_piece_count_does_not_divide():
+    # 256 cells at N = 3: the pre-image of grid point g in piece i is grid
+    # point 3 g - (i - 1) 256, so the sweep is an exact gather
+    prob = sine_problem(alpha=0.6, n=16, count=3, b=1.0)
+    part = prob.partition
+    phi = SampledFunction.from_callable(
+        lambda x: np.sin(x) + x * (1.0 - x) * np.cos(7.0 * x), 0.0, 1.0, 256
+    )
+    out = rb_apply(prob, phi)
+    x = phi.grid
+    i = part.locate(x)
+    pre = part.inverse(i, x)
+    alpha = prob.scaling.values_at(i, pre)
+    want = alpha * phi(pre) + np.sin(x) - alpha * nn_eval(prob.operator, prob.f, pre)
+    want[0], want[-1] = np.sin(0.0), np.sin(1.0)
+    assert np.max(np.abs(out.values - want)) <= 1e-13
+
+
+def test_uniform_grid_helpers_refuse_non_uniform_partitions():
+    prob = orbit_case([0.0, 0.3, 1.0], [0.6, -0.7], "sin")
+    res = solve_fif(prob, cells=256)
+    with pytest.raises(InvalidConfig, match="non-uniform"):
+        res.sampled()
+    phi = SampledFunction.from_callable(np.sin, 0.0, 1.0, 256)
+    with pytest.raises(InvalidConfig, match="uniform partition"):
+        rb_apply(prob, phi)
 
 
 def test_apply_rejects_wrong_interval():
