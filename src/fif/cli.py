@@ -56,7 +56,6 @@ class RunConfig:
     order: int = 1
     alpha: str = "0.3"
     kernel: str = "ramp"
-    m: float = 0.5
     grid_exp: int = 10
     tol: float = 1e-9
     max_iters: int = 1000
@@ -196,7 +195,7 @@ def _load_table(path: str, partition: Partition) -> FunctionInput:
 def _build_problem(cfg: RunConfig, smooth=False):
     a, b = cfg.interval
     try:
-        kernel = kernel_from_name(cfg.kernel, cfg.m)
+        kernel = kernel_from_name(cfg.kernel)
     except ValueError as exc:
         raise InvalidConfig(str(exc)) from exc
     partition = Partition.uniform(a, b, cfg.subintervals)
@@ -223,16 +222,16 @@ def _solve_by_variant(problem, cfg: RunConfig):
     return solve_fif_smooth(problem, **kwargs)
 
 
-def _fmt(v) -> str:
-    return f"{float(v):.17g}"
+def _write_table(fh, header, columns, delimiter=","):
+    # every table the CLI emits: a header line, then one row per line with 17
+    # significant digits, which round-trip a float64 exactly
+    np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=delimiter,
+               header=delimiter.join(header), comments="")
 
 
 def _write_csv(path: Path, header, columns):
-    rows = len(columns[0])
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
+        _write_table(fh, header, columns)
 
 
 def _write_json(path: Path, obj):
@@ -382,7 +381,7 @@ def cmd_smooth(cfg: RunConfig, out: Path) -> int:
         header.append(f"fif_d{k}")
         columns.append(res.derivatives[k])
         header.append(f"fd_check_d{k}")
-        columns.append(_central_diff(prev, step))
+        columns.append(np.gradient(prev, step))
         prev = res.derivatives[k]
     _write_csv(out / "smooth.csv", header, columns)
     levels = res.diagnostics.get("derivative_levels", {})
@@ -451,40 +450,33 @@ def cmd_bounds(cfg: RunConfig, out: Path) -> int:
     scaling = _parse_alpha(cfg)
     sup = scaling.sup_norm
     try:
-        kernel = kernel_from_name(cfg.kernel, cfg.m)
+        kernel = kernel_from_name(cfg.kernel)
     except ValueError as exc:
         raise InvalidConfig(str(exc)) from exc
     f = make_function(cfg.function)
     dense = SampledFunction.from_callable(f, a, b, 2**17)
     probe = np.linspace(a, b, 10**4 + 1)
     truth = f(probe)
-    print("n  base_gap  modulus  bound_gap  bound_modulus" + ("  bound_discrete" if cfg.discrete else ""))
+    header = ["n", "base_gap", "modulus", "bound_gap", "bound_modulus"]
+    if cfg.discrete:
+        header.append("bound_discrete")
+    rows = []
     for n in ladder:
         op = OperatorConfig(kernel, a, b, n)
         gap = float(np.max(np.abs(truth - nn_eval(op, f, probe))))
         om = modulus_of_continuity(dense, (b - a) / n)
-        line = (
-            f"{n}  {_fmt(gap)}  {_fmt(om)}  "
-            f"{_fmt(error_bound_alpha(sup, gap))}  {_fmt(error_bound_alpha(sup, om))}"
-        )
+        row = [n, gap, om, error_bound_alpha(sup, gap), error_bound_alpha(sup, om)]
         if cfg.discrete:
             om_k = om if n >= 2 else modulus_of_continuity(dense, (b - a) / 2)
-            line += f"  {_fmt(error_bound_discrete(sup, om, om_k))}"
-        print(line)
+            row.append(error_bound_discrete(sup, om, om_k))
+        rows.append(row)
+    _write_table(sys.stdout, header, list(zip(*rows)), delimiter="  ")
     return 0
 
 
 def _solve_summary(res) -> str:
     d = res.diagnostics
     return f"{d['solve_method']} in {d['solve_steps']} steps"
-
-
-def _central_diff(values: np.ndarray, step: float) -> np.ndarray:
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * step)
-    out[0] = (values[1] - values[0]) / step
-    out[-1] = (values[-1] - values[-2]) / step
-    return out
 
 
 def _knot_data(problem) -> np.ndarray:
@@ -560,7 +552,6 @@ def _make_parser() -> argparse.ArgumentParser:
             help="constant, comma list, or linear:lo,hi / sine:amp families",
         )
         p.add_argument("--kernel", help="ramp | smoothstep:<k> | bump")
-        p.add_argument("--m", type=float, help="kernel half-width")
         p.add_argument(
             "--grid-exp", dest="grid_exp", type=int,
             help="render cells = N * 2^this",

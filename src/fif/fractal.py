@@ -52,6 +52,7 @@ from .errors import (
 )
 from .maps import Partition, ScalingVector
 from .operators import (
+    FD_STEP_SCALE,
     FunctionInput,
     OperatorConfig,
     input_derivative,
@@ -452,7 +453,7 @@ def solve_fif_smooth(problem: FifProblem, cells=None, tol=DEFAULT_TOL, max_sweep
     cfg = problem.operator
     alphas = problem.scaling.constants()
     slopes = part.slopes
-    fd_step = cfg.h * 1e-3
+    fd_step = cfg.h * FD_STEP_SCALE
 
     # Junction data per derivative order, checked before any solving.
     endpoint_values = {}

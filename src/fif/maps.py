@@ -95,39 +95,50 @@ class Partition:
         return (np.asarray(x, dtype=float) - self.intercepts[i]) / self.slopes[i]
 
 
+def _entry_sup(e, domain) -> float:
+    """|e| for a constant, or the sup of |e| sampled densely over the domain."""
+    if not callable(e):
+        v = float(e)
+        if not np.isfinite(v):
+            raise InvalidConfig("non-finite scaling constant")
+        return abs(v)
+    if domain is None:
+        raise InvalidConfig("function scalings need a domain")
+    xs = np.linspace(domain[0], domain[1], SUP_SAMPLES)
+    vals = np.asarray(e(xs), dtype=float)
+    if vals.shape != xs.shape:
+        vals = np.broadcast_to(vals, xs.shape)
+    if not np.all(np.isfinite(vals)):
+        raise InvalidConfig("scaling function returned non-finite values")
+    return float(np.max(np.abs(vals)))
+
+
 class ScalingVector:
     """One vertical scaling per subinterval: a constant or a function of x.
 
     Function entries are sampled on a dense grid over the domain to bound
-    their sup norms; the overall sup norm must stay below 1.
+    their sup norms; the overall sup norm must stay below 1.  Pieces often
+    share one entry object, so each distinct entry is sampled once and, in
+    :meth:`values_at`, evaluated once over all the points of its pieces.
     """
 
-    __slots__ = ("entries", "domain", "sup_norms")
+    __slots__ = ("entries", "domain", "sup_norms", "_distinct", "_owner")
 
     def __init__(self, entries, domain=None):
         entries = tuple(entries)
         if not entries:
             raise InvalidConfig("scaling vector is empty")
-        sups = []
+        distinct, slot = [], {}
         for e in entries:
-            if callable(e):
-                if domain is None:
-                    raise InvalidConfig("function scalings need a domain")
-                xs = np.linspace(domain[0], domain[1], SUP_SAMPLES)
-                vals = np.asarray(e(xs), dtype=float)
-                if vals.shape != xs.shape:
-                    vals = np.broadcast_to(vals, xs.shape)
-                if not np.all(np.isfinite(vals)):
-                    raise InvalidConfig("scaling function returned non-finite values")
-                sups.append(float(np.max(np.abs(vals))))
-            else:
-                v = float(e)
-                if not np.isfinite(v):
-                    raise InvalidConfig("non-finite scaling constant")
-                sups.append(abs(v))
+            if id(e) not in slot:
+                slot[id(e)] = len(distinct)
+                distinct.append(e)
+        sups = np.asarray([_entry_sup(e, domain) for e in distinct])
         self.entries = entries
         self.domain = None if domain is None else (float(domain[0]), float(domain[1]))
-        self.sup_norms = np.asarray(sups)
+        self._distinct = tuple(distinct)
+        self._owner = np.asarray([slot[id(e)] for e in entries])
+        self.sup_norms = sups[self._owner]
         if self.sup_norm >= 1.0:
             raise InvalidConfig("scaling sup norm must be < 1")
 
@@ -168,8 +179,9 @@ class ScalingVector:
             return self.constants()[i - 1]
         x = np.asarray(x, dtype=float)
         out = np.empty_like(x)
-        for k, e in enumerate(self.entries):
-            mask = i == k + 1
+        owner = self._owner[i - 1]
+        for j, e in enumerate(self._distinct):
+            mask = owner == j
             if not np.any(mask):
                 continue
             if callable(e):

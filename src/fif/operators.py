@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidConfig
-from .kernels import SigmoidalKernel, transition
+from .kernels import SigmoidalKernel, _shaped, transition
 # not called here: the benchmark's tracer (bench/spans.py) wraps these two by
 # name as attributes of this module
 from .kernels import xi_derivative, xi_eval  # noqa: F401
@@ -73,8 +73,8 @@ class FunctionInput:
 
     Analytic mode may carry derivative callables ``(f', f'', ...)``.  If it
     carries none and derivatives are needed, central finite differences with
-    step ``h * 1e-3`` fill in and a fallback flag is raised; if it carries
-    some but not enough, the input is rejected outright.
+    step ``h * FD_STEP_SCALE`` fill in and a fallback flag is raised; if it
+    carries some but not enough, the input is rejected outright.
     """
 
     __slots__ = ("mode", "func", "derivatives", "values")
@@ -210,12 +210,6 @@ def _blend(cfg, table, u, klo, order):
             _taylor(left, dx_left, order - i) * q + _taylor(right, dx_right, order - i) * p
         )
     return total
-
-
-def _shaped(out, like):
-    if np.isscalar(like) or np.ndim(like) == 0:
-        return float(out)
-    return out
 
 
 def nn_eval(cfg: OperatorConfig, f: FunctionInput, x):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fif
-from fif.cli import main
+from fif.cli import _write_csv, main
 
 
 def run(args):
@@ -272,6 +272,12 @@ def test_smooth_run(tmp_path):
     # derivative column should track the difference quotient of the first
     inner = slice(10, -10)
     assert np.max(np.abs(cols["fif_d1"][inner] - cols["fd_check_d1"][inner])) <= 0.2
+    # the check column is the central difference, one-sided at both ends
+    v, step = cols["fif"], cols["x"][1] - cols["x"][0]
+    want = np.concatenate(
+        [[(v[1] - v[0]) / step], (v[2:] - v[:-2]) / (2.0 * step), [(v[-1] - v[-2]) / step]]
+    )
+    assert cols["fd_check_d1"].tobytes() == want.tobytes()
 
 
 def test_smooth_rejects_scaling_at_the_power_bound(tmp_path):
@@ -430,22 +436,61 @@ def test_config_file_round_trip(tmp_path):
     assert (first / "meta.json").read_bytes() == (second / "meta.json").read_bytes()
 
 
+def test_half_width_is_neither_a_flag_nor_a_config_key(tmp_path, capsys):
+    # the operator does not depend on the kernel half-width m
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--m", "0.25", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps({"function": "sin", "m": 0.5}))
+    assert run(["build", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "unknown config keys: ['m']" in capsys.readouterr().err
+
+
 def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"function": "sin", "frobnicate": 3}))
     assert run(["build", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
-def test_repeat_runs_are_byte_identical(tmp_path):
+@pytest.mark.parametrize(
+    "args",
+    [
+        [
+            "converge", "--function", "sin", "--N", "4", "--alpha", "0.5",
+            "--n-ladder", "8,16,32", "--grid-exp", "7",
+        ],
+        [
+            "smooth", "--function", "sin", "--N", "4", "--n", "64", "--alpha", "0.2",
+            "--kernel", "smoothstep:1", "--r", "1", "--grid-exp", "6",
+        ],
+    ],
+    ids=["converge", "smooth"],
+)
+def test_repeat_runs_are_byte_identical(tmp_path, args):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    args = [
-        "converge", "--function", "sin", "--N", "4", "--alpha", "0.5",
-        "--n-ladder", "8,16,32", "--grid-exp", "7",
-    ]
     assert run(args + ["--out", str(out1)]) == 0
     assert run(args + ["--out", str(out2)]) == 0
-    assert (out1 / "converge.csv").read_bytes() == (out2 / "converge.csv").read_bytes()
-    assert (out1 / "meta.json").read_bytes() == (out2 / "meta.json").read_bytes()
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    assert names == sorted([f"{args[0]}.csv", "meta.json"])
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+EDGE_DOUBLES = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 9.999999999999999e-06, 1e-05,
+    1e16, 1e17, 2.0**53 + 2, -1.7976931348623157e308,
+]
+
+
+def test_table_writer_matches_per_cell_formatting(tmp_path):
+    path = tmp_path / "edge.csv"
+    _write_csv(path, ["v", "w"], [EDGE_DOUBLES, EDGE_DOUBLES[::-1]])
+    want = "v,w\n" + "".join(
+        f"{v:.17g},{w:.17g}\n" for v, w in zip(EDGE_DOUBLES, EDGE_DOUBLES[::-1])
+    )
+    assert path.read_bytes() == want.encode()
 
 
 def test_csv_cells_carry_full_precision(tmp_path):

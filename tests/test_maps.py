@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fif.errors import InvalidConfig
-from fif.maps import AffineMap, Partition, ScalingVector
+from fif.maps import SUP_SAMPLES, AffineMap, Partition, ScalingVector
 
 
 def test_uniform_two_piece_maps():
@@ -112,6 +112,44 @@ def test_values_at_dispatches_per_piece():
     idx = np.array([1, 1, 2, 2])
     x = np.array([0.1, 0.9, 0.1, 0.9])
     assert np.array_equal(sv.values_at(idx, x), [0.0, 0.0, 0.05, 0.45])
+
+
+def mask_loop_values_at(sv, i, x):
+    # reference: one mask pass and one call per piece, shared entries or not
+    out = np.empty_like(x)
+    for k, e in enumerate(sv.entries):
+        mask = i == k + 1
+        if not np.any(mask):
+            continue
+        if callable(e):
+            out[mask] = np.broadcast_to(np.asarray(e(x[mask]), dtype=float), x[mask].shape)
+        else:
+            out[mask] = float(e)
+    return out
+
+
+def test_shared_scaling_function_is_called_once_per_use():
+    sizes = []
+
+    def shared(x):
+        sizes.append(np.size(x))
+        return 0.3 * np.sin(3.0 * np.asarray(x)) + 0.4
+
+    other = lambda x: 0.2 + 0.1 * np.asarray(x)
+    sv = ScalingVector([shared, 0.25, shared, other, shared, shared], domain=(0.0, 1.0))
+    assert sizes == [SUP_SAMPLES]
+    assert np.array_equal(sv.sup_norms[[0, 2, 4, 5]], np.full(4, sv.sup_norms[0]))
+    assert sv.sup_norms[1] == 0.25
+    rng = np.random.default_rng(5)
+    i = rng.integers(1, 7, 10**5)
+    x = rng.uniform(0.0, 1.0, i.size)
+    sizes.clear()
+    got = sv.values_at(i, x)
+    assert sizes == [np.count_nonzero(np.isin(i, [1, 3, 5, 6]))]
+    sizes.clear()
+    want = mask_loop_values_at(sv, i, x)
+    assert len(sizes) == 4
+    assert got.tobytes() == want.tobytes()
 
 
 def test_holder_contraction_hand_value():
