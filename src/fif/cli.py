@@ -46,6 +46,10 @@ from .sampled import SampledFunction
 # several
 MAX_SIZE_EXP = 24
 
+# samples of the curve `converge` and `bounds` read every modulus from; with
+# 16 samples per node spacing, a ladder may reach MODULUS_SAMPLES / 16 nodes
+MODULUS_SAMPLES = 2**17
+
 
 @dataclass
 class RunConfig:
@@ -113,6 +117,8 @@ def _config_from_args(args) -> RunConfig:
     # integer is formed either
     if cfg.grid_exp > MAX_SIZE_EXP or cfg.cells() > 2**MAX_SIZE_EXP:
         raise InvalidConfig(f"render grid above 2^{MAX_SIZE_EXP} cells")
+    if cfg.seed < 0:
+        raise InvalidConfig("seed must be non-negative")
     if cfg.points > 2**MAX_SIZE_EXP:
         raise InvalidConfig(f"orbit above 2^{MAX_SIZE_EXP} points")
     if cfg.nodes > 2**MAX_SIZE_EXP:
@@ -292,7 +298,7 @@ def cmd_converge(cfg: RunConfig, out: Path) -> int:
     ladder = _parse_ladder(cfg.n_ladder)
     a, b = cfg.interval
     sup_alpha = _parse_alpha(cfg).sup_norm
-    dense = SampledFunction.from_callable(make_function(cfg.function), a, b, 2**17)
+    dense = _modulus_curve(make_function(cfg.function), a, b, ladder)
     rows_n, rows_sub, errs, bounds = [], [], [], []
     for n in ladder:
         step_cfg = dataclasses.replace(cfg, nodes=n)
@@ -454,7 +460,7 @@ def cmd_bounds(cfg: RunConfig, out: Path) -> int:
     except ValueError as exc:
         raise InvalidConfig(str(exc)) from exc
     f = make_function(cfg.function)
-    dense = SampledFunction.from_callable(f, a, b, 2**17)
+    dense = _modulus_curve(f, a, b, ladder)
     probe = np.linspace(a, b, 10**4 + 1)
     truth = f(probe)
     header = ["n", "base_gap", "modulus", "bound_gap", "bound_modulus"]
@@ -496,6 +502,13 @@ def _parse_ladder(spec: str):
     if max(ladder) > 2**MAX_SIZE_EXP:
         raise InvalidConfig(f"ladder entry above 2^{MAX_SIZE_EXP} nodes")
     return ladder
+
+
+def _modulus_curve(f, a, b, ladder):
+    # every rung is checked before the first one is computed
+    if 16 * max(ladder) > MODULUS_SAMPLES:
+        raise InvalidConfig(f"ladder entry above {MODULUS_SAMPLES // 16} nodes")
+    return SampledFunction.from_callable(f, a, b, MODULUS_SAMPLES)
 
 
 def _jsonable(obj):

@@ -14,7 +14,9 @@ subinterval ``i``.  Three variants differ only in what plays the roles of
     discrete  height = operator on knots,   base = operator on its nodes
               (f is touched only at node locations)
     smooth    height = f itself,            base = four-layer operator;
-              derivative levels get their own fixed-point equations
+              derivative level k is one more equation on the level-0
+              grid, with height f^(k), base (Lf)^(k) and scaling
+              alpha_i / s_i^k
 
 Solving works on a render grid that every pre-image map sends into
 itself.  On a uniform partition that is the uniform grid: the pre-image of
@@ -203,11 +205,9 @@ def _assemble(problem: FifProblem) -> _Pieces:
         stride = part.size // cfg.n
         base_vals = knot_vals[::stride]
     else:
-        guarded = _NodeGuard(
-            f.func, np.concatenate([part.knots, cfg.nodes]), part.b - part.a
-        )
-        knot_vals = np.asarray(guarded(part.knots), dtype=float)
-        base_vals = np.asarray(guarded(cfg.nodes), dtype=float)
+        guarded = _NodeGuard(f, np.concatenate([part.knots, cfg.nodes]), part.b - part.a)
+        knot_vals = guarded(part.knots)
+        base_vals = guarded(cfg.nodes)
     f_height = FunctionInput.tabulated(knot_vals)
     f_base = FunctionInput.tabulated(base_vals)
     return _Pieces(
@@ -279,7 +279,7 @@ class _GridPlan:
     pre-image map sends onto itself; the endpoints carry ``coeff = 0`` and
     ``offset = beta``.  Takes ownership of ``coeff``."""
 
-    __slots__ = ("k", "coeff", "offset", "contraction")
+    __slots__ = ("k", "coeff", "offset", "height", "contraction")
 
     def __init__(self, k, coeff, height, base, beta1, beta2, contraction):
         self.offset = height - coeff * base[k]
@@ -288,14 +288,16 @@ class _GridPlan:
         coeff[0] = coeff[-1] = 0.0
         self.coeff = coeff
         self.k = k
+        self.height = height
         self.contraction = contraction
 
     def apply(self, values):
         return self.coeff * values[self.k] + self.offset
 
-    def solve(self, start, tol, max_sweeps):
-        """Picard iterate ``m <= max_sweeps`` of ``start`` that the sweep
-        producing it moved by at most ``tol * (1 - contraction)``.
+    def solve(self, tol, max_sweeps):
+        """Picard iterate ``m <= max_sweeps`` that the sweep producing it
+        moved by at most ``tol * (1 - contraction)``, starting from the
+        height with its endpoints pinned to ``beta``.
 
         Returns ``(values, m, steps, residual)``.  The update composed with
         itself is again of the form ``coeff * phi[k] + offset``, so each
@@ -304,6 +306,8 @@ class _GridPlan:
         single sweeps continue up to it.
         """
         threshold = tol * (1.0 - self.contraction)
+        start = self.height.copy()
+        start[0], start[-1] = self.offset[0], self.offset[-1]
         nxt = self.apply(start)
         gap = float(np.max(np.abs(nxt - start)))
         n, change, steps = 0, gap, 1
@@ -344,7 +348,7 @@ def _validate_cells(problem, cells):
 
 
 def _build_plan(problem, cells, pieces):
-    """The update on the render grid: ``(plan, grid, height, base)``.
+    """The level-0 update on the render grid: ``(plan, grid, i_idx, base)``.
 
     The grid is closed under every pre-image map, so ``base`` at a pre-image
     is a gather from ``base`` on the grid and no value is interpolated.
@@ -358,22 +362,61 @@ def _build_plan(problem, cells, pieces):
         k, problem.scaling.values_at(i_idx, x[k]), height, base,
         pieces.beta1, pieces.beta2, problem.scaling.sup_norm,
     )
-    return plan, x, height, base
+    return plan, x, i_idx, base
 
 
-def _knot_checks(problem, pieces, values, tol_knot=1e-9):
+def _derivative_levels(problem, k, x, i_idx, matching_tol):
+    """Plans of levels ``1..r`` of a smooth problem on the level-0 grid ``x``,
+    with their diagnostics: ``{order: (plan, info)}``.  Each order's junction
+    data are read off the grid at the knots and compared at once; the end
+    values are the fixed points of the end maps."""
+    part, cfg = problem.partition, problem.operator
+    alphas = problem.scaling.constants()
+    knots = np.arange(part.size + 1) * ((x.size - 1) // part.size)
+    levels = {}
+    for j in range(1, cfg.r + 1):
+        # differences stand in exactly when they did for the weight table
+        # (pieces.fd_used), so the flag returned here adds nothing
+        fj, _ = input_derivative(problem.f, j, x, cfg.h * FD_STEP_SCALE)
+        dbase = nn_eval_derivative(cfg, problem.f, j, x)
+        sj = part.slopes**j
+        q_at_a = sj * fj[knots[:-1]] - alphas * dbase[0]
+        q_at_b = sj * fj[knots[1:]] - alphas * dbase[-1]
+        y0 = float(q_at_a[0] / (sj[0] - alphas[0]))
+        y1 = float(q_at_b[-1] / (sj[-1] - alphas[-1]))
+        gap = np.abs(
+            (alphas[:-1] * y1 + q_at_b[:-1]) / sj[:-1]
+            - (alphas[1:] * y0 + q_at_a[1:]) / sj[1:]
+        )
+        bad = np.flatnonzero(gap > matching_tol)
+        if bad.size:
+            raise MatchingConditionError(
+                f"junction data mismatch {gap[bad[0]]:.3e} at "
+                f"subinterval {bad[0] + 2}, derivative order {j}"
+            )
+        contraction = float(np.max(np.abs(alphas) / sj))
+        plan = _GridPlan(k, (alphas / sj)[i_idx - 1], fj, dbase, y0, y1, contraction)
+        levels[j] = (plan, {
+            "contraction": contraction,
+            "matching_residual": float(np.max(gap)),
+            "endpoint_values": (y0, y1),
+            "endpoint_identity_gap": (float(abs(y0 - fj[0])), float(abs(y1 - fj[-1]))),
+        })
+    return levels
+
+
+def _knot_checks(problem, values, height, base_at_a, tol_knot=1e-9):
     """Continuity across subinterval junctions and knot reproduction at the
     internal knots: ``(mismatch, deviation, checked)``.  Knot ``i`` is grid
-    point ``i cells / N`` on every render grid."""
+    point ``i cells / N`` on every render grid, so ``values`` and ``height``
+    are read there."""
     part = problem.partition
     inner = np.arange(1, part.size)
-    at_knots = values[inner * ((values.size - 1) // part.size)]
-    height = pieces.height_eval(part.knots[1:-1])
+    at = inner * ((values.size - 1) // part.size)
     alpha_r = problem.scaling.values_at(inner + 1, np.full(inner.size, part.a))
-    base_at_a = float(pieces.base_eval(np.asarray([part.a]))[0])
-    right = alpha_r * values[0] + height - alpha_r * base_at_a
-    cont_max = float(np.max(np.abs(at_knots - right)))
-    knot_max = float(np.max(np.abs(at_knots - height)))
+    right = alpha_r * values[0] + height[at] - alpha_r * base_at_a
+    cont_max = float(np.max(np.abs(values[at] - right)))
+    knot_max = float(np.max(np.abs(values[at] - height[at])))
     scale = max(1.0, float(np.max(np.abs(values))))
     if cont_max > tol_knot * scale:
         raise CrossCheckError(
@@ -382,19 +425,19 @@ def _knot_checks(problem, pieces, values, tol_knot=1e-9):
     return cont_max, knot_max, inner.size
 
 
-def _solve_core(problem, cells, tol, max_sweeps):
+def _solve_core(problem, cells, tol, max_sweeps, matching_tol=MATCHING_TOL):
     cells = _validate_cells(problem, cells)
     if not tol > 0:
         raise InvalidConfig("tolerance must be positive")
     if not max_sweeps >= 1:
         raise InvalidConfig("sweep budget must be at least 1")
     pieces = _assemble(problem)
-    plan, x, height, base = _build_plan(problem, cells, pieces)
-    start = height.copy()
-    start[0] = pieces.beta1
-    start[-1] = pieces.beta2
-    values, sweeps, steps, residual = plan.solve(start, tol, max_sweeps)
-    cont_max, knot_max, checked = _knot_checks(problem, pieces, values)
+    plan, x, i_idx, base = _build_plan(problem, cells, pieces)
+    levels = {}
+    if problem.variant == "smooth":
+        levels = _derivative_levels(problem, plan.k, x, i_idx, matching_tol)
+    values, sweeps, steps, residual = plan.solve(tol, max_sweeps)
+    cont_max, knot_max, checked = _knot_checks(problem, values, plan.height, base[0])
     diagnostics = {
         "variant": problem.variant,
         "cells": x.size - 1,
@@ -408,33 +451,31 @@ def _solve_core(problem, cells, tol, max_sweeps):
         "fd_fallback": pieces.fd_used,
     }
     result = FifResult(
-        grid=x,
-        values=values,
-        residual=residual,
-        iterations=sweeps,
-        y_min=float(np.min(values)),
-        y_max=float(np.max(values)),
-        base=base,
-        height=height,
-        diagnostics=diagnostics,
-        problem=problem,
+        grid=x, values=values, residual=residual, iterations=sweeps,
+        y_min=float(np.min(values)), y_max=float(np.max(values)),
+        base=base, height=plan.height, diagnostics=diagnostics, problem=problem,
     )
-    return result, plan
+    for j, (dplan, info) in levels.items():
+        dvals, dsweeps, dsteps, dres = dplan.solve(tol, max_sweeps)
+        result.derivatives[j] = dvals
+        info.update(iterations=dsweeps, steps=dsteps, residual=dres)
+    if problem.variant == "smooth":
+        diagnostics["derivative_levels"] = {j: info for j, (_, info) in levels.items()}
+    return result
 
 
 def solve_fif(problem: FifProblem, cells=None, tol=DEFAULT_TOL, max_sweeps=DEFAULT_MAX_SWEEPS):
     """Render the fixed point of the basic construction on a dense grid."""
     if problem.variant != "alpha":
         raise InvalidConfig("solve_fif handles the alpha variant; see the others")
-    result, _ = _solve_core(problem, cells, tol, max_sweeps)
-    return result
+    return _solve_core(problem, cells, tol, max_sweeps)
 
 
 def solve_fif_discrete(problem: FifProblem, cells=None, tol=DEFAULT_TOL, max_sweeps=DEFAULT_MAX_SWEEPS):
     """Render the node-data-only construction (f is never read off-node)."""
     if problem.variant != "discrete":
         raise InvalidConfig("solve_fif_discrete needs a discrete-variant problem")
-    result, _ = _solve_core(problem, cells, tol, max_sweeps)
+    result = _solve_core(problem, cells, tol, max_sweeps)
     result.diagnostics["height_nodes"] = problem.partition.size
     return result
 
@@ -442,82 +483,16 @@ def solve_fif_discrete(problem: FifProblem, cells=None, tol=DEFAULT_TOL, max_swe
 def solve_fif_smooth(problem: FifProblem, cells=None, tol=DEFAULT_TOL, max_sweeps=DEFAULT_MAX_SWEEPS, matching_tol=MATCHING_TOL):
     """Render an order-r construction along with its derivative levels.
 
-    For each derivative order the junction data of consecutive maps must
-    agree (the Barnsley-Harrington compatibility conditions); violations
-    abort the solve since they signal a kernel-smoothness or
-    derivative-data defect.
+    Derivative level ``k`` is solved on the level-0 grid with height
+    ``f^(k)``, base ``(Lf)^(k)`` and scaling ``alpha_i / s_i^k``.  Before any
+    level is solved, the junction data of consecutive maps must agree for
+    every order (the Barnsley-Harrington compatibility conditions); a
+    mismatch above ``matching_tol`` signals a kernel-smoothness or
+    derivative-data defect and raises ``MatchingConditionError``.
     """
     if problem.variant != "smooth":
         raise InvalidConfig("solve_fif_smooth needs a smooth-variant problem")
-    part = problem.partition
-    cfg = problem.operator
-    alphas = problem.scaling.constants()
-    slopes = part.slopes
-    fd_step = cfg.h * FD_STEP_SCALE
-
-    # Junction data per derivative order, checked before any solving.
-    endpoint_values = {}
-    endpoint_identity = {}
-    matching_residuals = {}
-    for k in range(1, cfg.r + 1):
-        fk_knots, _ = input_derivative(problem.f, k, part.knots, fd_step)
-        s_a = nn_eval_derivative(cfg, problem.f, k, part.a)
-        s_b = nn_eval_derivative(cfg, problem.f, k, part.b)
-        q_at_a = slopes**k * fk_knots[:-1] - alphas * s_a
-        q_at_b = slopes**k * fk_knots[1:] - alphas * s_b
-        y0 = q_at_a[0] / (slopes[0] ** k - alphas[0])
-        y1 = q_at_b[-1] / (slopes[-1] ** k - alphas[-1])
-        worst = 0.0
-        for i in range(1, part.size):
-            lhs = (alphas[i - 1] * y1 + q_at_b[i - 1]) / slopes[i - 1] ** k
-            rhs = (alphas[i] * y0 + q_at_a[i]) / slopes[i] ** k
-            worst = max(worst, abs(lhs - rhs))
-            if abs(lhs - rhs) > matching_tol:
-                raise MatchingConditionError(
-                    f"junction data mismatch {abs(lhs - rhs):.3e} at "
-                    f"subinterval {i + 1}, derivative order {k}"
-                )
-        matching_residuals[k] = float(worst)
-        endpoint_values[k] = (float(y0), float(y1))
-        endpoint_identity[k] = (
-            float(abs(y0 - fk_knots[0])),
-            float(abs(y1 - fk_knots[-1])),
-        )
-
-    # the partition is uniform, so every level's grid closes like level 0's
-    result, plan = _solve_core(problem, cells, tol, max_sweeps)
-    x = result.grid
-    i0 = _grid_index(part.size, x.size - 1)[0] - 1
-    per_order = {}
-    fd_any = result.diagnostics["fd_fallback"]
-    for k in range(1, cfg.r + 1):
-        contraction_k = float(np.max(np.abs(alphas) / slopes**k))
-        fk_x, fd = input_derivative(problem.f, k, x, fd_step)
-        fd_any = fd_any or fd
-        deriv_plan = _GridPlan(
-            plan.k,
-            (alphas / slopes**k)[i0],
-            fk_x,
-            nn_eval_derivative(cfg, problem.f, k, x),
-            *endpoint_values[k],
-            contraction_k,
-        )
-        start = fk_x.copy()
-        start[0], start[-1] = endpoint_values[k]
-        dvals, dsweeps, dsteps, dres = deriv_plan.solve(start, tol, max_sweeps)
-        result.derivatives[k] = dvals
-        per_order[k] = {
-            "iterations": dsweeps,
-            "steps": dsteps,
-            "residual": dres,
-            "contraction": contraction_k,
-            "matching_residual": matching_residuals[k],
-            "endpoint_values": endpoint_values[k],
-            "endpoint_identity_gap": endpoint_identity[k],
-        }
-    result.diagnostics["derivative_levels"] = per_order
-    result.diagnostics["fd_fallback"] = fd_any
-    return result
+    return _solve_core(problem, cells, tol, max_sweeps, matching_tol)
 
 
 def rb_apply(problem: FifProblem, phi: SampledFunction) -> SampledFunction:

@@ -113,8 +113,12 @@ class FunctionInput:
 
 
 def _call_vectorized(func, x):
+    # every value of a user function enters here; a NaN would pass every
+    # later convergence and knot check as if it were converged
     arr = np.asarray(x, dtype=float)
     out = np.asarray(func(arr), dtype=float)
+    if not np.all(np.isfinite(out)):
+        raise InvalidConfig("function returned non-finite values")
     if out.shape != arr.shape:
         out = np.broadcast_to(out, arr.shape).copy()
     return out

@@ -94,6 +94,25 @@ def test_invalid_flags_exit_2(tmp_path):
     assert run(base + ["--kernel", "gaussian"]) == 2
     assert run(base + ["--alpha", "linear:0.1"]) == 2
     assert run(base + ["--alpha", "sine:big"]) == 2
+    assert run(["dimension", "--chaos", "--seed", "-1", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["build", "build --discrete", "smooth", "converge", "bounds", "holder", "dimension"],
+)
+def test_non_finite_function_values_exit_2(tmp_path, capsys, command):
+    # exp overflows on [0, 800]; a NaN residual must not pass as converged
+    argv = command.split() + [
+        "--function", "exp", "--interval", "0", "800", "--alpha", "0.1",
+        "--kernel", "smoothstep:1", "--out", str(tmp_path),
+    ]
+    with np.errstate(over="ignore"):
+        assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: function returned non-finite values" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -105,8 +124,11 @@ def test_invalid_flags_exit_2(tmp_path):
         ["dimension", "--grid-exp", "4", "--scales", "4..60"],
         ["build", "--n", "1000000000000000", "--grid-exp", "4"],
         ["converge", "--n-ladder", "8,1000000000000000"],
+        ["converge", "--function", "sin", "--alpha", "0.5", "--n-ladder", "8,16384"],
+        ["bounds", "--function", "sin", "--alpha", "0.5", "--n-ladder", "8,16384"],
     ],
-    ids=["grid-exp", "cells", "points", "scales", "nodes", "ladder"],
+    ids=["grid-exp", "cells", "points", "scales", "nodes", "ladder",
+         "converge-rung", "bounds-rung"],
 )
 def test_size_caps_exit_2_before_allocating(tmp_path, flags):
     tracemalloc.start()

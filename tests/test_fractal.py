@@ -550,8 +550,55 @@ def test_smooth_matching_check_can_fire():
     op = OperatorConfig(smoothstep(1), 0.0, 1.0, 64, r=1)
     prob = FifProblem(part, sv, op, make_function("sin"), "smooth")
     solve_fif_smooth(prob, cells=4 * 2**8)  # default tolerance is fine
-    with pytest.raises(MatchingConditionError, match="junction"):
+    with pytest.raises(MatchingConditionError, match="subinterval 2, derivative order 1"):
         solve_fif_smooth(prob, cells=4 * 2**8, matching_tol=0.0)
+
+
+def test_smooth_junctions_are_checked_before_any_level_is_solved():
+    # one sweep cannot converge, so only a check made before the level-0
+    # solve reports the mismatch
+    part = Partition.uniform(0.0, 1.0, 4)
+    sv = ScalingVector.constant([0.2499999, 0.2, 0.2, 0.2])
+    op = OperatorConfig(smoothstep(1), 0.0, 1.0, 64, r=1)
+    prob = FifProblem(part, sv, op, make_function("sin"), "smooth")
+    with pytest.raises(NonConvergence):
+        solve_fif_smooth(prob, cells=4 * 2**8, max_sweeps=1)
+    with pytest.raises(MatchingConditionError):
+        solve_fif_smooth(prob, cells=4 * 2**8, matching_tol=0.0, max_sweeps=1)
+
+
+def test_every_level_is_evaluated_once_on_the_render_grid(monkeypatch):
+    # level 0 needs the operator, level k f^(k) and (Lf)^(k); the junction
+    # and knot checks read those arrays at the knots and the ends
+    calls = []
+
+    def counting(name, x_arg):
+        fn = getattr(fif.fractal, name)
+
+        def counted(*args):
+            calls.append((name, np.size(args[x_arg])))
+            return fn(*args)
+
+        monkeypatch.setattr(fif.fractal, name, counted)
+
+    counting("nn_eval", 2)
+    counting("nn_eval_four_layer", 2)
+    counting("nn_eval_derivative", 3)
+    counting("input_derivative", 2)
+    cells = 4 * 2**8
+    part = Partition.uniform(0.0, 1.0, 4)
+    op = OperatorConfig(smoothstep(2), 0.0, 1.0, 32, r=2)
+    prob = FifProblem(part, ScalingVector.broadcast(0.05, 4), op, make_function("sin"), "smooth")
+    res = solve_fif_smooth(prob, cells=cells)
+    assert sorted(res.derivatives) == [1, 2]
+    assert sorted(name for name, _ in calls) == [
+        "input_derivative", "input_derivative",
+        "nn_eval_derivative", "nn_eval_derivative", "nn_eval_four_layer",
+    ]
+    assert all(size == cells + 1 for _, size in calls)
+    calls.clear()
+    solve_fif(sine_problem(), cells=cells)
+    assert calls == [("nn_eval", cells + 1)]
 
 
 def test_smooth_requires_analytic_input():
@@ -573,6 +620,14 @@ def test_sweep_budget_exhaustion_keeps_best_iterate():
     assert err.iterations == 2
     assert err.residual > 1e-14
     assert err.values is not None and err.values.size == 4 * 2**8 + 1
+
+
+def test_non_finite_function_values_are_invalid():
+    part = Partition.uniform(0.0, 800.0, 4)
+    op = OperatorConfig(ramp(), 0.0, 800.0, 32)
+    prob = FifProblem(part, ScalingVector.broadcast(0.3, 4), op, make_function("exp"))
+    with np.errstate(over="ignore"), pytest.raises(InvalidConfig, match="non-finite"):
+        solve_fif(prob, cells=4 * 2**8)
 
 
 def test_cells_validation():
