@@ -200,10 +200,7 @@ def _load_table(path: str, partition: Partition) -> FunctionInput:
 
 def _build_problem(cfg: RunConfig, smooth=False):
     a, b = cfg.interval
-    try:
-        kernel = kernel_from_name(cfg.kernel)
-    except ValueError as exc:
-        raise InvalidConfig(str(exc)) from exc
+    kernel = kernel_from_name(cfg.kernel)
     partition = Partition.uniform(a, b, cfg.subintervals)
     scaling = _parse_alpha(cfg)
     order = cfg.order if smooth else 0
@@ -258,6 +255,11 @@ def _meta(cfg: RunConfig, results: dict, diagnostics: dict | None = None) -> dic
 
 def cmd_build(cfg: RunConfig, out: Path) -> int:
     problem = _build_problem(cfg)
+    # the discrete bound reads moduli off the render grid, 16 cells per spacing
+    if problem.variant == "discrete" and 16 * cfg.nodes > cfg.cells():
+        raise InvalidConfig(
+            f"discrete bound on {cfg.cells()} cells needs --n <= {cfg.cells() // 16}"
+        )
     res = _solve_by_variant(problem, cfg)
     _write_csv(
         out / "fif.csv",
@@ -455,10 +457,7 @@ def cmd_bounds(cfg: RunConfig, out: Path) -> int:
     a, b = cfg.interval
     scaling = _parse_alpha(cfg)
     sup = scaling.sup_norm
-    try:
-        kernel = kernel_from_name(cfg.kernel)
-    except ValueError as exc:
-        raise InvalidConfig(str(exc)) from exc
+    kernel = kernel_from_name(cfg.kernel)
     f = make_function(cfg.function)
     dense = _modulus_curve(f, a, b, ladder)
     probe = np.linspace(a, b, 10**4 + 1)

@@ -54,7 +54,6 @@ from .errors import (
 )
 from .maps import Partition, ScalingVector
 from .operators import (
-    FD_STEP_SCALE,
     FunctionInput,
     OperatorConfig,
     input_derivative,
@@ -70,6 +69,10 @@ VARIANTS = ("alpha", "discrete", "smooth")
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_SWEEPS = 1000
 MATCHING_TOL = 1e-8
+# junction continuity tolerance, relative to the render's sup norm (at least 1)
+KNOT_TOL = 1e-9
+# orbit steps the random-orbit render discards before its first point
+BURN_IN = 100
 
 
 class FifProblem:
@@ -168,14 +171,13 @@ class _NodeGuard:
 class _Pieces:
     """Variant-resolved height/base evaluators and endpoint data."""
 
-    __slots__ = ("base_eval", "height_eval", "beta1", "beta2", "fd_used")
+    __slots__ = ("base_eval", "height_eval", "beta1", "beta2")
 
-    def __init__(self, base_eval, height_eval, beta1, beta2, fd_used):
+    def __init__(self, base_eval, height_eval, beta1, beta2):
         self.base_eval = base_eval
         self.height_eval = height_eval
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
-        self.fd_used = fd_used
 
 
 def _assemble(problem: FifProblem) -> _Pieces:
@@ -183,21 +185,9 @@ def _assemble(problem: FifProblem) -> _Pieces:
     cfg = problem.operator
     f = problem.f
     if problem.variant == "alpha":
-        return _Pieces(
-            lambda xs: nn_eval(cfg, f, xs),
-            lambda xs: f(xs),
-            f(part.a),
-            f(part.b),
-            False,
-        )
+        return _Pieces(lambda xs: nn_eval(cfg, f, xs), f, f(part.a), f(part.b))
     if problem.variant == "smooth":
-        return _Pieces(
-            lambda xs: nn_eval_four_layer(cfg, f, xs),
-            lambda xs: f(xs),
-            f(part.a),
-            f(part.b),
-            operator_fd_fallback(cfg, f),
-        )
+        return _Pieces(lambda xs: nn_eval_four_layer(cfg, f, xs), f, f(part.a), f(part.b))
     # discrete: both height and base are operator evaluations of node data
     height_cfg = OperatorConfig(cfg.kernel, cfg.a, cfg.b, part.size)
     if f.mode == "tabulated":
@@ -215,7 +205,6 @@ def _assemble(problem: FifProblem) -> _Pieces:
         lambda xs: nn_eval(height_cfg, f_height, xs),
         knot_vals[0],
         knot_vals[-1],
-        False,
     )
 
 
@@ -249,31 +238,6 @@ def _render_grid(part, cells):
     return x
 
 
-def _sweeps(plan, nxt, n, change, steps, threshold, max_sweeps):
-    """Single Picard sweeps on from ``nxt``, iterate ``n + 1``, which the
-    sweep producing it moved by ``change``; ``steps`` passes so far.
-
-    Stops at the first iterate ``m <= max_sweeps`` whose producing sweep
-    moved it by at most ``threshold`` and returns
-    ``(values, m, steps, residual)``.
-    """
-    while change > threshold and n + 1 < max_sweeps:
-        phi = nxt
-        nxt = plan.apply(phi)
-        change = float(np.max(np.abs(nxt - phi)))
-        n += 1
-        steps += 1
-    residual = float(np.max(np.abs(plan.apply(nxt) - nxt)))
-    if change > threshold:
-        raise NonConvergence(
-            f"no convergence in {max_sweeps} sweeps (last residual {residual:.3e})",
-            values=nxt,
-            residual=residual,
-            iterations=max_sweeps,
-        )
-    return nxt, n + 1, steps, residual
-
-
 class _GridPlan:
     """The update ``phi -> coeff * phi[k] + offset`` on a grid that every
     pre-image map sends onto itself; the endpoints carry ``coeff = 0`` and
@@ -299,11 +263,12 @@ class _GridPlan:
         moved by at most ``tol * (1 - contraction)``, starting from the
         height with its endpoints pinned to ``beta``.
 
-        Returns ``(values, m, steps, residual)``.  The update composed with
-        itself is again of the form ``coeff * phi[k] + offset``, so each
-        doubling step takes the power ``p`` to ``2 p`` in one array pass
-        (pointer jumping).  Where the next doubling would pass the budget,
-        single sweeps continue up to it.
+        Returns ``(values, m, steps, residual)`` or raises ``NonConvergence``.
+        The update composed with itself is again of the form
+        ``coeff * phi[k] + offset``, so each doubling step takes the power
+        ``p`` to ``2 p`` in one array pass (pointer jumping).  Doubling stops
+        once iterate ``p`` is close enough or the next step would pass the
+        budget; iterate ``p`` is then formed and single sweeps go on from it.
         """
         threshold = tol * (1.0 - self.contraction)
         start = self.height.copy()
@@ -312,25 +277,39 @@ class _GridPlan:
         gap = float(np.max(np.abs(nxt - start)))
         n, change, steps = 0, gap, 1
         # the sweep after iterate p moves it by |coeff_p * (phi_1 - phi_0)[k_p]|,
-        # at most max|coeff_p| * gap: iterate p is formed and checked only once
-        # that bound passes, or when the budget stops the doubling
+        # at most max|coeff_p| * gap: doubling stops once that bound passes
         coeff, offset, k = self.coeff.copy(), self.offset.copy(), self.k
         p = 1
-        while change > threshold and p < max_sweeps:
-            if 2 * p < max_sweeps and float(np.max(np.abs(coeff))) * gap > threshold:
-                offset += coeff * offset[k]
-                coeff *= coeff[k]
-                k = k[k]
-                p *= 2
-                steps += 1
-                continue
+        while (
+            gap > threshold and 2 * p < max_sweeps
+            and float(np.max(np.abs(coeff))) * gap > threshold
+        ):
+            offset += coeff * offset[k]
+            coeff *= coeff[k]
+            k = k[k]
+            p *= 2
+            steps += 1
+        if gap > threshold and p < max_sweeps:
             phi = coeff * start[k] + offset
             nxt = self.apply(phi)
             change = float(np.max(np.abs(nxt - phi)))
             n = p
-            break
         del coeff, offset, k  # the single sweeps need only the plan
-        return _sweeps(self, nxt, n, change, steps, threshold, max_sweeps)
+        while change > threshold and n + 1 < max_sweeps:
+            phi = nxt
+            nxt = self.apply(phi)
+            change = float(np.max(np.abs(nxt - phi)))
+            n += 1
+            steps += 1
+        residual = float(np.max(np.abs(self.apply(nxt) - nxt)))
+        if change > threshold:
+            raise NonConvergence(
+                f"no convergence in {max_sweeps} sweeps (last residual {residual:.3e})",
+                values=nxt,
+                residual=residual,
+                iterations=max_sweeps,
+            )
+        return nxt, n + 1, steps, residual
 
 
 def _validate_cells(problem, cells):
@@ -375,9 +354,7 @@ def _derivative_levels(problem, k, x, i_idx, matching_tol):
     knots = np.arange(part.size + 1) * ((x.size - 1) // part.size)
     levels = {}
     for j in range(1, cfg.r + 1):
-        # differences stand in exactly when they did for the weight table
-        # (pieces.fd_used), so the flag returned here adds nothing
-        fj, _ = input_derivative(problem.f, j, x, cfg.h * FD_STEP_SCALE)
+        fj = input_derivative(problem.f, j, x, cfg.h)
         dbase = nn_eval_derivative(cfg, problem.f, j, x)
         sj = part.slopes**j
         q_at_a = sj * fj[knots[:-1]] - alphas * dbase[0]
@@ -405,7 +382,7 @@ def _derivative_levels(problem, k, x, i_idx, matching_tol):
     return levels
 
 
-def _knot_checks(problem, values, height, base_at_a, tol_knot=1e-9):
+def _knot_checks(problem, values, height, base_at_a):
     """Continuity across subinterval junctions and knot reproduction at the
     internal knots: ``(mismatch, deviation, checked)``.  Knot ``i`` is grid
     point ``i cells / N`` on every render grid, so ``values`` and ``height``
@@ -418,7 +395,7 @@ def _knot_checks(problem, values, height, base_at_a, tol_knot=1e-9):
     cont_max = float(np.max(np.abs(values[at] - right)))
     knot_max = float(np.max(np.abs(values[at] - height[at])))
     scale = max(1.0, float(np.max(np.abs(values))))
-    if cont_max > tol_knot * scale:
+    if cont_max > KNOT_TOL * scale:
         raise CrossCheckError(
             f"junction continuity check failed: mismatch {cont_max:.3e}"
         )
@@ -448,7 +425,8 @@ def _solve_core(problem, cells, tol, max_sweeps, matching_tol=MATCHING_TOL):
         "junction_mismatch": cont_max,
         "knots_checked": checked,
         "knot_deviation": knot_max,
-        "fd_fallback": pieces.fd_used,
+        "fd_fallback": problem.variant == "smooth"
+        and operator_fd_fallback(problem.operator, problem.f),
     }
     result = FifResult(
         grid=x, values=values, residual=residual, iterations=sweeps,
@@ -548,15 +526,15 @@ def _affine_scan(coeff, offset):
     return passes
 
 
-def chaos_game_render(problem: FifProblem, point_count: int, seed: int, burn_in: int = 100):
+def chaos_game_render(problem: FifProblem, point_count: int, seed: int):
     """Random-orbit render: returns ``(x, y)`` arrays of ``point_count`` points.
 
     The orbit starts at the left interpolation point, picks maps uniformly
-    from a seeded generator, and discards ``burn_in`` initial steps.  Both
+    from a seeded generator, and discards ``BURN_IN`` initial steps.  Both
     the x-orbit ``x[t+1] = slope_k x[t] + intercept_k`` and the y-recurrence
     ``y[t+1] = alpha_k(x[t]) y[t] + shift[t]`` are affine recurrences, each
     solved in place by a doubling scan (Wyllie 1979; Blelloch 1990) of at
-    most ``ceil(log2(burn_in + point_count + 1))`` array passes, fewer once
+    most ``ceil(log2(BURN_IN + point_count + 1))`` array passes, fewer once
     the window coefficients underflow.  The result matches the step-by-step
     loop up to rounding in the order of the additions.
     """
@@ -564,7 +542,7 @@ def chaos_game_render(problem: FifProblem, point_count: int, seed: int, burn_in:
         raise InvalidConfig("need at least 1000 points")
     part = problem.partition
     pieces = _assemble(problem)
-    total = burn_in + int(point_count)
+    total = BURN_IN + int(point_count)
     rng = np.random.default_rng(seed)
     idx = rng.integers(1, part.size + 1, size=total)
     coeff = np.empty(total + 1)
@@ -583,4 +561,4 @@ def chaos_game_render(problem: FifProblem, point_count: int, seed: int, burn_in:
     ys[1:] *= coeff[1:]
     np.subtract(pieces.height_eval(xs[1:]), ys[1:], out=ys[1:])
     _affine_scan(coeff, ys)
-    return xs[burn_in + 1 :], ys[burn_in + 1 :]
+    return xs[BURN_IN + 1 :], ys[BURN_IN + 1 :]

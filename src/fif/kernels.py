@@ -43,6 +43,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import InvalidConfig
+
 # Sentinel smoothness order for the C^inf family.
 UNBOUNDED_ORDER = 10**6
 
@@ -67,13 +69,13 @@ class SigmoidalKernel:
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
-            raise ValueError(f"unknown kernel family: {self.family!r}")
+            raise InvalidConfig(f"unknown kernel family: {self.family!r}")
         if self.family != "smoothstep" and self.order != 0:
-            raise ValueError("order applies to the smoothstep family only")
+            raise InvalidConfig("order applies to the smoothstep family only")
         if self.order < 0:
-            raise ValueError("order must be nonnegative")
+            raise InvalidConfig("order must be nonnegative")
         if not (math.isfinite(self.m) and self.m > 0):
-            raise ValueError("half-width m must be positive and finite")
+            raise InvalidConfig("half-width m must be positive and finite")
 
     @property
     def smoothness(self) -> int:
@@ -112,12 +114,16 @@ def kernel_from_name(name: str, m: float = 0.5) -> SigmoidalKernel:
     if base == "ramp":
         return ramp(m)
     if base == "smoothstep":
-        if not arg:
-            raise ValueError("smoothstep needs an order, e.g. smoothstep:1")
-        return smoothstep(int(arg), m)
+        try:
+            order = int(arg)
+        except ValueError as exc:
+            raise InvalidConfig(
+                f"smoothstep needs an integer order, e.g. smoothstep:1, got {name!r}"
+            ) from exc
+        return smoothstep(order, m)
     if base in ("bump", "smoothbump"):
         return smooth_bump(m)
-    raise ValueError(f"unknown kernel family: {name!r}")
+    raise InvalidConfig(f"unknown kernel family: {name!r}")
 
 
 @lru_cache(maxsize=None)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
+from .operators import _call_vectorized
 
 # Sample count used to estimate sup norms of scaling functions.
 SUP_SAMPLES = 10**4
@@ -105,12 +106,7 @@ def _entry_sup(e, domain) -> float:
     if domain is None:
         raise InvalidConfig("function scalings need a domain")
     xs = np.linspace(domain[0], domain[1], SUP_SAMPLES)
-    vals = np.asarray(e(xs), dtype=float)
-    if vals.shape != xs.shape:
-        vals = np.broadcast_to(vals, xs.shape)
-    if not np.all(np.isfinite(vals)):
-        raise InvalidConfig("scaling function returned non-finite values")
-    return float(np.max(np.abs(vals)))
+    return float(np.max(np.abs(_call_vectorized(e, xs))))
 
 
 class ScalingVector:
@@ -184,11 +180,7 @@ class ScalingVector:
             mask = owner == j
             if not np.any(mask):
                 continue
-            if callable(e):
-                vals = np.asarray(e(x[mask]), dtype=float)
-                out[mask] = np.broadcast_to(vals, x[mask].shape)
-            else:
-                out[mask] = float(e)
+            out[mask] = _call_vectorized(e, x[mask]) if callable(e) else float(e)
         return out
 
     def holder_contraction(self, partition: Partition, mu: float) -> float:

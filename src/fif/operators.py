@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidConfig
-from .kernels import SigmoidalKernel, _shaped, transition
+from .kernels import SigmoidalKernel, _as_array, _shaped, transition
 # not called here: the benchmark's tracer (bench/spans.py) wraps these two by
 # name as attributes of this module
 from .kernels import xi_derivative, xi_eval  # noqa: F401
@@ -73,8 +73,8 @@ class FunctionInput:
 
     Analytic mode may carry derivative callables ``(f', f'', ...)``.  If it
     carries none and derivatives are needed, central finite differences with
-    step ``h * FD_STEP_SCALE`` fill in and a fallback flag is raised; if it
-    carries some but not enough, the input is rejected outright.
+    step ``h * FD_STEP_SCALE`` fill in (see :func:`operator_fd_fallback`); if
+    it carries some but not enough, the input is rejected outright.
     """
 
     __slots__ = ("mode", "func", "derivatives", "values")
@@ -124,35 +124,36 @@ def _call_vectorized(func, x):
     return out
 
 
-def input_derivative(f: FunctionInput, order: int, x, fd_step: float):
+def input_derivative(f: FunctionInput, order: int, x, h: float):
     """Evaluate the ``order``-th derivative of the input at ``x``.
 
-    Returns ``(values, fd_used)``.  Uses the supplied callables when
-    present, otherwise a central difference stencil of width ``order``.
+    Uses the supplied callables when present, otherwise a central difference
+    stencil of width ``order`` and step ``h * FD_STEP_SCALE``, where ``h`` is
+    the operator's node spacing.
     """
     if f.mode != "analytic":
         raise InvalidConfig("derivatives unavailable")
     arr = np.asarray(x, dtype=float)
     if order == 0:
-        return _call_vectorized(f.func, arr), False
+        return _call_vectorized(f.func, arr)
     if f.derivatives:
         if len(f.derivatives) < order:
             raise InvalidConfig("derivatives unavailable")
-        return _call_vectorized(f.derivatives[order - 1], arr), False
-    s = fd_step
+        return _call_vectorized(f.derivatives[order - 1], arr)
+    s = h * FD_STEP_SCALE
     out = np.zeros_like(arr)
     for i in range(order + 1):
         shift = (order / 2.0 - i) * s
         out += ((-1) ** i * math.comb(order, i)) * _call_vectorized(
             f.func, arr + shift
         )
-    return out / s**order, True
+    return out / s**order
 
 
 @lru_cache(maxsize=128)
 def _weight_table(cfg: OperatorConfig, f: FunctionInput, upto: int):
-    """Node derivatives ``f^(j)(a_k)``, shape (upto+1, n+1), plus a fallback flag."""
-    nodes = cfg.nodes
+    """Node derivatives ``f^(j)(a_k)``, shape (upto+1, n+1).  Warns when finite
+    differences fill in the derivative rows, once per cached table."""
     if f.mode == "tabulated":
         if upto >= 1:
             raise InvalidConfig("derivatives unavailable")
@@ -160,26 +161,21 @@ def _weight_table(cfg: OperatorConfig, f: FunctionInput, upto: int):
             raise InvalidConfig(
                 f"table has {f.values.size} values, operator needs {cfg.n + 1}"
             )
-        return f.values[np.newaxis, :].copy(), False
-    rows = np.empty((upto + 1, cfg.n + 1))
-    rows[0] = _call_vectorized(f.func, nodes)
-    fd_used = False
-    for j in range(1, upto + 1):
-        rows[j], fd = input_derivative(f, j, nodes, cfg.h * FD_STEP_SCALE)
-        fd_used = fd_used or fd
-    if fd_used:
+        return f.values[np.newaxis, :].copy()
+    nodes = cfg.nodes
+    rows = np.stack([input_derivative(f, j, nodes, cfg.h) for j in range(upto + 1)])
+    if upto and operator_fd_fallback(cfg, f):
+        # level 4: past _evaluate and the public operator, to its caller
         warnings.warn(
             "derivative callables missing; central differences substituted",
-            stacklevel=3,
+            stacklevel=4,
         )
-    return rows, fd_used
+    return rows
 
 
 def _bracket(cfg: OperatorConfig, x):
     """Scaled position u in node units plus the index of the left node."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("non-finite input")
+    arr = _as_array(x)
     span = cfg.b - cfg.a
     slack = 4e-12 * span
     if np.any(arr < cfg.a - slack) or np.any(arr > cfg.b + slack):
@@ -216,18 +212,22 @@ def _blend(cfg, table, u, klo, order):
     return total
 
 
+def _evaluate(cfg, f, upto, order, x):
+    """``order``-th derivative at ``x`` of the operator on the node derivatives
+    up to ``upto``: the body of every public operator entry point."""
+    table = _weight_table(cfg, f, upto)
+    u, klo = _bracket(cfg, x)
+    return _shaped(_blend(cfg, table, u, klo, order), x)
+
+
 def nn_eval(cfg: OperatorConfig, f: FunctionInput, x):
     """Zeroth-order operator value at ``x`` (scalar or array)."""
-    table, _ = _weight_table(cfg, f, 0)
-    u, klo = _bracket(cfg, x)
-    return _shaped(_blend(cfg, table, u, klo, 0), x)
+    return _evaluate(cfg, f, 0, 0, x)
 
 
 def nn_eval_four_layer(cfg: OperatorConfig, f: FunctionInput, x):
     """Operator with ``cfg.r`` derivative channels; equals nn_eval at r=0."""
-    table, _ = _weight_table(cfg, f, cfg.r)
-    u, klo = _bracket(cfg, x)
-    return _shaped(_blend(cfg, table, u, klo, 0), x)
+    return _evaluate(cfg, f, cfg.r, 0, x)
 
 
 def nn_eval_derivative(cfg: OperatorConfig, f: FunctionInput, order: int, x):
@@ -236,14 +236,11 @@ def nn_eval_derivative(cfg: OperatorConfig, f: FunctionInput, order: int, x):
         raise InvalidConfig("derivative order must be a positive integer")
     if order > cfg.r:
         raise InvalidConfig("derivative order exceeds the layer order r")
-    table, _ = _weight_table(cfg, f, cfg.r)
-    u, klo = _bracket(cfg, x)
-    return _shaped(_blend(cfg, table, u, klo, order), x)
+    return _evaluate(cfg, f, cfg.r, order, x)
 
 
 def operator_fd_fallback(cfg: OperatorConfig, f: FunctionInput) -> bool:
-    """Whether building the weight table required finite differences."""
-    if f.mode == "tabulated" or cfg.r == 0:
-        return False
-    _, fd = _weight_table(cfg, f, cfg.r)
-    return fd
+    """Whether the four-layer operator's derivative channels come from finite
+    differences: ``r >= 1`` on an analytic input without derivative
+    callables.  A property of the input alone; nothing is evaluated."""
+    return cfg.r >= 1 and f.mode == "analytic" and not f.derivatives

@@ -92,6 +92,7 @@ def test_invalid_flags_exit_2(tmp_path):
     assert run(base + ["--alpha", "what"]) == 2
     assert run(base + ["--function", "nope"]) == 2
     assert run(base + ["--kernel", "gaussian"]) == 2
+    assert run(base + ["--kernel", "smoothstep:x"]) == 2
     assert run(base + ["--alpha", "linear:0.1"]) == 2
     assert run(base + ["--alpha", "sine:big"]) == 2
     assert run(["dimension", "--chaos", "--seed", "-1", "--out", str(tmp_path)]) == 2
@@ -112,6 +113,17 @@ def test_non_finite_function_values_exit_2(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "error: function returned non-finite values" in err
     assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flags", [["--n", "512"], ["--n", "8", "--N", "4", "--grid-exp", "4"]],
+    ids=["default-grid", "coarse-grid"],
+)
+def test_discrete_build_checks_the_bound_grid_before_solving(tmp_path, capsys, flags):
+    # the discrete bound needs 16 render cells per node spacing
+    assert run(["build", "--discrete", *flags, "--out", str(tmp_path)]) == 2
+    assert "--n <=" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -630,6 +630,24 @@ def test_non_finite_function_values_are_invalid():
         solve_fif(prob, cells=4 * 2**8)
 
 
+def test_non_finite_scaling_values_are_invalid():
+    # finite on the sup-norm samples, NaN at the knot 0.25: a render grid of
+    # 2^8 cells per piece has the knot as a pre-image, and seed 1's first map
+    # (map 2) sends the orbit's start to it
+    def alpha(x):
+        return 0.4 * np.sin(1.0 / (np.asarray(x) - 0.25))
+
+    part = Partition.uniform(0.0, 1.0, 4)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sv = ScalingVector([alpha] * 4, domain=(0.0, 1.0))
+        prob = FifProblem(part, sv, OperatorConfig(ramp(), 0.0, 1.0, 32),
+                          make_function("sin"))
+        with pytest.raises(InvalidConfig, match="non-finite"):
+            solve_fif(prob, cells=4 * 2**8)
+        with pytest.raises(InvalidConfig, match="non-finite"):
+            chaos_game_render(prob, 1000, seed=1)
+
+
 def test_cells_validation():
     prob = sine_problem()
     with pytest.raises(InvalidConfig, match="power-of-two"):

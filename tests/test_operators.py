@@ -205,6 +205,16 @@ def test_difference_fallback_warns_and_is_flagged():
     assert abs(got - exact) <= 1e-6
 
 
+def test_difference_fallback_is_read_off_the_input():
+    def untouchable(x):
+        raise AssertionError("the fallback must not evaluate the function")
+
+    cfg = OperatorConfig(smoothstep(2), 0.0, 1.0, 8, r=2)
+    assert operator_fd_fallback(cfg, FunctionInput.analytic(untouchable))
+    with_derivatives = FunctionInput.analytic(untouchable, (untouchable, untouchable))
+    assert not operator_fd_fallback(cfg, with_derivatives)
+
+
 def test_tabulated_length_checked():
     cfg = OperatorConfig(ramp(), 0.0, 1.0, 8)
     with pytest.raises(InvalidConfig, match="operator needs"):
