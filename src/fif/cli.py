@@ -312,9 +312,7 @@ def cmd_converge(cfg: RunConfig, out: Path) -> int:
         err = float(np.max(np.abs(res.values - truth)))
         om = modulus_of_continuity(dense, (b - a) / n)
         if cfg.discrete:
-            knots = step_cfg.subintervals
-            om_k = om if knots == n else modulus_of_continuity(dense, (b - a) / knots)
-            bound = error_bound_discrete(sup_alpha, om, om_k)
+            bound = _discrete_bound(sup_alpha, dense, b - a, n, om)
         else:
             bound = error_bound_alpha(sup_alpha, om)
         rows_n.append(n)
@@ -349,7 +347,8 @@ def cmd_dimension(cfg: RunConfig, out: Path) -> int:
         res = _solve_by_variant(problem, cfg)
         xs, ys = res.grid, res.values
     report = box_counting_dimension(xs, ys, _parse_scales(cfg.scales))
-    knot_y = _knot_data(problem)
+    f = problem.f
+    knot_y = f.values if f.mode == "tabulated" else f(problem.partition.knots)
     report.collinear_data = knot_data_collinear(problem.partition.knots, knot_y)
     if report.collinear_data:
         report.notes.append("knot data collinear: closed-form dimension not applicable")
@@ -472,23 +471,22 @@ def cmd_bounds(cfg: RunConfig, out: Path) -> int:
         om = modulus_of_continuity(dense, (b - a) / n)
         row = [n, gap, om, error_bound_alpha(sup, gap), error_bound_alpha(sup, om)]
         if cfg.discrete:
-            om_k = om if n >= 2 else modulus_of_continuity(dense, (b - a) / 2)
-            row.append(error_bound_discrete(sup, om, om_k))
+            row.append(_discrete_bound(sup, dense, b - a, n, om))
         rows.append(row)
     _write_table(sys.stdout, header, list(zip(*rows)), delimiter="  ")
     return 0
 
 
+def _discrete_bound(sup, dense, span, n, om):
+    # rung n has knots spaced span / max(n, 2): for n >= 2 that is the
+    # operator spacing, whose modulus om is known
+    om_k = om if n >= 2 else modulus_of_continuity(dense, span / 2)
+    return error_bound_discrete(sup, om, om_k)
+
+
 def _solve_summary(res) -> str:
     d = res.diagnostics
     return f"{d['solve_method']} in {d['solve_steps']} steps"
-
-
-def _knot_data(problem) -> np.ndarray:
-    pieces_f = problem.f
-    if pieces_f.mode == "tabulated":
-        return pieces_f.values
-    return np.asarray(pieces_f(problem.partition.knots), dtype=float)
 
 
 def _parse_ladder(spec: str):

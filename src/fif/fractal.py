@@ -25,12 +25,14 @@ On any other partition it is ``G_K``, the images of the endpoints under all
 depth-``K`` compositions of the maps (Barnsley 1986): ``N^K + 1`` points,
 built one level at a time, whose stride-``N`` subgrid is ``G_{K-1}``, so the
 same index formula holds.  Either way the discrete equation reads
-``phi = c * phi[k] + o`` over integer indices ``k``.  The update composed
-with itself has the same form, so pointer jumping (Wyllie 1979; a prefix
-scan of affine maps) reaches Picard iterate ``n`` in ``log2 n`` array
-passes.  The solve stops at an iterate that one further sweep moves by at
-most ``tol * (1 - contraction)``, which leaves it within ``tol`` of the
-fixed point in sup norm.
+``phi = c * phi[k] + o`` over integer indices ``k``, and the solve's
+constants are read off these arrays: ``contraction`` is ``max|c|``, which
+must be below 1, and the ends carry ``c = 0`` and the height's values.
+The update composed with itself has the same form, so pointer jumping
+(Wyllie 1979; a prefix scan of affine maps) reaches Picard iterate ``n``
+in ``log2 n`` array passes.  The solve stops at an iterate that one further
+sweep moves by at most ``tol * (1 - contraction)``, which leaves it within
+``tol`` of the fixed point in sup norm.
 
 The random-orbit render (chaos game) follows one seeded orbit of the
 iterated function system instead.  Its x-orbit and its y-recurrence are
@@ -43,6 +45,7 @@ once every window's coefficient product has underflowed to exactly zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -148,36 +151,11 @@ class FifResult:
         return SampledFunction(float(self.grid[0]), float(self.grid[-1]), self.values)
 
 
-class _NodeGuard:
-    """Callable wrapper that raises unless evaluated only on allowed points."""
+class _Pieces(NamedTuple):
+    """The variant's height and base, each evaluated on arrays of points."""
 
-    def __init__(self, func, allowed, span):
-        self.func = func
-        self.allowed = np.sort(np.unique(np.asarray(allowed, dtype=float)))
-        self.tol = 1e-9 * span
-
-    def __call__(self, x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        pos = np.searchsorted(self.allowed, arr)
-        pos = np.clip(pos, 1, self.allowed.size - 1)
-        near = np.minimum(
-            np.abs(arr - self.allowed[pos - 1]), np.abs(arr - self.allowed[pos])
-        )
-        if not np.all(near <= self.tol):
-            raise CrossCheckError("function evaluated away from its node grid")
-        return self.func(x)
-
-
-class _Pieces:
-    """Variant-resolved height/base evaluators and endpoint data."""
-
-    __slots__ = ("base_eval", "height_eval", "beta1", "beta2")
-
-    def __init__(self, base_eval, height_eval, beta1, beta2):
-        self.base_eval = base_eval
-        self.height_eval = height_eval
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
+    base_eval: Callable
+    height_eval: Callable
 
 
 def _assemble(problem: FifProblem) -> _Pieces:
@@ -185,27 +163,33 @@ def _assemble(problem: FifProblem) -> _Pieces:
     cfg = problem.operator
     f = problem.f
     if problem.variant == "alpha":
-        return _Pieces(lambda xs: nn_eval(cfg, f, xs), f, f(part.a), f(part.b))
+        return _Pieces(lambda xs: nn_eval(cfg, f, xs), f)
     if problem.variant == "smooth":
-        return _Pieces(lambda xs: nn_eval_four_layer(cfg, f, xs), f, f(part.a), f(part.b))
-    # discrete: both height and base are operator evaluations of node data
+        return _Pieces(lambda xs: nn_eval_four_layer(cfg, f, xs), f)
+    # discrete: both height and base are operator evaluations of node data,
+    # so f is read at the knots and the operator nodes and nowhere else
     height_cfg = OperatorConfig(cfg.kernel, cfg.a, cfg.b, part.size)
     if f.mode == "tabulated":
         knot_vals = f.values
-        stride = part.size // cfg.n
-        base_vals = knot_vals[::stride]
+        base_vals = knot_vals[:: part.size // cfg.n]
     else:
-        guarded = _NodeGuard(f, np.concatenate([part.knots, cfg.nodes]), part.b - part.a)
-        knot_vals = guarded(part.knots)
-        base_vals = guarded(cfg.nodes)
+        knot_vals = f(part.knots)
+        base_vals = f(cfg.nodes)
     f_height = FunctionInput.tabulated(knot_vals)
     f_base = FunctionInput.tabulated(base_vals)
     return _Pieces(
         lambda xs: nn_eval(cfg, f_base, xs),
         lambda xs: nn_eval(height_cfg, f_height, xs),
-        knot_vals[0],
-        knot_vals[-1],
     )
+
+
+def _contraction(coeff):
+    """``max|coeff|`` without a temporary: the Lipschitz constant in sup norm
+    of an update that multiplies by ``coeff``; raises unless it is below 1."""
+    c = max(0.0, float(np.max(coeff)), -float(np.min(coeff)))
+    if not c < 1.0:
+        raise InvalidConfig(f"scaling reaches |alpha| = {c:.6g} at a solve point; need < 1")
+    return c
 
 
 def _grid_index(n_sub, cells):
@@ -239,29 +223,27 @@ def _render_grid(part, cells):
 
 
 class _GridPlan:
-    """The update ``phi -> coeff * phi[k] + offset`` on a grid that every
-    pre-image map sends onto itself; the endpoints carry ``coeff = 0`` and
-    ``offset = beta``.  Takes ownership of ``coeff``."""
+    """The update ``phi -> coeff * phi[k] + height - coeff * base[k]`` on a
+    grid that every pre-image map sends onto itself.  ``contraction`` is
+    ``max|coeff|``; the end coefficients are then zeroed, so the ends keep
+    the height's values.  Owns ``coeff`` and ``height``; writes neither."""
 
     __slots__ = ("k", "coeff", "offset", "height", "contraction")
 
-    def __init__(self, k, coeff, height, base, beta1, beta2, contraction):
-        self.offset = height - coeff * base[k]
-        self.offset[0] = beta1
-        self.offset[-1] = beta2
+    def __init__(self, k, coeff, height, base):
+        self.contraction = _contraction(coeff)
         coeff[0] = coeff[-1] = 0.0
+        self.offset = height - coeff * base[k]
         self.coeff = coeff
         self.k = k
         self.height = height
-        self.contraction = contraction
 
     def apply(self, values):
         return self.coeff * values[self.k] + self.offset
 
     def solve(self, tol, max_sweeps):
-        """Picard iterate ``m <= max_sweeps`` that the sweep producing it
-        moved by at most ``tol * (1 - contraction)``, starting from the
-        height with its endpoints pinned to ``beta``.
+        """Picard iterate ``m <= max_sweeps`` from the height that the sweep
+        producing it moved by at most ``tol * (1 - contraction)``.
 
         Returns ``(values, m, steps, residual)`` or raises ``NonConvergence``.
         The update composed with itself is again of the form
@@ -271,10 +253,8 @@ class _GridPlan:
         budget; iterate ``p`` is then formed and single sweeps go on from it.
         """
         threshold = tol * (1.0 - self.contraction)
-        start = self.height.copy()
-        start[0], start[-1] = self.offset[0], self.offset[-1]
-        nxt = self.apply(start)
-        gap = float(np.max(np.abs(nxt - start)))
+        nxt = self.apply(self.height)
+        gap = float(np.max(np.abs(nxt - self.height)))
         n, change, steps = 0, gap, 1
         # the sweep after iterate p moves it by |coeff_p * (phi_1 - phi_0)[k_p]|,
         # at most max|coeff_p| * gap: doubling stops once that bound passes
@@ -290,7 +270,7 @@ class _GridPlan:
             p *= 2
             steps += 1
         if gap > threshold and p < max_sweeps:
-            phi = coeff * start[k] + offset
+            phi = coeff * self.height[k] + offset
             nxt = self.apply(phi)
             change = float(np.max(np.abs(nxt - phi)))
             n = p
@@ -304,7 +284,8 @@ class _GridPlan:
         residual = float(np.max(np.abs(self.apply(nxt) - nxt)))
         if change > threshold:
             raise NonConvergence(
-                f"no convergence in {max_sweeps} sweeps (last residual {residual:.3e})",
+                f"no convergence in {max_sweeps} sweeps: the last sweep moved "
+                f"{change:.3e}, above tol * (1 - contraction) = {threshold:.3e}",
                 values=nxt,
                 residual=residual,
                 iterations=max_sweeps,
@@ -326,21 +307,19 @@ def _validate_cells(problem, cells):
     return cells
 
 
-def _build_plan(problem, cells, pieces):
+def _build_plan(problem, cells):
     """The level-0 update on the render grid: ``(plan, grid, i_idx, base)``.
 
     The grid is closed under every pre-image map, so ``base`` at a pre-image
     is a gather from ``base`` on the grid and no value is interpolated.
     """
     part = problem.partition
+    pieces = _assemble(problem)
     x = _render_grid(part, cells)
     height = pieces.height_eval(x)
     base = pieces.base_eval(x)
     i_idx, k = _grid_index(part.size, x.size - 1)
-    plan = _GridPlan(
-        k, problem.scaling.values_at(i_idx, x[k]), height, base,
-        pieces.beta1, pieces.beta2, problem.scaling.sup_norm,
-    )
+    plan = _GridPlan(k, problem.scaling.values_at(i_idx, x[k]), height, base)
     return plan, x, i_idx, base
 
 
@@ -348,7 +327,8 @@ def _derivative_levels(problem, k, x, i_idx, matching_tol):
     """Plans of levels ``1..r`` of a smooth problem on the level-0 grid ``x``,
     with their diagnostics: ``{order: (plan, info)}``.  Each order's junction
     data are read off the grid at the knots and compared at once; the end
-    values are the fixed points of the end maps."""
+    values are the fixed points of the end maps, written into the ends of
+    ``f^(k)`` once their gap to it is recorded."""
     part, cfg = problem.partition, problem.operator
     alphas = problem.scaling.constants()
     knots = np.arange(part.size + 1) * ((x.size - 1) // part.size)
@@ -371,13 +351,14 @@ def _derivative_levels(problem, k, x, i_idx, matching_tol):
                 f"junction data mismatch {gap[bad[0]]:.3e} at "
                 f"subinterval {bad[0] + 2}, derivative order {j}"
             )
-        contraction = float(np.max(np.abs(alphas) / sj))
-        plan = _GridPlan(k, (alphas / sj)[i_idx - 1], fj, dbase, y0, y1, contraction)
+        identity_gap = (float(abs(y0 - fj[0])), float(abs(y1 - fj[-1])))
+        fj[0], fj[-1] = y0, y1
+        plan = _GridPlan(k, (alphas / sj)[i_idx - 1], fj, dbase)
         levels[j] = (plan, {
-            "contraction": contraction,
+            "contraction": plan.contraction,
             "matching_residual": float(np.max(gap)),
             "endpoint_values": (y0, y1),
-            "endpoint_identity_gap": (float(abs(y0 - fj[0])), float(abs(y1 - fj[-1]))),
+            "endpoint_identity_gap": identity_gap,
         })
     return levels
 
@@ -408,11 +389,9 @@ def _solve_core(problem, cells, tol, max_sweeps, matching_tol=MATCHING_TOL):
         raise InvalidConfig("tolerance must be positive")
     if not max_sweeps >= 1:
         raise InvalidConfig("sweep budget must be at least 1")
-    pieces = _assemble(problem)
-    plan, x, i_idx, base = _build_plan(problem, cells, pieces)
-    levels = {}
-    if problem.variant == "smooth":
-        levels = _derivative_levels(problem, plan.k, x, i_idx, matching_tol)
+    plan, x, i_idx, base = _build_plan(problem, cells)
+    smooth = problem.variant == "smooth"
+    levels = _derivative_levels(problem, plan.k, x, i_idx, matching_tol) if smooth else {}
     values, sweeps, steps, residual = plan.solve(tol, max_sweeps)
     cont_max, knot_max, checked = _knot_checks(problem, values, plan.height, base[0])
     diagnostics = {
@@ -425,8 +404,7 @@ def _solve_core(problem, cells, tol, max_sweeps, matching_tol=MATCHING_TOL):
         "junction_mismatch": cont_max,
         "knots_checked": checked,
         "knot_deviation": knot_max,
-        "fd_fallback": problem.variant == "smooth"
-        and operator_fd_fallback(problem.operator, problem.f),
+        "fd_fallback": smooth and operator_fd_fallback(problem.operator, problem.f),
     }
     result = FifResult(
         grid=x, values=values, residual=residual, iterations=sweeps,
@@ -437,7 +415,7 @@ def _solve_core(problem, cells, tol, max_sweeps, matching_tol=MATCHING_TOL):
         dvals, dsweeps, dsteps, dres = dplan.solve(tol, max_sweeps)
         result.derivatives[j] = dvals
         info.update(iterations=dsweeps, steps=dsteps, residual=dres)
-    if problem.variant == "smooth":
+    if smooth:
         diagnostics["derivative_levels"] = {j: info for j, (_, info) in levels.items()}
     return result
 
@@ -487,16 +465,10 @@ def rb_apply(problem: FifProblem, phi: SampledFunction) -> SampledFunction:
     span = part.b - part.a
     if abs(phi.a - part.a) > 1e-12 * span or abs(phi.b - part.b) > 1e-12 * span:
         raise InvalidConfig("sampled function must live on the problem interval")
-    pieces = _assemble(problem)
-    scale = max(1.0, abs(pieces.beta1), abs(pieces.beta2))
-    if (
-        abs(float(phi.values[0]) - pieces.beta1) > 1e-9 * scale
-        or abs(float(phi.values[-1]) - pieces.beta2) > 1e-9 * scale
-    ):
-        raise InvalidConfig(
-            "phi is not in the endpoint-matching class X_{beta1}^{beta2}"
-        )
-    plan = _build_plan(problem, phi.cells, pieces)[0]
+    plan = _build_plan(problem, phi.cells)[0]
+    beta = plan.height[[0, -1]]
+    if np.any(np.abs(phi.values[[0, -1]] - beta) > 1e-9 * max(1.0, *np.abs(beta))):
+        raise InvalidConfig("phi is not in the endpoint-matching class X_{beta1}^{beta2}")
     return SampledFunction(part.a, part.b, plan.apply(phi.values))
 
 
@@ -554,11 +526,12 @@ def chaos_game_render(problem: FifProblem, point_count: int, seed: int):
     np.clip(xs, part.a, part.b, out=xs)
     coeff[0] = 0.0
     coeff[1:] = problem.scaling.values_at(idx, xs[:-1])
+    _contraction(coeff)
     # ys[1:] = height(x[t+1]) - alpha_t * base(x[t]), the recurrence's shift
-    ys = np.empty(total + 1)
-    ys[0] = pieces.beta1
-    ys[1:] = pieces.base_eval(xs[:-1])
-    ys[1:] *= coeff[1:]
-    np.subtract(pieces.height_eval(xs[1:]), ys[1:], out=ys[1:])
+    ys = pieces.height_eval(xs)
+    shift = pieces.base_eval(xs[:-1])
+    shift *= coeff[1:]
+    ys[1:] -= shift
+    del shift  # the scan allocates its own scratch
     _affine_scan(coeff, ys)
     return xs[BURN_IN + 1 :], ys[BURN_IN + 1 :]

@@ -547,3 +547,74 @@ def test_csv_cells_carry_full_precision(tmp_path):
 def test_missing_command_is_a_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+def fresh(argv, cwd):
+    # the console script in a new interpreter, as a user starts it
+    src = str(Path(fif.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "fif.cli", *argv], cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_overflowing_function_prints_only_the_error(tmp_path):
+    # the finite check is the contract: no numpy overflow warning before it
+    proc = fresh(["build", "--function", "exp", "--interval", "0", "800"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: function returned non-finite values\n"
+
+
+def test_nonconvergence_names_the_sweep_that_failed(tmp_path, capsys):
+    # the iterate after the failing sweep has a residual below tol (6.661e-16
+    # here), so the message quotes the sweep's move and the threshold it missed
+    argv = ["build", "--function", "weier", "--alpha", "0.99", "--max-iters", "3"]
+    assert run(argv + ["--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "error: no convergence in 3 sweeps: the last sweep moved 2.740e-01, "
+        "above tol * (1 - contraction) = 1.000e-11\n"
+    )
+
+
+def test_function_scaling_contraction_is_its_grid_maximum(tmp_path):
+    # sine:0.3 peaks at 0.3 on a render grid point; the dense sup-norm
+    # samples read 0.2999999983341711
+    assert run(["build", "--alpha", "sine:0.3", "--out", str(tmp_path)]) == 0
+    diag = json.loads((tmp_path / "meta.json").read_text())["diagnostics"]
+    assert diag["contraction"] == 0.3
+
+
+def test_end_rows_carry_the_function_values_exactly(tmp_path):
+    # numpy's scalar and array pow differ by an ulp at the right end here;
+    # the solve's end values come from the rendered height, so the fif
+    # column's end rows are the f column's
+    argv = [
+        "build", "--function", "abspow:0.3,0.5",
+        "--interval", "-3.1140853807534956", "9.898346963218355",
+    ]
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "fif.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    for line in (lines[1], lines[-1]):
+        row = dict(zip(header, line.split(",")))
+        assert row["fif"] == row["f"]
+
+
+def _readme_commands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line.split()[1:] for line in lines if line.startswith("fif ")]
+
+
+def test_readme_shows_every_subcommand_once():
+    assert sorted(argv[0] for argv in _readme_commands()) == sorted(
+        ["build", "converge", "dimension", "smooth", "holder", "bounds"]
+    )
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_command_runs_cleanly(tmp_path, argv):
+    proc = fresh(argv, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
