@@ -1,8 +1,11 @@
 """Command line front end.
 
 Commands: build, converge, dimension, smooth, holder, bounds.  All file
-output is deterministic for a fixed config and seed: CSV cells carry 17
-significant digits, JSON is sorted, and nothing timestamps itself.
+output is deterministic for a fixed config and seed: JSON is sorted, nothing
+timestamps itself, and every table cell reads exactly as ``"%.17g"`` prints
+it, 17 significant digits that round-trip the float64.  One writer,
+``_write_table``, emits every table (the CSV files and the ``bounds``
+table); ``fif.g17`` formats its rows in blocks of fixed memory.
 Exit codes: 0 success, 2 invalid configuration, 3 solver non-convergence,
 4 failed cross-check.
 """
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,6 +39,7 @@ from .errors import (
     NonConvergence,
 )
 from .fractal import FifProblem, chaos_game_render, solve_fif, solve_fif_discrete, solve_fif_smooth
+from .g17 import write_rows
 from .kernels import kernel_from_name
 from .maps import Partition, ScalingVector
 from .operators import FunctionInput, OperatorConfig, nn_eval
@@ -107,6 +112,8 @@ def _config_from_args(args) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise InvalidConfig("interval must be two numbers") from exc
     cfg.interval = (lo, hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidConfig("interval ends must be finite")
     if not cfg.interval[1] > cfg.interval[0]:
         raise InvalidConfig("interval must satisfy a < b")
     if cfg.grid_exp < 4:
@@ -226,10 +233,11 @@ def _solve_by_variant(problem, cfg: RunConfig):
 
 
 def _write_table(fh, header, columns, delimiter=","):
-    # every table the CLI emits: a header line, then one row per line with 17
-    # significant digits, which round-trip a float64 exactly
-    np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=delimiter,
-               header=delimiter.join(header), comments="")
+    # every table the CLI emits: a header line, then one row per line with
+    # each cell as "%.17g" prints it (17 significant digits round-trip a
+    # float64 exactly)
+    fh.write(delimiter.join(header) + "\n")
+    write_rows(fh, columns, delimiter)
 
 
 def _write_csv(path: Path, header, columns):

@@ -1,9 +1,12 @@
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 import fif
 from fif.cli import _write_csv, main
+from fif.g17 import BLOCK_ROWS
 
 
 def run(args):
@@ -512,9 +516,26 @@ def test_repeat_runs_are_byte_identical(tmp_path, args):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+# exact ties at the 17th significant digit: odd k * 2^-17 in [1, 2) has 18
+# significant digits, the last a 5; its copies scaled by 2^-30 and 2^40 print
+# in scientific notation
+TIES = [k * 2.0**-17 for k in range(2**17 + 1, 2**18, 2)]
 EDGE_DOUBLES = [
     0.0, -0.0, 5e-324, 2.2250738585072014e-308, 9.999999999999999e-06, 1e-05,
     1e16, 1e17, 2.0**53 + 2, -1.7976931348623157e308,
+    # the fixed/scientific switches, subnormals, both ends of the writer's
+    # fast range, and the non-finite values
+    1e-4, 1e-5, 1e16 - 2, 1e17 - 16, -5e-324, 2.225073858507201e-308,
+    1e-290, -1e290, 1e290, math.inf, -math.inf, math.nan,
+    # rounding fractions within 1e-6 of a tie, printed in scientific notation
+    7.070528957083127e-125, -6.436522292965329e27, 6.579002416510493e-09,
+    *TIES, *(t * 2.0**-30 for t in TIES), *(t * 2.0**40 for t in TIES),
+    # every power of ten from 1e-300 to 1e300 and the doubles beside it
+    *(
+        v for k in range(-300, 301)
+        for p in [float(f"1e{k}")]
+        for v in (math.nextafter(p, 0.0), p, math.nextafter(p, math.inf))
+    ),
 ]
 
 
@@ -525,6 +546,95 @@ def test_table_writer_matches_per_cell_formatting(tmp_path):
         f"{v:.17g},{w:.17g}\n" for v, w in zip(EDGE_DOUBLES, EDGE_DOUBLES[::-1])
     )
     assert path.read_bytes() == want.encode()
+
+
+def test_table_writer_matches_per_cell_formatting_on_random_doubles(tmp_path):
+    # random bit patterns: every exponent, both signs, subnormals and NaNs
+    bits = np.random.default_rng(11).integers(0, 2**64, 2 * 10**5, dtype=np.uint64)
+    cells = bits.view(np.float64).reshape(-1, 4)
+    path = tmp_path / "random.csv"
+    _write_csv(path, ["a", "b", "c", "d"], list(cells.T))
+    want = "a,b,c,d\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in cells.tolist()
+    )
+    assert path.read_bytes() == want.encode()
+
+
+def savetxt_table(header, columns, delimiter=","):
+    # the writer the CLI used before, kept as the reference
+    buf = io.StringIO()
+    np.savetxt(buf, np.column_stack(columns), fmt="%.17g", delimiter=delimiter,
+               header=delimiter.join(header), comments="")
+    return buf.getvalue()
+
+
+def parse_table(text, delimiter=","):
+    # 17 significant digits read back to the very doubles that were written
+    lines = text.splitlines()
+    rows = [[float(v) for v in line.split(delimiter)] for line in lines[1:]]
+    return lines[0].split(delimiter), list(np.array(rows).T)
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        # 4,097 and 2,049 rows: whole blocks of rows and a one-row remainder
+        (["build", "--function", "sin", "--n", "16", "--grid-exp", "10"], "fif.csv"),
+        (
+            ["smooth", "--function", "cos", "--r", "2", "--kernel", "bump", "--n", "32",
+             "--alpha", "0.05", "--grid-exp", "9"],
+            "smooth.csv",
+        ),
+        (["bounds", "--function", "sin", "--alpha", "0.5", "--discrete"], None),
+    ],
+    ids=["build", "smooth", "bounds"],
+)
+def test_tables_match_the_savetxt_writer(tmp_path, capsys, argv, name):
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    if name is None:
+        text, delimiter = capsys.readouterr().out, "  "
+    else:
+        text, delimiter = (tmp_path / name).read_text(), ","
+    assert text == savetxt_table(*parse_table(text, delimiter), delimiter=delimiter)
+
+
+def test_table_writer_matches_savetxt_across_block_seams(tmp_path):
+    rows = 2 * BLOCK_ROWS + 5
+    rng = np.random.default_rng(3)
+    columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-9, 20, rows) for _ in range(3)]
+    seams = [BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS - 1,
+             2 * BLOCK_ROWS, rows - 1]
+    for col, special in zip(columns, [0.0, math.nan, 1 + 2.0**-17]):
+        col[seams] = special
+    path = tmp_path / "seams.csv"
+    _write_csv(path, ["a", "b", "c"], columns)
+    assert path.read_text() == savetxt_table(["a", "b", "c"], columns)
+
+
+def test_table_writer_memory_is_bounded(tmp_path):
+    # 2^18 rows x 6 columns, 12.6 MB of input: formatted in one piece the
+    # cell buffers take about 360 MB, in blocks of BLOCK_ROWS rows 3 MB
+    rng = np.random.default_rng(5)
+    columns = [rng.random(2**18) * 10.0**j for j in range(-3, 3)]
+    tracemalloc.start()
+    try:
+        _write_csv(tmp_path / "big.csv", list("abcdef"), columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("ends", [("0", "inf"), ("nan", "1")], ids=["inf", "nan"])
+@pytest.mark.parametrize(
+    "command", ["build", "converge", "dimension", "smooth", "holder", "bounds"]
+)
+def test_non_finite_interval_end_prints_only_the_error(tmp_path, capsys, command, ends):
+    # rejected with the config, before numpy could warn about the grid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--interval", *ends, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: interval ends must be finite\n"
 
 
 def test_csv_cells_carry_full_precision(tmp_path):
