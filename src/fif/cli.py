@@ -504,6 +504,9 @@ def _parse_ladder(spec: str):
         raise InvalidConfig(f"bad ladder spec {spec!r}") from exc
     if not ladder or any(n < 1 for n in ladder):
         raise InvalidConfig("ladder must list positive node counts")
+    # a repeated rung repeats its error, so converge's strict decrease fails
+    if len(set(ladder)) < len(ladder):
+        raise InvalidConfig("ladder must not repeat a node count")
     if max(ladder) > 2**MAX_SIZE_EXP:
         raise InvalidConfig(f"ladder entry above 2^{MAX_SIZE_EXP} nodes")
     return ladder

@@ -28,11 +28,16 @@ same index formula holds.  Either way the discrete equation reads
 ``phi = c * phi[k] + o`` over integer indices ``k``, and the solve's
 constants are read off these arrays: ``contraction`` is ``max|c|``, which
 must be below 1, and the ends carry ``c = 0`` and the height's values.
-The update composed with itself has the same form, so pointer jumping
-(Wyllie 1979; a prefix scan of affine maps) reaches Picard iterate ``n``
-in ``log2 n`` array passes.  The solve stops at an iterate that one further
-sweep moves by at most ``tol * (1 - contraction)``, which leaves it within
-``tol`` of the fixed point in sup norm.
+With ``N^K`` the largest power of ``N`` dividing the cell count, the
+stride-``N^K`` points form a closed coarse grid.  There the update composed
+with itself has the same form, so pointer jumping (Wyllie 1979) reaches
+Picard iterate ``p`` in ``log2 p`` array passes.  A point of stride
+``t < N^K`` has its pre-image at stride ``N t``, so one strided sweep per
+level fills the rest with iterate ``p + K``, the exact discrete fixed point
+when the coarse grid is the two ends (always on ``G_K``).  The solve stops
+at an iterate that one further sweep moves by at most
+``tol * (1 - contraction)``, which leaves it within ``tol`` of the fixed
+point in sup norm.
 
 The random-orbit render (chaos game) follows one seeded orbit of the
 iterated function system instead.  Its x-orbit and its y-recurrence are
@@ -228,15 +233,16 @@ class _GridPlan:
     ``max|coeff|``; the end coefficients are then zeroed, so the ends keep
     the height's values.  Owns ``coeff`` and ``height``; writes neither."""
 
-    __slots__ = ("k", "coeff", "offset", "height", "contraction")
+    __slots__ = ("k", "coeff", "offset", "height", "contraction", "n_sub")
 
-    def __init__(self, k, coeff, height, base):
+    def __init__(self, k, coeff, height, base, n_sub):
         self.contraction = _contraction(coeff)
         coeff[0] = coeff[-1] = 0.0
         self.offset = height - coeff * base[k]
         self.coeff = coeff
         self.k = k
         self.height = height
+        self.n_sub = n_sub
 
     def apply(self, values):
         return self.coeff * values[self.k] + self.offset
@@ -245,36 +251,45 @@ class _GridPlan:
         """Picard iterate ``m <= max_sweeps`` from the height that the sweep
         producing it moved by at most ``tol * (1 - contraction)``.
 
-        Returns ``(values, m, steps, residual)`` or raises ``NonConvergence``.
-        The update composed with itself is again of the form
-        ``coeff * phi[k] + offset``, so each doubling step takes the power
-        ``p`` to ``2 p`` in one array pass (pointer jumping).  Doubling stops
-        once iterate ``p`` is close enough or the next step would pass the
-        budget; iterate ``p`` is then formed and single sweeps go on from it.
+        Returns ``(values, stats)`` or raises ``NonConvergence``.  Doubling
+        takes the power ``p`` to ``2 p`` in one pass over the coarse grid of
+        ``c = cells / N^K`` cells (``N`` not dividing ``c``) until iterate
+        ``p`` is close enough or the next step would pass the budget; one
+        strided sweep per level then fills strides ``N^(K-1), ..., 1`` with
+        iterate ``p + K``, and single sweeps go on from it.  A budget below
+        ``K + 2`` doubles on the whole grid: ``stats`` records the split used.
         """
         threshold = tol * (1.0 - self.contraction)
         nxt = self.apply(self.height)
-        gap = float(np.max(np.abs(nxt - self.height)))
-        n, change, steps = 0, gap, 1
-        # the sweep after iterate p moves it by |coeff_p * (phi_1 - phi_0)[k_p]|,
-        # at most max|coeff_p| * gap: doubling stops once that bound passes
-        coeff, offset, k = self.coeff.copy(), self.offset.copy(), self.k
-        p = 1
-        while (
-            gap > threshold and 2 * p < max_sweeps
-            and float(np.max(np.abs(coeff))) * gap > threshold
-        ):
-            offset += coeff * offset[k]
-            coeff *= coeff[k]
-            k = k[k]
-            p *= 2
-            steps += 1
-        if gap > threshold and p < max_sweeps:
-            phi = coeff * self.height[k] + offset
+        change = float(np.max(np.abs(nxt - self.height)))
+        n, steps, coarse, levels = 0, 1, self.k.size - 1, 0
+        if change > threshold:
+            while coarse % self.n_sub == 0:
+                coarse, levels = coarse // self.n_sub, levels + 1
+            if levels + 1 >= max_sweeps:  # the budget cannot fit the fill
+                coarse, levels = self.k.size - 1, 0
+            s = self.n_sub**levels
+            # the coarse grid is closed, so nxt[::s] is its own iterate 1
+            gap = float(np.max(np.abs(nxt[::s] - self.height[::s])))
+            coeff, offset, k = self.coeff[::s].copy(), self.offset[::s].copy(), self.k[::s] // s
+            # the sweep after iterate p moves it by |coeff_p * (phi_1 - phi_0)[k_p]|,
+            # at most max|coeff_p| * gap: doubling stops once that bound passes
+            p = int(gap > threshold and levels + 1 < max_sweeps)
+            while p and 2 * p + levels < max_sweeps and np.max(np.abs(coeff)) * gap > threshold:
+                offset += coeff * offset[k]
+                coeff *= coeff[k]
+                k = k[k]
+                p *= 2
+                steps += 1
+            phi = np.empty_like(self.height)
+            phi[::s] = coeff * self.height[::s][k] + offset if p else self.height[::s]
+            del coeff, offset, k  # the fill and the single sweeps need only the plan
+            while s > 1:
+                s //= self.n_sub
+                phi[::s] = self.coeff[::s] * phi[self.k[::s]] + self.offset[::s]
             nxt = self.apply(phi)
             change = float(np.max(np.abs(nxt - phi)))
-            n = p
-        del coeff, offset, k  # the single sweeps need only the plan
+            n, steps = p + levels, steps + (levels > 0)
         while change > threshold and n + 1 < max_sweeps:
             phi = nxt
             nxt = self.apply(phi)
@@ -286,11 +301,10 @@ class _GridPlan:
             raise NonConvergence(
                 f"no convergence in {max_sweeps} sweeps: the last sweep moved "
                 f"{change:.3e}, above tol * (1 - contraction) = {threshold:.3e}",
-                values=nxt,
-                residual=residual,
-                iterations=max_sweeps,
+                values=nxt, residual=residual, iterations=max_sweeps,
             )
-        return nxt, n + 1, steps, residual
+        return nxt, {"iterations": n + 1, "steps": steps, "residual": residual,
+                     "coarse_cells": coarse, "fill_levels": levels}
 
 
 def _validate_cells(problem, cells):
@@ -319,7 +333,7 @@ def _build_plan(problem, cells):
     height = pieces.height_eval(x)
     base = pieces.base_eval(x)
     i_idx, k = _grid_index(part.size, x.size - 1)
-    plan = _GridPlan(k, problem.scaling.values_at(i_idx, x[k]), height, base)
+    plan = _GridPlan(k, problem.scaling.values_at(i_idx, x[k]), height, base, part.size)
     return plan, x, i_idx, base
 
 
@@ -353,7 +367,7 @@ def _derivative_levels(problem, k, x, i_idx, matching_tol):
             )
         identity_gap = (float(abs(y0 - fj[0])), float(abs(y1 - fj[-1])))
         fj[0], fj[-1] = y0, y1
-        plan = _GridPlan(k, (alphas / sj)[i_idx - 1], fj, dbase)
+        plan = _GridPlan(k, (alphas / sj)[i_idx - 1], fj, dbase, part.size)
         levels[j] = (plan, {
             "contraction": plan.contraction,
             "matching_residual": float(np.max(gap)),
@@ -392,7 +406,7 @@ def _solve_core(problem, cells, tol, max_sweeps, matching_tol=MATCHING_TOL):
     plan, x, i_idx, base = _build_plan(problem, cells)
     smooth = problem.variant == "smooth"
     levels = _derivative_levels(problem, plan.k, x, i_idx, matching_tol) if smooth else {}
-    values, sweeps, steps, residual = plan.solve(tol, max_sweeps)
+    values, stats = plan.solve(tol, max_sweeps)
     cont_max, knot_max, checked = _knot_checks(problem, values, plan.height, base[0])
     diagnostics = {
         "variant": problem.variant,
@@ -400,21 +414,21 @@ def _solve_core(problem, cells, tol, max_sweeps, matching_tol=MATCHING_TOL):
         "tol": tol,
         "contraction": plan.contraction,
         "solve_method": "doubling",
-        "solve_steps": steps,
+        "solve_steps": stats["steps"],
+        "coarse_cells": stats["coarse_cells"], "fill_levels": stats["fill_levels"],
         "junction_mismatch": cont_max,
         "knots_checked": checked,
         "knot_deviation": knot_max,
         "fd_fallback": smooth and operator_fd_fallback(problem.operator, problem.f),
     }
     result = FifResult(
-        grid=x, values=values, residual=residual, iterations=sweeps,
+        grid=x, values=values, residual=stats["residual"], iterations=stats["iterations"],
         y_min=float(np.min(values)), y_max=float(np.max(values)),
         base=base, height=plan.height, diagnostics=diagnostics, problem=problem,
     )
     for j, (dplan, info) in levels.items():
-        dvals, dsweeps, dsteps, dres = dplan.solve(tol, max_sweeps)
-        result.derivatives[j] = dvals
-        info.update(iterations=dsweeps, steps=dsteps, residual=dres)
+        result.derivatives[j], stats = dplan.solve(tol, max_sweeps)
+        info.update(stats)
     if smooth:
         diagnostics["derivative_levels"] = {j: info for j, (_, info) in levels.items()}
     return result

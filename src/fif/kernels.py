@@ -127,17 +127,19 @@ def kernel_from_name(name: str, m: float = 0.5) -> SigmoidalKernel:
 
 
 @lru_cache(maxsize=None)
-def _transition_poly(order: int, d: int) -> np.polynomial.Polynomial:
-    # d-th derivative of the unique degree 2k+1 polynomial with p(0)=0,
-    # p(1)=1 and k flat derivatives at both ends: the normalized integral of
-    # t^k (1-t)^k.  Coefficients are assembled exactly in rational arithmetic.
+def _transition_poly(order: int, d: int) -> np.ndarray:
+    # power-basis coefficients of the d-th derivative of the unique degree
+    # 2k+1 polynomial with p(0)=0, p(1)=1 and k flat derivatives at both ends:
+    # the normalized integral of t^k (1-t)^k.  Coefficients are assembled
+    # exactly in rational arithmetic.  Calling a Polynomial would first map
+    # its default domain onto itself, two more passes over the points.
     k = order
     beta = Fraction(math.factorial(k) ** 2, math.factorial(2 * k + 1))
     coeffs = [Fraction(0)] * (2 * k + 2)
     for i in range(k + 1):
         c = Fraction(math.comb(k, i) * (-1) ** i, k + i + 1) / beta
         coeffs[k + i + 1] = c
-    return np.polynomial.Polynomial([float(c) for c in coeffs]).deriv(d)
+    return np.polynomial.Polynomial([float(c) for c in coeffs]).deriv(d).coef
 
 
 def _as_array(x):
@@ -201,7 +203,7 @@ def transition(kernel: SigmoidalKernel, d: int, t):
             vals = np.where(flip, -vals, vals)
         out[inner] = vals
     else:
-        out[inner] = _transition_poly(kernel.order, d)(ti)
+        out[inner] = np.polynomial.polynomial.polyval(ti, _transition_poly(kernel.order, d))
     return out
 
 

@@ -236,6 +236,17 @@ def test_converge_unsorted_ladder_fails_cross_check(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("command", ["converge", "bounds", "holder"])
+@pytest.mark.parametrize("ladder", ["8,8", "8,16,8"])
+def test_repeated_ladder_rung_exits_2_before_any_work(tmp_path, capsys, command, ladder):
+    code = run([command, "--function", "sin", "--n-ladder", ladder, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: ladder must not repeat a node count\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_converge_discrete_pairs(tmp_path):
     code = run(
         [

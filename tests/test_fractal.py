@@ -13,9 +13,12 @@ from fif.errors import (
     NonConvergence,
 )
 from fif.fractal import (
+    MATCHING_TOL,
     FifProblem,
     _assemble,
     _affine_scan,
+    _build_plan,
+    _derivative_levels,
     chaos_game_render,
     rb_apply,
     solve_fif,
@@ -24,7 +27,13 @@ from fif.fractal import (
 )
 from fif.kernels import ramp, smoothstep
 from fif.maps import Partition, ScalingVector
-from fif.operators import FunctionInput, OperatorConfig, nn_eval
+from fif.operators import (
+    FunctionInput,
+    OperatorConfig,
+    input_derivative,
+    nn_eval,
+    nn_eval_derivative,
+)
 from fif.registry import make_function
 from fif.sampled import SampledFunction
 
@@ -246,7 +255,7 @@ def test_knot_checks_take_one_pass_over_the_knots(monkeypatch):
     assert len(calls) <= 2
 
 
-def orbit_oracle(problem, points):
+def orbit_oracle(problem, points, order=0):
     """phi at the exact ``points``, summed along backward orbits.
 
     Unrolling the equation along ``x_0 = x, x_{d+1} = L_i^-1(x_d)`` gives
@@ -255,15 +264,24 @@ def orbit_oracle(problem, points):
     scaling entries rather than through ``values_at``.  The orbit runs in
     exact fractions: in floats a map such as ``x -> 5x`` multiplies the
     rounding error by 5 at every step, and a 1-ulp offset from a grid point
-    is enough to leave the grid.
+    is enough to leave the grid.  Derivative level ``order`` of a smooth
+    problem has height ``f^(order)``, base ``(Lf)^(order)`` and each scaling
+    divided by its map's slope to the power ``order``.
     """
     pieces = _assemble(problem)
+    if order:
+        cfg, f = problem.operator, problem.f
+        pieces = pieces._replace(
+            base_eval=lambda xs: nn_eval_derivative(cfg, f, order, xs),
+            height_eval=lambda xs: input_derivative(f, order, xs, cfg.h),
+        )
+    damp = problem.partition.slopes ** -order
     scaling = problem.scaling
     knots = exact_knots(problem)
     a, span = knots[0], knots[-1] - knots[0]
     inner = knots[1:-1]
     maps = [(span / (hi - lo), a - lo * span / (hi - lo)) for lo, hi in zip(knots, knots[1:])]
-    depth = math.ceil(math.log(1e-16) / math.log(scaling.sup_norm))
+    depth = math.ceil(math.log(1e-16) / math.log(scaling.sup_norm * np.max(damp)))
     x = list(points)
     xf = np.array([float(v) for v in x])
     total = np.zeros(len(x))
@@ -274,7 +292,7 @@ def orbit_oracle(problem, points):
         x = [v * maps[j][0] + maps[j][1] for v, j in zip(x, i)]
         pf = np.array([float(v) for v in x])
         entries = [scaling.entries[j] for j in i]
-        coeff = np.array([e(v) if callable(e) else e for e, v in zip(entries, pf)])
+        coeff = np.array([e(v) if callable(e) else e for e, v in zip(entries, pf)]) * damp[i]
         total += weight * (pieces.height_eval(xf) - coeff * pieces.base_eval(pf))
         weight = weight * coeff
         xf = pf
@@ -346,6 +364,124 @@ def test_picard_error_is_bounded_through_grid_slack(knots, alpha, name, cells):
     res = solve_fif(prob, cells=cells, tol=tol)
     ref = orbit_oracle(prob, exact_grid(prob, cells))
     assert np.max(np.abs(res.values - ref)) <= tol
+
+
+def sine_scaling(count, amp):
+    # the CLI's sine:amp family on [0, 1]
+    fn = lambda x: amp * (0.55 + 0.45 * np.sin(2 * np.pi * np.asarray(x)))
+    return ScalingVector([fn] * count, domain=(0.0, 1.0))
+
+
+def fill_problem(knots, scaling):
+    if isinstance(knots, int):
+        part = Partition.uniform(0.0, 1.0, knots)
+    else:
+        part = Partition(np.asarray(knots, dtype=float))
+    count = part.size
+    if scaling == "sine":
+        sv = sine_scaling(count, 0.7)
+    else:
+        sv = ScalingVector.constant(np.linspace(0.6, -0.5, count))
+    return FifProblem(part, sv, OperatorConfig(ramp(), 0.0, 1.0, 16), make_function("sin"))
+
+
+# (knots or piece count, cells asked, coarse cells c, fill levels K) with
+# rendered cells c N^K.  A uniform grid of N * 2^k cells has c = 1 for N = 2,
+# c = 2^k for odd N and c in {1, 2} for N = 4; G_K always has c = 1
+FILL_CASES = [
+    (2, 2 * 2**7, 1, 8),
+    (3, 3 * 2**6, 64, 1),
+    (4, 4 * 2**6, 1, 4),
+    (4, 4 * 2**5, 2, 3),
+    (5, 5 * 2**6, 64, 1),
+    (NON_UNIFORM_CASES[3][0], 384, 1, 6),
+    ([0.0, 0.1, 0.3, 0.6, 0.8, 1.0], 5 * 16, 1, 3),
+]
+
+
+@pytest.mark.parametrize("scaling", ["constant", "sine"])
+@pytest.mark.parametrize("knots, cells, coarse, levels", FILL_CASES)
+def test_level_fill_matches_orbit_oracle_and_picard(knots, cells, coarse, levels, scaling):
+    prob = fill_problem(knots, scaling)
+    tol = 1e-10
+    res = solve_fif(prob, cells=cells, tol=tol)
+    diag = res.diagnostics
+    assert (diag["coarse_cells"], diag["fill_levels"]) == (coarse, levels)
+    rendered = coarse * prob.partition.size**levels
+    assert diag["cells"] == rendered
+    if coarse == 1:
+        # doubling on the two fixed ends stops at once: the fill is Picard
+        # iterate K, the discrete fixed point, and one sweep confirms it
+        assert res.iterations == levels + 1
+    g = np.arange(0, rendered + 1, 7)
+    exact = exact_grid(prob, rendered)
+    ref = orbit_oracle(prob, [exact[i] for i in g])
+    assert np.max(np.abs(res.values[g] - ref)) <= 2 * tol
+    if prob.partition.is_uniform:
+        picard, _ = plain_picard(prob, cells, tol)
+        assert np.max(np.abs(res.values - picard)) <= 2 * tol
+
+
+@pytest.mark.parametrize("count, cells, coarse, levels", [
+    (4, 4 * 2**6, 1, 4),
+    (4, 4 * 2**5, 2, 3),
+    (3, 3 * 2**5, 32, 1),
+])
+def test_level_fill_solves_both_smooth_derivative_levels(count, cells, coarse, levels):
+    part = Partition.uniform(0.0, 1.0, count)
+    alpha = 0.7 * part.slopes[0] ** 2  # below slope^r for r = 2
+    # few nodes, so that (Lf)^(k) is far enough from f^(k) for a real solve
+    op = OperatorConfig(smoothstep(2), 0.0, 1.0, 8, r=2)
+    prob = FifProblem(part, ScalingVector.broadcast(alpha, count), op,
+                      make_function("sin"), "smooth")
+    tol = 1e-10
+    res = solve_fif_smooth(prob, cells=cells, tol=tol)
+    exact = exact_grid(prob, cells)
+    g = np.arange(0, cells + 1, 5)
+    plan0, x, i_idx, _ = _build_plan(prob, cells)
+    plans = _derivative_levels(prob, plan0.k, x, i_idx, MATCHING_TOL)
+    for j in (1, 2):
+        info = res.diagnostics["derivative_levels"][j]
+        assert (info["coarse_cells"], info["fill_levels"]) == (coarse, levels)
+        ref = orbit_oracle(prob, [exact[i] for i in g], order=j)
+        assert np.max(np.abs(res.derivatives[j][g] - ref)) <= 2 * tol
+        # plain Picard on the level's own update, one sweep at a time
+        plan = plans[j][0]
+        phi, threshold = plan.height, tol * (1.0 - plan.contraction)
+        while True:
+            nxt = plan.apply(phi)
+            moved = np.max(np.abs(nxt - phi))
+            phi = nxt
+            if moved <= threshold:
+                break
+        assert np.max(np.abs(res.derivatives[j] - phi)) <= 2 * tol
+
+
+@pytest.mark.parametrize("count, cells, levels, budget", [
+    # a c = 1 grid of K = 4 levels: budgets 1, K, K + 1 and K + 2
+    (4, 4**4, 4, 1), (4, 4**4, 4, 4), (4, 4**4, 4, 5), (4, 4**4, 4, 6),
+    # c = 32, K = 1: doubling must leave room for the fill, 2^m + K
+    (3, 3 * 2**5, 1, 2), (3, 3 * 2**5, 1, 3), (3, 3 * 2**5, 1, 257), (3, 3 * 2**5, 1, 513),
+])
+def test_sweep_budget_around_the_fill_levels(count, cells, levels, budget):
+    # below K + 2 the solve doubles on the whole grid; either way it converges
+    # within the budget or reports the budget as its iteration count
+    prob = sine_problem(alpha=0.9, n=16, count=count, b=1.0)
+    tol = 1e-12
+    fill = budget >= levels + 2
+    try:
+        res = solve_fif(prob, cells=cells, tol=tol, max_sweeps=budget)
+    except NonConvergence as err:
+        assert err.iterations == budget
+        assert err.values.size == cells + 1
+        # on c = 1 the fill reaches the fixed point in K + 1 sweeps
+        assert not (fill and cells == count**levels)
+    else:
+        assert res.iterations <= budget
+        assert res.residual <= tol * (1 - 0.9)
+        assert res.diagnostics["fill_levels"] == (levels if fill else 0)
+        ref, _ = plain_picard(prob, cells, tol)
+        assert np.max(np.abs(res.values - ref)) <= 2 * tol
 
 
 def test_non_uniform_knots_are_grid_points_and_checked():

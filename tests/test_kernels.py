@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fif.kernels import (
     UNBOUNDED_ORDER,
+    _transition_poly,
     kernel_from_name,
     ramp,
     sigma_eval,
@@ -142,6 +143,18 @@ def test_bump_transition_matches_symbolic_derivatives():
         ref = sympy.lambdify(t, sympy.diff(g / (g + h), t, d), modules="numpy")(x)
         got = transition(smooth_bump(), d, x)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), d
+
+
+@pytest.mark.parametrize("order", range(5))
+def test_polynomial_profiles_equal_the_polynomial_call(order):
+    # polyval on the power-basis coefficients, bit for bit what calling the
+    # numpy Polynomial (which first maps its domain onto itself) gives
+    t = np.random.default_rng(order).random(10**5)
+    poly = np.polynomial.Polynomial(_transition_poly(order, 0))
+    kernels = [smoothstep(order)] + ([ramp()] if order == 0 else [])
+    for kernel in kernels:
+        for d in range(order + 1):
+            assert np.array_equal(transition(kernel, d, t), poly.deriv(d)(t)), d
 
 
 @pytest.mark.parametrize("kernel", ALL_FAMILIES, ids=ids(ALL_FAMILIES))
