@@ -37,7 +37,7 @@ def main():
         op = OperatorConfig(ramp(), 0.0, 1.0, n)
         res = solve_fif(FifProblem(part, sv, op, f, "alpha"),
                         cells=4 * 2**12, tol=1e-9)
-        diff = SampledFunction(0.0, 1.0, res.values - f(res.grid)).thin(4000)
+        diff = SampledFunction(0.0, 1.0, res.values - f(res.grid))
         print(f"{n:6d} {holder_norm(diff, params):10.4f}")
 
 

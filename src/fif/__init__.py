@@ -10,7 +10,6 @@ from .analysis import (
     holder_seminorm,
     knot_data_collinear,
     modulus_of_continuity,
-    sup_norm_diff,
     theoretical_box_dimension,
 )
 from .errors import (
@@ -39,7 +38,7 @@ from .kernels import (
     xi_derivative,
     xi_eval,
 )
-from .maps import AffineMap, Partition, ScalingVector
+from .maps import Partition, ScalingVector
 from .operators import (
     FunctionInput,
     OperatorConfig,
@@ -53,7 +52,6 @@ from .sampled import SampledFunction
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap",
     "CrossCheckError",
     "DimensionReport",
     "FifError",
@@ -90,7 +88,6 @@ __all__ = [
     "solve_fif",
     "solve_fif_discrete",
     "solve_fif_smooth",
-    "sup_norm_diff",
     "theoretical_box_dimension",
     "xi_derivative",
     "xi_eval",

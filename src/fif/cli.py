@@ -417,23 +417,21 @@ def cmd_smooth(cfg: RunConfig, out: Path) -> int:
 
 def cmd_holder(cfg: RunConfig, out: Path) -> int:
     ladder = _parse_ladder(cfg.n_ladder)
+    params = HolderParams(cfg.mu)
     slopes = Partition.uniform(*cfg.interval, cfg.subintervals).slopes
-    gate_terms = _parse_alpha(cfg).sup_norms / slopes**cfg.mu
+    gate_terms = _parse_alpha(cfg).sup_norms / slopes**params.mu
     worst = int(np.argmax(gate_terms))
     if gate_terms[worst] >= 1.0:
         raise InvalidConfig(
             f"variable-scaling contraction gate failed at subinterval "
             f"{worst + 1}: {gate_terms[worst]:.6f} >= 1"
         )
-    params = HolderParams(cfg.mu)
     truth = make_function(cfg.function)
     rows, sups, semis, norms = [], [], [], []
     for n in ladder:
         step_cfg = dataclasses.replace(cfg, nodes=n)
         res = _solve_by_variant(_build_problem(step_cfg), step_cfg)
-        diff = SampledFunction(
-            res.grid[0], res.grid[-1], res.values - truth(res.grid)
-        ).thin(params.max_points)
+        diff = SampledFunction(res.grid[0], res.grid[-1], res.values - truth(res.grid))
         semi = holder_seminorm(diff, params)
         sup = float(np.max(np.abs(diff.values)))
         rows.append(n)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidConfig
@@ -11,20 +9,6 @@ from .operators import _call_vectorized
 
 # Sample count used to estimate sup norms of scaling functions.
 SUP_SAMPLES = 10**4
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """x -> slope * x + intercept, with exact inverse."""
-
-    slope: float
-    intercept: float
-
-    def __call__(self, x):
-        return self.slope * np.asarray(x, dtype=float) + self.intercept
-
-    def inverse(self, y):
-        return (np.asarray(y, dtype=float) - self.intercept) / self.slope
 
 
 class Partition:
@@ -74,22 +58,10 @@ class Partition:
         w = np.diff(self.knots)
         return bool(np.all(np.abs(w - w[0]) <= 1e-12 * (self.b - self.a)))
 
-    def affine_maps(self):
-        """The per-subinterval contractions as AffineMap objects (1-based i)."""
-        return [
-            AffineMap(float(s), float(c))
-            for s, c in zip(self.slopes, self.intercepts)
-        ]
-
     def locate(self, x):
         """Subinterval index in 1..N for each x; internal knots go left."""
         idx = np.searchsorted(self.knots, np.asarray(x, dtype=float), side="left")
         return np.clip(idx, 1, self.size)
-
-    def forward(self, i, x):
-        """Apply map i (scalar or per-point index array) to x."""
-        i = np.asarray(i) - 1
-        return self.slopes[i] * np.asarray(x, dtype=float) + self.intercepts[i]
 
     def inverse(self, i, x):
         i = np.asarray(i) - 1

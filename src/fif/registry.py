@@ -72,6 +72,3 @@ def make_function(name: str, max_derivative: int = 8) -> FunctionInput:
         return FunctionInput.analytic(_weier_like)
     raise InvalidConfig(f"unknown function: {name!r}")
 
-
-def list_functions():
-    return ("sin", "cos", "exp", "poly:<c0,c1,...>", "abspow:<c,mu>", "weier")

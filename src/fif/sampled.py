@@ -47,26 +47,3 @@ class SampledFunction:
 
     def __call__(self, x):
         return np.interp(x, self.grid, self.values)
-
-    def same_grid(self, other: "SampledFunction") -> bool:
-        return (
-            self.values.size == other.values.size
-            and abs(self.a - other.a) <= 1e-12 * (self.b - self.a)
-            and abs(self.b - other.b) <= 1e-12 * (self.b - self.a)
-        )
-
-    def thin(self, max_points: int) -> "SampledFunction":
-        """Uniformly subsample down to at most ``max_points`` samples.
-
-        The stride must divide the cell count so the result stays uniform.
-        """
-        if self.values.size <= max_points:
-            return self
-        stride = None
-        for s in range(2, self.cells + 1):
-            if self.cells % s == 0 and self.cells // s + 1 <= max_points:
-                stride = s
-                break
-        if stride is None:
-            raise ValueError("no uniform subsample fits max_points")
-        return SampledFunction(self.a, self.b, self.values[::stride])

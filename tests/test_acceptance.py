@@ -276,7 +276,7 @@ def test_11_roughness_gate_and_convergence():
         res = solve_fif(FifProblem(part, good, op, f, "alpha"),
                         cells=4 * 2**12, tol=tol)
         assert res.iterations <= predicted + 5
-        diff = SampledFunction(0.0, 1.0, res.values - f(res.grid)).thin(4000)
+        diff = SampledFunction(0.0, 1.0, res.values - f(res.grid))
         norms.append(holder_norm(diff, HolderParams(mu)))
     assert norms[0] > norms[1] > norms[2]
     _finish("[11] roughness gate and convergence", t0, 120.0,

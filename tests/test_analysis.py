@@ -13,7 +13,6 @@ from fif.analysis import (
     holder_seminorm,
     knot_data_collinear,
     modulus_of_continuity,
-    sup_norm_diff,
     theoretical_box_dimension,
 )
 from fif.errors import InvalidConfig
@@ -35,24 +34,6 @@ def test_sampled_function_grid_and_interp():
     assert sf.step == pytest.approx(np.pi / 128)
     mid = (sf.grid[3] + sf.grid[4]) / 2
     assert sf(mid) == pytest.approx((sf.values[3] + sf.values[4]) / 2, abs=1e-15)
-
-
-def test_sampled_function_thin():
-    sf = SampledFunction.from_callable(np.sin, 0.0, 1.0, 4096)
-    thin = sf.thin(1025)
-    assert thin.values.size <= 1025
-    assert 4096 % thin.cells == 0
-    assert thin.values[0] == sf.values[0] and thin.values[-1] == sf.values[-1]
-    # already small enough: unchanged
-    assert sf.thin(10**6).cells == 4096
-
-
-def test_same_grid():
-    a = SampledFunction.from_callable(np.sin, 0.0, 1.0, 64)
-    b = SampledFunction.from_callable(np.cos, 0.0, 1.0, 64)
-    c = SampledFunction.from_callable(np.cos, 0.0, 1.0, 128)
-    assert a.same_grid(b)
-    assert not a.same_grid(c)
 
 
 # ------------------------------------------------------ modulus of continuity
@@ -117,31 +98,6 @@ def test_modulus_preconditions():
         modulus_of_continuity(sf, 2.0)
 
 
-# ---------------------------------------------------------------- sup norms
-
-
-def test_sup_norm_diff_basics():
-    a = SampledFunction.from_callable(np.sin, 0.0, np.pi, 2**10)
-    z = SampledFunction(0.0, np.pi, np.zeros(2**10 + 1))
-    assert sup_norm_diff(a, a) == 0.0
-    assert sup_norm_diff(a, z) == pytest.approx(1.0, abs=1e-5)
-
-
-def test_sup_norm_diff_matches_loop():
-    rng = np.random.default_rng(1)
-    a = SampledFunction(0.0, 1.0, rng.standard_normal(300))
-    b = SampledFunction(0.0, 1.0, rng.standard_normal(300))
-    want = max(abs(x - y) for x, y in zip(a.values, b.values))
-    assert sup_norm_diff(a, b) == want
-
-
-def test_sup_norm_diff_needs_shared_grid():
-    a = SampledFunction.from_callable(np.sin, 0.0, 1.0, 64)
-    b = SampledFunction.from_callable(np.sin, 0.0, 1.0, 128)
-    with pytest.raises(InvalidConfig):
-        sup_norm_diff(a, b)
-
-
 # ------------------------------------------------------------ Holder measures
 
 
@@ -177,11 +133,46 @@ def test_seminorm_matches_pair_scan():
         assert got == pytest.approx(brute_seminorm(sf, mu), rel=1e-12)
 
 
-def test_seminorm_grid_cap():
-    sf = SampledFunction(0.0, 1.0, np.zeros(5000))
-    with pytest.raises(InvalidConfig, match="use subsample"):
-        holder_seminorm(sf, HolderParams(0.5))
-    holder_seminorm(sf, HolderParams(0.5, max_points=6000))  # raised cap is fine
+def spacing_scan(sf, mu):
+    # every spacing d, with the same float expression as holder_seminorm
+    v, step = sf.values, sf.step
+    best = 0.0
+    for d in range(1, v.size):
+        gap = float(np.max(np.abs(v[d:] - v[:-d])))
+        best = max(best, gap / (d * step) ** mu)
+    return best
+
+
+def test_seminorm_is_bitwise_the_spacing_scan():
+    rng = np.random.default_rng(13)
+    f = make_function("abspow:0,0.5")
+    op = OperatorConfig(ramp(), 0.0, 1.0, 16)
+    res = solve_fif(FifProblem(Partition.uniform(0.0, 1.0, 4),
+                               ScalingVector.broadcast(0.4, 4), op, f, "alpha"),
+                    cells=4 * 2**10, tol=1e-9)
+    inputs = [
+        SampledFunction(0.0, 1.0, res.values - f(res.grid)),  # the README cusp
+        SampledFunction(0.0, 1.0, np.full(301, 2.5)),
+        SampledFunction(0.0, 1.0, np.array([0.0, 1.0])),
+        SampledFunction(-1.0, 2.0, np.array([0.3, -0.2, 0.9])),
+    ]
+    # sizes beyond 4,001 samples, and a power of two plus one
+    for size in (101, 5001, 2**13 + 1):
+        inputs.append(SampledFunction(0.0, 1.0, rng.standard_normal(size)))
+        inputs.append(SampledFunction(-1.0, 2.0, np.cumsum(rng.standard_normal(size))))
+    for sf in inputs:
+        for mu in (0.1, 0.3, 0.5, 0.7, 1.0):
+            assert holder_seminorm(sf, HolderParams(mu)) == spacing_scan(sf, mu)
+
+
+def test_blocked_window_ranges_match_the_scans(monkeypatch):
+    # blocks of 7 samples put block seams inside every window-range query
+    monkeypatch.setattr(fif.analysis, "_BLOCK", 7)
+    walk = SampledFunction(0.0, 1.0, np.cumsum(np.random.default_rng(14).standard_normal(257)))
+    for delta in (0.0625, 31 / 256, 100 / 256, 1.0):
+        assert modulus_of_continuity(walk, delta) == brute_modulus(walk, delta)
+    for mu in (0.1, 0.5, 1.0):
+        assert holder_seminorm(walk, HolderParams(mu)) == spacing_scan(walk, mu)
 
 
 def test_holder_norm_combines():

@@ -377,6 +377,40 @@ def test_holder_gate_quotes_failing_piece(tmp_path, capsys):
     assert "subinterval" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mu", ["5", "1.5", "0", "-1"])
+def test_holder_bad_exponent_exits_2_naming_it(tmp_path, capsys, mu):
+    code = run(["holder", "--function", "abspow:0,0.5", "--mu", mu, "--out", str(tmp_path)])
+    assert code == 2
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1
+    assert "exponent mu" in errors[0]
+
+
+README_HOLDER = [
+    "holder", "--function", "abspow:0,0.5", "--mu", "0.5", "--alpha", "0.4",
+    "--n-ladder", "16,32,64",
+]
+
+
+def test_holder_seminorm_reads_the_whole_render_grid(tmp_path):
+    semis = []
+    for exp in ("10", "12"):
+        assert run(README_HOLDER + ["--grid-exp", exp, "--out", str(tmp_path / exp)]) == 0
+        _, cols = read_csv(tmp_path / exp / "holder.csv")
+        semis.append(cols["holder_seminorm_error"])
+    assert np.all(semis[0] != semis[1])
+
+
+def test_holder_sup_error_is_the_build_sup_over_the_render_grid(tmp_path):
+    assert run(README_HOLDER + ["--out", str(tmp_path / "holder")]) == 0
+    build = ["build", "--function", "abspow:0,0.5", "--alpha", "0.4", "--n", "16"]
+    assert run(build + ["--out", str(tmp_path / "build")]) == 0
+    _, holder = read_csv(tmp_path / "holder" / "holder.csv")
+    _, curve = read_csv(tmp_path / "build" / "fif.csv")
+    assert holder["n"][0] == 16
+    assert holder["sup_error"][0] == np.max(np.abs(curve["fif"] - curve["f"]))
+
+
 def test_bounds_prints_table(tmp_path, capsys):
     code = run(
         [

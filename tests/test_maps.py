@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from fif.errors import InvalidConfig
-from fif.maps import SUP_SAMPLES, AffineMap, Partition, ScalingVector
+from fif.maps import SUP_SAMPLES, Partition, ScalingVector
 
 
 def test_uniform_two_piece_maps():
     part = Partition.uniform(0.0, 1.0, 2)
-    maps = part.affine_maps()
-    x = np.linspace(0.0, 1.0, 11)
-    assert np.max(np.abs(maps[0](x) - x / 2)) == 0.0
-    assert np.max(np.abs(maps[1](x) - (x / 2 + 0.5))) <= 1e-15
+    assert part.slopes.tolist() == [0.5, 0.5]
+    assert part.intercepts.tolist() == [0.0, 0.5]
 
 
 def test_nonuniform_slopes_and_intercepts():
@@ -36,15 +34,9 @@ def test_forward_inverse_round_trip():
     rng = np.random.default_rng(4)
     x = rng.uniform(0.0, 1.0, 500)
     for i in range(1, part.size + 1):
-        y = part.forward(np.full_like(x, i, dtype=int), x)
+        y = part.slopes[i - 1] * x + part.intercepts[i - 1]
         back = part.inverse(np.full_like(x, i, dtype=int), y)
         assert np.max(np.abs(back - x)) <= 1e-14
-
-
-def test_affine_map_inverse():
-    amap = AffineMap(0.25, 0.1)
-    xs = np.linspace(-2, 2, 41)
-    assert np.max(np.abs(amap.inverse(amap(xs)) - xs)) <= 1e-14
 
 
 def test_internal_knots_belong_to_left_piece():
