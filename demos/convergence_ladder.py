@@ -14,7 +14,7 @@ from fif.analysis import (
     error_bound_discrete,
     modulus_of_continuity,
 )
-from fif.fractal import FifProblem, solve_fif, solve_fif_discrete
+from fif.fractal import FifProblem, solve_fif
 from fif.kernels import ramp
 from fif.maps import Partition, ScalingVector
 from fif.operators import FunctionInput, OperatorConfig
@@ -47,7 +47,7 @@ def main():
         prob = FifProblem(Partition(knots), ScalingVector.broadcast(ALPHA, m),
                           OperatorConfig(ramp(), 0.0, 1.0, m),
                           FunctionInput.tabulated(np.sin(knots)), "discrete")
-        res = solve_fif_discrete(prob, cells=m * 2**7, tol=1e-10)
+        res = solve_fif(prob, cells=m * 2**7, tol=1e-10)
         err = np.max(np.abs(res.values - f(res.grid)))
         om = modulus_of_continuity(dense, 1.0 / m)
         print(f"{m:6d} {err:12.3e} {error_bound_discrete(ALPHA, om, om):12.3e}")

@@ -10,7 +10,7 @@ except the outermost cells.
 
 import numpy as np
 
-from fif.fractal import FifProblem, solve_fif_smooth
+from fif.fractal import FifProblem, solve_fif
 from fif.kernels import smoothstep
 from fif.maps import Partition, ScalingVector
 from fif.operators import OperatorConfig
@@ -27,7 +27,7 @@ def main():
     op = OperatorConfig(smoothstep(1), 0.0, 1.0, 256, r=1)
     prob = FifProblem(part, ScalingVector.broadcast(0.2, 4), op,
                       make_function("sin"), "smooth")
-    res = solve_fif_smooth(prob, cells=4 * 2**12, tol=1e-10)
+    res = solve_fif(prob, cells=4 * 2**12, tol=1e-10)
 
     level = res.diagnostics["derivative_levels"][1]
     print(f"junction matching residual   {level['matching_residual']:.2e}")

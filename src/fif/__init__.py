@@ -25,8 +25,6 @@ from .fractal import (
     chaos_game_render,
     rb_apply,
     solve_fif,
-    solve_fif_discrete,
-    solve_fif_smooth,
 )
 from .kernels import (
     SigmoidalKernel,
@@ -86,8 +84,6 @@ __all__ = [
     "smooth_bump",
     "smoothstep",
     "solve_fif",
-    "solve_fif_discrete",
-    "solve_fif_smooth",
     "theoretical_box_dimension",
     "xi_derivative",
     "xi_eval",

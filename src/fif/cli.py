@@ -38,13 +38,17 @@ from .errors import (
     MatchingConditionError,
     NonConvergence,
 )
-from .fractal import FifProblem, chaos_game_render, solve_fif, solve_fif_discrete, solve_fif_smooth
+from .fractal import FifProblem, chaos_game_render, solve_fif
 from .g17 import write_rows
 from .kernels import kernel_from_name
 from .maps import Partition, ScalingVector
 from .operators import FunctionInput, OperatorConfig, nn_eval
 from .registry import make_function
 from .sampled import SampledFunction
+
+# not called here: the benchmark's tracer (bench/spans.py) looks these two up
+# by name as attributes of this module
+solve_fif_discrete = solve_fif_smooth = solve_fif
 
 # the largest render grid, orbit, box count and operator node count a run may
 # ask for: at 2^24 each float64 array is 128 MiB, and a solve or orbit holds
@@ -223,15 +227,6 @@ def _build_problem(cfg: RunConfig, smooth=False):
     return FifProblem(partition, scaling, operator, f, variant)
 
 
-def _solve_by_variant(problem, cfg: RunConfig):
-    kwargs = dict(cells=cfg.cells(), tol=cfg.tol, max_sweeps=cfg.max_iters)
-    if problem.variant == "alpha":
-        return solve_fif(problem, **kwargs)
-    if problem.variant == "discrete":
-        return solve_fif_discrete(problem, **kwargs)
-    return solve_fif_smooth(problem, **kwargs)
-
-
 def _write_table(fh, header, columns, delimiter=","):
     # every table the CLI emits: a header line, then one row per line with
     # each cell as "%.17g" prints it (17 significant digits round-trip a
@@ -246,8 +241,9 @@ def _write_csv(path: Path, header, columns):
 
 
 def _write_json(path: Path, obj):
+    # numpy arrays and scalars are written as the lists and numbers they hold
     with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=lambda v: v.tolist())
         fh.write("\n")
 
 
@@ -268,7 +264,7 @@ def cmd_build(cfg: RunConfig, out: Path) -> int:
         raise InvalidConfig(
             f"discrete bound on {cfg.cells()} cells needs --n <= {cfg.cells() // 16}"
         )
-    res = _solve_by_variant(problem, cfg)
+    res = solve_fif(problem, cfg.cells(), cfg.tol, cfg.max_iters)
     _write_csv(
         out / "fif.csv",
         ["x", "f", "base", "fif"],
@@ -293,7 +289,7 @@ def cmd_build(cfg: RunConfig, out: Path) -> int:
             modulus_of_continuity(height_fn, (b - a) / cfg.nodes),
             modulus_of_continuity(height_fn, (b - a) / cfg.subintervals),
         )
-    _write_json(out / "meta.json", _meta(cfg, results, _jsonable(res.diagnostics)))
+    _write_json(out / "meta.json", _meta(cfg, results, res.diagnostics))
     print(
         f"build: {res.iterations} sweeps ({_solve_summary(res)}), "
         f"residual {res.residual:.3e}, "
@@ -315,7 +311,7 @@ def cmd_converge(cfg: RunConfig, out: Path) -> int:
         if cfg.discrete:
             step_cfg = dataclasses.replace(step_cfg, subintervals=max(n, 2))
         problem = _build_problem(step_cfg)
-        res = _solve_by_variant(problem, step_cfg)
+        res = solve_fif(problem, step_cfg.cells(), cfg.tol, cfg.max_iters)
         truth = make_function(cfg.function)(res.grid)
         err = float(np.max(np.abs(res.values - truth)))
         om = modulus_of_continuity(dense, (b - a) / n)
@@ -352,7 +348,7 @@ def cmd_dimension(cfg: RunConfig, out: Path) -> int:
     if cfg.chaos:
         xs, ys = chaos_game_render(problem, cfg.points, cfg.seed)
     else:
-        res = _solve_by_variant(problem, cfg)
+        res = solve_fif(problem, cfg.cells(), cfg.tol, cfg.max_iters)
         xs, ys = res.grid, res.values
     report = box_counting_dimension(xs, ys, _parse_scales(cfg.scales))
     f = problem.f
@@ -369,7 +365,7 @@ def cmd_dimension(cfg: RunConfig, out: Path) -> int:
         report.notes.append(
             "closed-form dimension needs constant scalings on uniform knots"
         )
-    payload = _meta(cfg, _jsonable(dataclasses.asdict(report)), {"chaos": cfg.chaos})
+    payload = _meta(cfg, dataclasses.asdict(report), {"chaos": cfg.chaos})
     _write_json(out / "dimension.json", payload)
     print(
         f"dimension: estimate {report.estimated_dimension:.4f}, "
@@ -387,7 +383,7 @@ def cmd_smooth(cfg: RunConfig, out: Path) -> int:
     if cfg.order < 1:
         raise InvalidConfig("smooth runs need order >= 1")
     problem = _build_problem(cfg, smooth=True)
-    res = _solve_by_variant(problem, cfg)
+    res = solve_fif(problem, cfg.cells(), cfg.tol, cfg.max_iters)
     step = float(res.grid[1] - res.grid[0])
     header = ["x", "fif"]
     columns = [res.grid, res.values]
@@ -405,9 +401,7 @@ def cmd_smooth(cfg: RunConfig, out: Path) -> int:
         "iterations": res.iterations,
         "matching_residuals": {k: v["matching_residual"] for k, v in levels.items()},
     }
-    _write_json(
-        out / "meta.json", _meta(cfg, results, _jsonable(res.diagnostics))
-    )
+    _write_json(out / "meta.json", _meta(cfg, results, res.diagnostics))
     print(
         f"smooth: order {cfg.order}, {res.iterations} sweeps "
         f"({_solve_summary(res)}), residual {res.residual:.3e}"
@@ -430,7 +424,7 @@ def cmd_holder(cfg: RunConfig, out: Path) -> int:
     rows, sups, semis, norms = [], [], [], []
     for n in ladder:
         step_cfg = dataclasses.replace(cfg, nodes=n)
-        res = _solve_by_variant(_build_problem(step_cfg), step_cfg)
+        res = solve_fif(_build_problem(step_cfg), cfg.cells(), cfg.tol, cfg.max_iters)
         diff = SampledFunction(res.grid[0], res.grid[-1], res.values - truth(res.grid))
         semi = holder_seminorm(diff, params)
         sup = float(np.max(np.abs(diff.values)))
@@ -449,7 +443,7 @@ def cmd_holder(cfg: RunConfig, out: Path) -> int:
         _meta(
             cfg,
             {"n": rows, "sup": sups, "seminorm": semis, "combined": norms},
-            {"gate_worst_term": float(gate_terms[worst])},
+            {"gate_worst_term": float(gate_terms[worst]), "cells": cfg.cells()},
         ),
     )
     return 0
@@ -515,18 +509,6 @@ def _modulus_curve(f, a, b, ladder):
     if 16 * max(ladder) > MODULUS_SAMPLES:
         raise InvalidConfig(f"ladder entry above {MODULUS_SAMPLES // 16} nodes")
     return SampledFunction.from_callable(f, a, b, MODULUS_SAMPLES)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 _COMMANDS = {

@@ -397,7 +397,20 @@ def _knot_checks(problem, values, height, base_at_a):
     return cont_max, knot_max, inner.size
 
 
-def _solve_core(problem, cells, tol, max_sweeps, matching_tol=MATCHING_TOL):
+def solve_fif(problem: FifProblem, cells=None, tol=DEFAULT_TOL,
+              max_sweeps=DEFAULT_MAX_SWEEPS, matching_tol=MATCHING_TOL):
+    """Render the fixed point of ``problem`` on a dense grid, for any variant.
+
+    The variant is read off the problem.  A discrete problem touches ``f``
+    only at the knots and the operator nodes, and its diagnostics record
+    ``height_nodes``.  A smooth problem of order ``r`` also solves its
+    derivative levels: level ``k`` is solved on the level-0 grid with height
+    ``f^(k)``, base ``(Lf)^(k)`` and scaling ``alpha_i / s_i^k``.  Before any
+    level is solved, the junction data of consecutive maps must agree for
+    every order (the Barnsley-Harrington compatibility conditions); a
+    mismatch above ``matching_tol`` signals a kernel-smoothness or
+    derivative-data defect and raises ``MatchingConditionError``.
+    """
     cells = _validate_cells(problem, cells)
     if not tol > 0:
         raise InvalidConfig("tolerance must be positive")
@@ -421,6 +434,8 @@ def _solve_core(problem, cells, tol, max_sweeps, matching_tol=MATCHING_TOL):
         "knot_deviation": knot_max,
         "fd_fallback": smooth and operator_fd_fallback(problem.operator, problem.f),
     }
+    if problem.variant == "discrete":
+        diagnostics["height_nodes"] = problem.partition.size
     result = FifResult(
         grid=x, values=values, residual=stats["residual"], iterations=stats["iterations"],
         y_min=float(np.min(values)), y_max=float(np.max(values)),
@@ -432,37 +447,6 @@ def _solve_core(problem, cells, tol, max_sweeps, matching_tol=MATCHING_TOL):
     if smooth:
         diagnostics["derivative_levels"] = {j: info for j, (_, info) in levels.items()}
     return result
-
-
-def solve_fif(problem: FifProblem, cells=None, tol=DEFAULT_TOL, max_sweeps=DEFAULT_MAX_SWEEPS):
-    """Render the fixed point of the basic construction on a dense grid."""
-    if problem.variant != "alpha":
-        raise InvalidConfig("solve_fif handles the alpha variant; see the others")
-    return _solve_core(problem, cells, tol, max_sweeps)
-
-
-def solve_fif_discrete(problem: FifProblem, cells=None, tol=DEFAULT_TOL, max_sweeps=DEFAULT_MAX_SWEEPS):
-    """Render the node-data-only construction (f is never read off-node)."""
-    if problem.variant != "discrete":
-        raise InvalidConfig("solve_fif_discrete needs a discrete-variant problem")
-    result = _solve_core(problem, cells, tol, max_sweeps)
-    result.diagnostics["height_nodes"] = problem.partition.size
-    return result
-
-
-def solve_fif_smooth(problem: FifProblem, cells=None, tol=DEFAULT_TOL, max_sweeps=DEFAULT_MAX_SWEEPS, matching_tol=MATCHING_TOL):
-    """Render an order-r construction along with its derivative levels.
-
-    Derivative level ``k`` is solved on the level-0 grid with height
-    ``f^(k)``, base ``(Lf)^(k)`` and scaling ``alpha_i / s_i^k``.  Before any
-    level is solved, the junction data of consecutive maps must agree for
-    every order (the Barnsley-Harrington compatibility conditions); a
-    mismatch above ``matching_tol`` signals a kernel-smoothness or
-    derivative-data defect and raises ``MatchingConditionError``.
-    """
-    if problem.variant != "smooth":
-        raise InvalidConfig("solve_fif_smooth needs a smooth-variant problem")
-    return _solve_core(problem, cells, tol, max_sweeps, matching_tol)
 
 
 def rb_apply(problem: FifProblem, phi: SampledFunction) -> SampledFunction:

@@ -86,11 +86,6 @@ class SigmoidalKernel:
             return self.order
         return 0
 
-    def describe(self) -> str:
-        if self.family == "smoothstep":
-            return f"smoothstep:{self.order}"
-        return self.family
-
 
 def ramp(m: float = 0.5) -> SigmoidalKernel:
     """Piecewise-linear sigmoid; continuous but not differentiable."""

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -96,8 +95,8 @@ class FunctionInput:
 
     @classmethod
     def tabulated(cls, values):
-        # a private read-only copy: the weight table cache keys on this input,
-        # so the caller's later edits must not reach it
+        # a private read-only copy: the input owns its values, so a result
+        # never changes because the caller edited the array it passed
         arr = np.array(values, dtype=float)
         arr.flags.writeable = False
         if arr.ndim != 1 or arr.size < 2:
@@ -155,10 +154,9 @@ def input_derivative(f: FunctionInput, order: int, x, h: float):
     return out / s**order
 
 
-@lru_cache(maxsize=128)
 def _weight_table(cfg: OperatorConfig, f: FunctionInput, upto: int):
-    """Node derivatives ``f^(j)(a_k)``, shape (upto+1, n+1).  Warns when finite
-    differences fill in the derivative rows, once per cached table."""
+    """Node derivatives ``f^(j)(a_k)``, shape (upto+1, n+1), read off ``f`` at
+    every call.  Warns when finite differences fill in the derivative rows."""
     if f.mode == "tabulated":
         if upto >= 1:
             raise InvalidConfig("derivatives unavailable")
@@ -166,15 +164,13 @@ def _weight_table(cfg: OperatorConfig, f: FunctionInput, upto: int):
             raise InvalidConfig(
                 f"table has {f.values.size} values, operator needs {cfg.n + 1}"
             )
-        return f.values[np.newaxis, :].copy()
+        return f.values[np.newaxis, :]
     nodes = cfg.nodes
     rows = np.stack([input_derivative(f, j, nodes, cfg.h) for j in range(upto + 1)])
     if upto and operator_fd_fallback(cfg, f):
-        # level 4: past _evaluate and the public operator, to its caller
-        warnings.warn(
-            "derivative callables missing; central differences substituted",
-            stacklevel=4,
-        )
+        # attributed to this line, so the default filter prints it once however
+        # many operator calls of a solve substitute differences
+        warnings.warn("derivative callables missing; central differences substituted")
     return rows
 
 

@@ -26,8 +26,6 @@ from fif.fractal import (
     chaos_game_render,
     rb_apply,
     solve_fif,
-    solve_fif_discrete,
-    solve_fif_smooth,
 )
 from fif.kernels import ramp, smooth_bump, smoothstep, xi_eval
 from fif.maps import Partition, ScalingVector
@@ -138,7 +136,7 @@ def test_06_knot_interpolation_all_variants():
     prob = FifProblem(Partition(knots), ScalingVector.broadcast(0.4, 8),
                       OperatorConfig(ramp(), 0.0, 1.0, 4),
                       FunctionInput.tabulated(vals), "discrete")
-    res = solve_fif_discrete(prob, cells=8 * 2**8, tol=1e-10)
+    res = solve_fif(prob, cells=8 * 2**8, tol=1e-10)
     idx = np.arange(9) * 2**8
     worst["table"] = float(np.max(np.abs(res.values[idx] - vals)))
 
@@ -146,7 +144,7 @@ def test_06_knot_interpolation_all_variants():
     op = OperatorConfig(smoothstep(1), 0.0, 1.0, 64, r=1)
     prob = FifProblem(part, ScalingVector.broadcast(0.2, 4), op,
                       make_function("sin"), "smooth")
-    res = solve_fif_smooth(prob, cells=4 * 2**10, tol=1e-10)
+    res = solve_fif(prob, cells=4 * 2**10, tol=1e-10)
     idx = np.arange(5) * 2**10
     worst["deriv"] = float(np.max(np.abs(res.values[idx] - np.sin(part.knots))))
 
@@ -200,7 +198,7 @@ def test_08_convergence_ladders():
         prob = FifProblem(Partition(knots), ScalingVector.broadcast(0.5, m),
                           OperatorConfig(ramp(), 0.0, 1.0, m),
                           FunctionInput.tabulated(np.sin(knots)), "discrete")
-        res = solve_fif_discrete(prob, cells=m * 2**8, tol=1e-10)
+        res = solve_fif(prob, cells=m * 2**8, tol=1e-10)
         err = float(np.max(np.abs(res.values - f(res.grid))))
         om = modulus_of_continuity(dense, 1.0 / m)
         assert err <= error_bound_discrete(0.5, om, om) + 1e-12
@@ -289,7 +287,7 @@ def test_12_derivative_level_consistency():
     op = OperatorConfig(smoothstep(1), 0.0, 1.0, 1024, r=1)
     prob = FifProblem(part, ScalingVector.broadcast(0.2, 4), op,
                       make_function("sin"), "smooth")
-    res = solve_fif_smooth(prob, cells=4 * 2**12, tol=1e-10)
+    res = solve_fif(prob, cells=4 * 2**12, tol=1e-10)
     level = res.diagnostics["derivative_levels"][1]
     assert level["matching_residual"] <= 1e-8
     assert max(level["endpoint_identity_gap"]) <= 1e-8

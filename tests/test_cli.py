@@ -305,6 +305,22 @@ def test_dimension_chaos_orbit(tmp_path):
     assert abs(report["results"]["estimated_dimension"] - 1.0) <= 0.15
 
 
+def test_dimension_disagreement_exits_4_after_writing_the_report(tmp_path, capsys):
+    # n = 64 resolves the backbone, so the estimate stays near 1.0 while the
+    # closed form says 1.569
+    code = run(
+        [
+            "dimension", "--function", "sin", "--N", "4", "--n", "64",
+            "--alpha", "0.55", "--grid-exp", "16", "--out", str(tmp_path),
+        ]
+    )
+    assert code == 4
+    assert capsys.readouterr().err == "dimension: estimate disagrees with closed form\n"
+    report = json.loads((tmp_path / "dimension.json").read_text())
+    assert abs(report["results"]["theoretical_dimension"] - 1.5687517618749676) <= 1e-12
+    assert report["results"]["estimated_dimension"] < 1.1
+
+
 def test_smooth_run(tmp_path):
     code = run(
         [
@@ -363,6 +379,9 @@ def test_holder_ladder(tmp_path):
     assert code == 0
     header, _ = read_csv(tmp_path / "holder.csv")
     assert header == ["n", "sup_error", "holder_seminorm_error", "combined_0mu_error"]
+    # the seminorm belongs to the render grid, N * 2^grid_exp cells
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    assert meta["diagnostics"]["cells"] == 4 * 2**8
 
 
 def test_holder_gate_quotes_failing_piece(tmp_path, capsys):
@@ -737,6 +756,39 @@ def test_function_scaling_contraction_is_its_grid_maximum(tmp_path):
     assert run(["build", "--alpha", "sine:0.3", "--out", str(tmp_path)]) == 0
     diag = json.loads((tmp_path / "meta.json").read_text())["diagnostics"]
     assert diag["contraction"] == 0.3
+
+
+def test_linear_scaling_family_builds(tmp_path):
+    # linear:0.2,0.7 rises from 0.2 at a to 0.7 at b, a pre-image of the grid
+    assert run(["build", "--alpha", "linear:0.2,0.7", "--out", str(tmp_path)]) == 0
+    diag = json.loads((tmp_path / "meta.json").read_text())["diagnostics"]
+    assert diag["contraction"] == 0.7
+
+
+@pytest.mark.parametrize("error", [fif.MatchingConditionError, fif.CrossCheckError])
+def test_failed_solver_cross_check_exits_4_with_one_error_line(
+    tmp_path, capsys, monkeypatch, error
+):
+    # no valid input makes the solver raise these, so a stub stands in for it
+    def failing(*args):
+        raise error("stub check failed")
+
+    monkeypatch.setattr(fif.cli, "solve_fif", failing)
+    assert run(["build", "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == "error: stub check failed\n"
+
+
+def test_difference_fallback_warns_once_per_run(tmp_path):
+    # weier carries no derivative callables; the four-layer operator and every
+    # derivative level substitute differences, and one warning says so
+    argv = ["smooth", "--function", "weier", "--r", "3", "--kernel", "bump",
+            "--n", "32", "--alpha", "0.001", "--grid-exp", "6", "--out", str(tmp_path)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        assert run(argv) == 0
+    assert [str(w.message) for w in caught] == [
+        "derivative callables missing; central differences substituted"
+    ]
 
 
 def test_end_rows_carry_the_function_values_exactly(tmp_path):

@@ -22,8 +22,6 @@ from fif.fractal import (
     chaos_game_render,
     rb_apply,
     solve_fif,
-    solve_fif_discrete,
-    solve_fif_smooth,
 )
 from fif.kernels import ramp, smoothstep
 from fif.maps import Partition, ScalingVector
@@ -435,7 +433,7 @@ def test_level_fill_solves_both_smooth_derivative_levels(count, cells, coarse, l
     prob = FifProblem(part, ScalingVector.broadcast(alpha, count), op,
                       make_function("sin"), "smooth")
     tol = 1e-10
-    res = solve_fif_smooth(prob, cells=cells, tol=tol)
+    res = solve_fif(prob, cells=cells, tol=tol)
     exact = exact_grid(prob, cells)
     g = np.arange(0, cells + 1, 5)
     plan0, x, i_idx, _ = _build_plan(prob, cells)
@@ -561,7 +559,7 @@ def test_discrete_zero_scaling_gives_plain_quasi_interpolant():
     sv = ScalingVector.broadcast(0.0, 16)
     op = OperatorConfig(ramp(), 0.0, 1.0, 8)
     prob = FifProblem(part, sv, op, FunctionInput.tabulated(vals), "discrete")
-    res = solve_fif_discrete(prob, cells=16 * 2**6)
+    res = solve_fif(prob, cells=16 * 2**6)
     knot_op = OperatorConfig(ramp(), 0.0, 1.0, 16)
     want = nn_eval(knot_op, FunctionInput.tabulated(vals), res.grid)
     want[0], want[-1] = vals[0], vals[-1]
@@ -576,7 +574,7 @@ def test_discrete_equal_grids_fixed_point_is_the_quasi_interpolant():
     sv = ScalingVector.broadcast(0.2, 16)
     op = OperatorConfig(ramp(), 0.0, 1.0, 16)
     prob = FifProblem(part, sv, op, FunctionInput.tabulated(vals), "discrete")
-    res = solve_fif_discrete(prob, cells=16 * 2**6)
+    res = solve_fif(prob, cells=16 * 2**6)
     want = nn_eval(op, FunctionInput.tabulated(vals), res.grid)
     want[0], want[-1] = vals[0], vals[-1]
     assert np.max(np.abs(res.values - want)) <= 1e-10
@@ -588,7 +586,7 @@ def test_discrete_knot_interpolation():
     sv = ScalingVector.broadcast(0.3, 16)
     op = OperatorConfig(ramp(), 0.0, 1.0, 8)
     prob = FifProblem(part, sv, op, FunctionInput.tabulated(vals), "discrete")
-    res = solve_fif_discrete(prob, cells=16 * 2**8, tol=1e-10)
+    res = solve_fif(prob, cells=16 * 2**8, tol=1e-10)
     idx = np.searchsorted(res.grid, knots)
     assert np.max(np.abs(res.values[idx] - vals)) <= 1e-9
 
@@ -606,7 +604,7 @@ def test_discrete_variant_reads_f_only_at_knots_and_nodes():
     op = OperatorConfig(ramp(), 0.0, 1.0, 4)
     prob = FifProblem(part, ScalingVector.broadcast(0.3, 8), op,
                       FunctionInput.analytic(recording), "discrete")
-    solve_fif_discrete(prob, cells=8 * 2**6)
+    solve_fif(prob, cells=8 * 2**6)
     chaos_game_render(prob, 1000, seed=3)
     allowed = np.concatenate([part.knots, op.nodes])
     points = np.concatenate(seen)
@@ -658,14 +656,14 @@ def smooth_problem(alpha=0.2, n=64, count=4):
 
 def test_smooth_zero_scaling_collapses_to_operator_data():
     prob = smooth_problem(alpha=0.0)
-    res = solve_fif_smooth(prob, cells=4 * 2**8)
+    res = solve_fif(prob, cells=4 * 2**8)
     assert np.max(np.abs(res.values - np.sin(res.grid))) <= 1e-8
     assert np.max(np.abs(res.derivatives[1] - np.cos(res.grid))) <= 1e-8
 
 
 def test_smooth_junction_data_equals_derivative_at_knots():
     prob = smooth_problem(alpha=0.2)
-    res = solve_fif_smooth(prob, cells=4 * 2**10, tol=1e-10)
+    res = solve_fif(prob, cells=4 * 2**10, tol=1e-10)
     levels = res.diagnostics["derivative_levels"][1]
     assert levels["matching_residual"] <= 1e-8
     assert max(levels["endpoint_identity_gap"]) <= 1e-8
@@ -689,9 +687,9 @@ def test_smooth_matching_check_can_fire():
     sv = ScalingVector.constant([0.2499999, 0.2, 0.2, 0.2])
     op = OperatorConfig(smoothstep(1), 0.0, 1.0, 64, r=1)
     prob = FifProblem(part, sv, op, make_function("sin"), "smooth")
-    solve_fif_smooth(prob, cells=4 * 2**8)  # default tolerance is fine
+    solve_fif(prob, cells=4 * 2**8)  # default tolerance is fine
     with pytest.raises(MatchingConditionError, match="subinterval 2, derivative order 1"):
-        solve_fif_smooth(prob, cells=4 * 2**8, matching_tol=0.0)
+        solve_fif(prob, cells=4 * 2**8, matching_tol=0.0)
 
 
 def test_smooth_junctions_are_checked_before_any_level_is_solved():
@@ -702,9 +700,9 @@ def test_smooth_junctions_are_checked_before_any_level_is_solved():
     op = OperatorConfig(smoothstep(1), 0.0, 1.0, 64, r=1)
     prob = FifProblem(part, sv, op, make_function("sin"), "smooth")
     with pytest.raises(NonConvergence):
-        solve_fif_smooth(prob, cells=4 * 2**8, max_sweeps=1)
+        solve_fif(prob, cells=4 * 2**8, max_sweeps=1)
     with pytest.raises(MatchingConditionError):
-        solve_fif_smooth(prob, cells=4 * 2**8, matching_tol=0.0, max_sweeps=1)
+        solve_fif(prob, cells=4 * 2**8, matching_tol=0.0, max_sweeps=1)
 
 
 def test_every_level_is_evaluated_once_on_the_render_grid(monkeypatch):
@@ -729,7 +727,7 @@ def test_every_level_is_evaluated_once_on_the_render_grid(monkeypatch):
     part = Partition.uniform(0.0, 1.0, 4)
     op = OperatorConfig(smoothstep(2), 0.0, 1.0, 32, r=2)
     prob = FifProblem(part, ScalingVector.broadcast(0.05, 4), op, make_function("sin"), "smooth")
-    res = solve_fif_smooth(prob, cells=cells)
+    res = solve_fif(prob, cells=cells)
     assert sorted(res.derivatives) == [1, 2]
     assert sorted(name for name, _ in calls) == [
         "input_derivative", "input_derivative",
@@ -856,10 +854,6 @@ def test_variant_validation():
     f = make_function("sin")
     with pytest.raises(InvalidConfig):
         FifProblem(part, sv, op, f, "magic")
-    with pytest.raises(InvalidConfig):
-        solve_fif(FifProblem(part, sv, op, f, "discrete"))
-    with pytest.raises(InvalidConfig):
-        solve_fif_discrete(FifProblem(part, sv, op, f, "alpha"))
 
 
 def test_scaling_count_must_match_partition():

@@ -20,7 +20,8 @@ ALL_FAMILIES = [ramp(), smoothstep(1), smoothstep(3), smooth_bump()]
 
 
 def ids(kernels):
-    return [k.describe() for k in kernels]
+    return [f"smoothstep:{k.order}" if k.family == "smoothstep" else k.family
+            for k in kernels]
 
 
 @pytest.mark.parametrize("kernel", ALL_FAMILIES, ids=ids(ALL_FAMILIES))

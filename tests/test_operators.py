@@ -27,7 +27,7 @@ def brute_sum(cfg, values, x):
     return total
 
 
-@pytest.mark.parametrize("kernel", FAMILIES, ids=lambda k: k.describe())
+@pytest.mark.parametrize("kernel", FAMILIES, ids=["ramp", "smoothstep:1", "bump"])
 @pytest.mark.parametrize("n", [8, 64])
 def test_reproduces_node_values(kernel, n):
     cfg = OperatorConfig(kernel, 0.0, 1.0, n)
@@ -227,9 +227,18 @@ def test_scalar_input_gives_float():
     assert isinstance(out, float)
 
 
+def test_operator_reads_the_input_at_every_call():
+    # nothing is cached per input: the next call sees the function it holds now
+    cfg = OperatorConfig(ramp(), 0.0, 1.0, 4)
+    f = FunctionInput.analytic(np.sin)
+    assert nn_eval(cfg, f, 0.5) == np.sin(0.5)
+    f.func = np.cos
+    assert nn_eval(cfg, f, 0.5) == np.cos(0.5)
+
+
 def test_tabulated_input_is_a_read_only_copy():
-    # the weight table is cached per input, so editing the caller's array
-    # must change neither the input nor what the operator returns
+    # the input owns its values, so editing the caller's array must change
+    # neither the input nor what the operator returns
     cfg = OperatorConfig(ramp(), 0.0, 1.0, 4)
     arr = np.zeros(5)
     f = FunctionInput.tabulated(arr)
