@@ -581,7 +581,11 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        if args.command != "bounds":  # bounds writes to stdout only
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise InvalidConfig(f"cannot use --out {out}: {exc.strerror}") from exc
         return _COMMANDS[args.command](cfg, out)
     except InvalidConfig as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -443,6 +443,26 @@ def test_bounds_prints_table(tmp_path, capsys):
     assert len(out.strip().splitlines()) == 3
 
 
+def test_bounds_leaves_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "never"
+    assert run(["bounds", "--function", "sin", "--n-ladder", "8", "--out", str(out)]) == 0
+    assert not out.exists()
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run(["bounds", "--function", "sin", "--n-ladder", "8", "--out", str(blocker)]) == 0
+
+
+@pytest.mark.parametrize("command", ["build", "converge", "dimension", "smooth", "holder"])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, command, below):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run([command, "--out", str(blocker / below)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot use --out")
+    assert blocker.read_text() == ""
+
+
 @pytest.mark.parametrize("command", ["converge", "bounds"])
 def test_discrete_ladder_scans_each_modulus_once(tmp_path, monkeypatch, command):
     # for n >= 2 the knot modulus is the operator modulus: one scan per step,

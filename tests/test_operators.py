@@ -4,8 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from fif.cli import main
 from fif.errors import InvalidConfig
-from fif.kernels import ramp, smooth_bump, smoothstep, xi_eval
+from fif.fractal import FifProblem, chaos_game_render, solve_fif
+from fif.kernels import kernel_from_name, ramp, smooth_bump, smoothstep, transition, xi_eval
+from fif.maps import Partition, ScalingVector
 from fif.operators import (
     FunctionInput,
     OperatorConfig,
@@ -250,3 +253,114 @@ def test_tabulated_input_is_a_read_only_copy():
     with pytest.raises(ValueError):
         f.values[0] = 1.0
     assert nn_eval(cfg, FunctionInput.tabulated(arr), 0.3) == pytest.approx(2.0)
+
+
+EPS = np.finfo(float).eps
+RENDER_GRIDS = [
+    (0.0, 1.0, 2**12), (0.0, 1.0, 5 * 2**12), (0.0, 1.0, 3 * 2**12),
+    (0.0, math.pi, 2**12), (0.0, math.pi, 15 * 2**10),
+]
+
+
+def _operator_and_derivatives(cfg, f):
+    """Evaluators of the four-layer operator and its derivatives up to r."""
+    return [lambda x: nn_eval_four_layer(cfg, f, x)] + [
+        lambda x, q=q: nn_eval_derivative(cfg, f, q, x) for q in range(1, cfg.r + 1)
+    ]
+
+
+@pytest.mark.parametrize("name", ["ramp", "smoothstep:2", "bump"])
+@pytest.mark.parametrize("n", [1, 3, 32, 256])
+@pytest.mark.parametrize(
+    "a, b, cells", RENDER_GRIDS,
+    ids=["2^12", "5*2^12", "3*2^12", "pi-2^12", "pi-15*2^10"],
+)
+def test_render_grid_path_matches_the_pointwise_path(name, n, a, b, cells):
+    """A 1-d ``linspace(a, b, n M + 1)`` takes the grid path, which uses the
+    exact offsets ``j / M``; a 2-d view of it is bracketed point by point,
+    which rounds each offset from ``x``.  Where that rounding is exact
+    (power-of-two cells on [0, 1]: ``h`` and every ``x`` are dyadic) the two
+    agree bit for bit.  Elsewhere the shifted offset redraws the rounding of
+    the Leibniz sum, whose terms reach ``C(q, i) max|P^(i)| h^-i |T^(q-i)|``
+    and cancel to the result: the paths differ by at most 32 roundings of
+    that term size, times ``b - a`` for the shift that rounding ``x`` adds.
+    ``n`` not dividing ``cells`` keeps the pointwise path on both sides."""
+    kernel = kernel_from_name(name)
+    x = np.linspace(a, b, cells + 1)
+    exact = (a, b) == (0.0, 1.0) and cells & (cells - 1) == 0
+    f = FunctionInput.analytic(np.sin, (np.cos, lambda t: -np.sin(t)))
+    profile = np.linspace(0.0, 1.0, 4097)
+    for r in range(min(2, kernel.smoothness) + 1):
+        cfg = OperatorConfig(kernel, a, b, n, r)
+        p_max = [np.max(np.abs(transition(kernel, i, profile))) for i in range(r + 1)]
+        # every derivative of sin is at most 1, so |T_k^(j)| <= sum_l h^l / l!
+        t_max = [sum(cfg.h**l / math.factorial(l) for l in range(r + 1 - j)) for j in range(r + 1)]
+        for q, evaluate in enumerate(_operator_and_derivatives(cfg, f)):
+            grid, pointwise = evaluate(x), evaluate(x[None, :])[0]
+            if exact or cells % n:
+                assert np.array_equal(grid, pointwise), (r, q)
+                continue
+            terms = sum(math.comb(q, i) * p_max[i] / cfg.h**i * t_max[q - i] for i in range(q + 1))
+            gap = np.max(np.abs(grid - pointwise))
+            assert gap <= 32 * EPS * max(1.0, b - a) * terms, (r, q, gap)
+
+
+@pytest.mark.parametrize(
+    "kernel, n, r, cells",
+    [(smooth_bump(), 256, 2, 4 * 2**15), (ramp(), 1, 0, 2**20)],
+    ids=["smooth-bump", "dimension"],
+)
+def test_benchmark_shapes_take_the_grid_path_bit_for_bit(kernel, n, r, cells):
+    cfg = OperatorConfig(kernel, 0.0, 1.0, n, r)
+    f = FunctionInput.analytic(np.exp, (np.exp, np.exp))
+    x = np.linspace(0.0, 1.0, cells + 1)
+    for evaluate in _operator_and_derivatives(cfg, f):
+        assert np.array_equal(evaluate(x), evaluate(x[None, :])[0])
+
+
+def _record_profile_sizes(monkeypatch):
+    import fif.operators
+
+    sizes, real = [], fif.operators.transition
+    monkeypatch.setattr(
+        fif.operators, "transition", lambda k, d, t: sizes.append(np.size(t)) or real(k, d, t)
+    )
+    return sizes
+
+
+def test_render_grid_runs_the_profile_once_per_node_cell(tmp_path, monkeypatch):
+    # 4 * 2^15 cells over n = 256 node cells: the profile never sees more than
+    # the M = 512 offsets of one node cell plus the end point
+    sizes = _record_profile_sizes(monkeypatch)
+    argv = ["smooth", "--function", "sin", "--kernel", "bump", "--n", "256", "--r", "2",
+            "--alpha", "0.05", "--grid-exp", "15", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert sizes and max(sizes) <= 4 * 2**15 // 256 + 1
+
+
+def _pointwise_expression(cfg, values, x):
+    """The order-0 blend with each offset rounded from ``x``, as bracketing does."""
+    u = (np.clip(x, cfg.a, cfg.b) - cfg.a) / cfg.h
+    near = np.round(u)
+    u = np.where(np.abs(u - near) <= 1e-12 * max(1.0, cfg.n), near, u)
+    u = np.clip(u, 0.0, float(cfg.n))
+    klo = np.minimum(np.floor(u).astype(np.int64), cfg.n - 1)
+    p = transition(cfg.kernel, 0, u - klo)
+    return values[klo] * (1.0 - p) + values[klo + 1] * p
+
+
+def test_off_grid_points_keep_the_pointwise_path(monkeypatch):
+    cfg = OperatorConfig(smooth_bump(), 0.0, 1.0, 32)
+    alpha = ScalingVector.constant([0.3, 0.3])
+    base = FunctionInput.analytic(np.sin)
+    uniform = FifProblem(Partition.uniform(0.0, 1.0, 2), alpha, cfg, base)
+    skewed = FifProblem(Partition(np.array([0.0, 0.3, 1.0])), alpha, cfg, base)
+    orbit, _ = chaos_game_render(uniform, 2000, seed=5)
+    closed = solve_fif(skewed, cells=2 * 2**10).grid  # G_K: 2^11 cells, not uniform
+    coarse = np.linspace(0.0, 1.0, 1001)  # 32 does not divide 1000 cells
+    values = np.random.default_rng(2).standard_normal(cfg.n + 1)
+    f = FunctionInput.tabulated(values)
+    for x in (orbit, closed, coarse):
+        sizes = _record_profile_sizes(monkeypatch)
+        assert np.array_equal(nn_eval(cfg, f, x), _pointwise_expression(cfg, values, x))
+        assert sizes == [x.size]
