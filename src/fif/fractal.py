@@ -19,30 +19,29 @@ subinterval ``i``.  Three variants differ only in what plays the roles of
               alpha_i / s_i^k
 
 Solving works on a render grid that every pre-image map sends into
-itself.  On a uniform partition that is the uniform grid: the pre-image of
-grid point ``g`` in subinterval ``i`` is grid point ``N g - (i - 1) cells``.
-On any other partition it is ``G_K``, the images of the endpoints under all
-depth-``K`` compositions of the maps (Barnsley 1986): ``N^K + 1`` points,
-built one level at a time, whose stride-``N`` subgrid is ``G_{K-1}``, so the
-same index formula holds.  Either way the discrete equation reads
-``phi = c * phi[k] + o`` over integer indices ``k``, and the solve's
-constants are read off these arrays: ``contraction`` is ``max|c|``, which
-must be below 1, and the ends carry ``c = 0`` and the height's values.
-With ``N^K`` the largest power of ``N`` dividing the cell count, the
-stride-``N^K`` points form a closed coarse grid.  There the update composed
-with itself has the same form, so pointer jumping (Wyllie 1979) reaches
-Picard iterate ``p`` in ``log2 p`` array passes.  A point of stride
-``t < N^K`` has its pre-image at stride ``N t``, so one strided sweep per
-level fills the rest with iterate ``p + K``, the exact discrete fixed point
-when the coarse grid is the two ends (always on ``G_K``).  The solve stops
-at an iterate that one further sweep moves by at most
-``tol * (1 - contraction)``, which leaves it within ``tol`` of the fixed
-point in sup norm.
+itself: the uniform grid on a uniform partition, else ``G_K``, the images
+of the endpoints under all depth-``K`` compositions of the maps (Barnsley
+1986), ``N^K + 1`` points whose stride-``N`` subgrid is ``G_{K-1}``.  On
+both, with ``M = cells / N``, point ``(i - 1) M + t`` is ``L_i`` of point
+``N t``, so every piece reads its pre-images from one strided view: the
+discrete equation reads ``phi[1:] = c * phi[N::N] + o`` with ``c`` and
+``o`` viewed as ``N`` rows of ``M``, and ``phi[0] = o[0]``.
+``contraction`` is ``max|c|`` over every grid point, which must be below 1;
+the ends then carry ``c = 0`` and the height's values.  With ``N^K`` the
+largest power of ``N`` dividing the cell count, the stride-``N^K`` points
+form a closed coarse grid.  There the update composed with itself has the
+same form over an explicit pre-image index, so pointer jumping (Wyllie
+1979) reaches Picard iterate ``p`` in ``log2 p`` array passes.  A point of
+stride ``t < N^K`` has its pre-image at stride ``N t``, so the same sweep
+on every ``t``-th point fills each level with iterate ``p + K``, the exact
+discrete fixed point when the coarse grid is the two ends (always on
+``G_K``).  The solve stops at an iterate that one further sweep moves by at
+most ``tol * (1 - contraction)``, within ``tol`` of the fixed point.
 
 The random-orbit render (chaos game) follows one seeded orbit of the
 iterated function system instead.  Its x-orbit and its y-recurrence are
 first-order affine recurrences along the orbit, so the same doubling
-applies with index ``t - w`` in place of ``k``: a slice-based scan solves
+applies with index ``t - w`` as the pre-image: a slice-based scan solves
 each in at most ``log2`` of the orbit length array passes, and stops early
 once every window's coefficient product has underflowed to exactly zero.
 """
@@ -228,24 +227,32 @@ def _render_grid(part, cells):
 
 
 class _GridPlan:
-    """The update ``phi -> coeff * phi[k] + height - coeff * base[k]`` on a
-    grid that every pre-image map sends onto itself.  ``contraction`` is
-    ``max|coeff|``; the end coefficients are then zeroed, so the ends keep
-    the height's values.  Owns ``coeff`` and ``height``; writes neither."""
+    """The update ``phi -> coeff * phi[pre] + height - coeff * base[pre]`` on
+    a closed grid, whose ``N`` rows of points ``1..cells`` share pre-images
+    ``N::N``.  ``contraction`` is ``max|coeff|`` over every point; the end
+    coefficients are then zeroed.  Owns ``coeff`` and ``height``; writes neither."""
 
-    __slots__ = ("k", "coeff", "offset", "height", "contraction", "n_sub")
+    __slots__ = ("coeff", "offset", "height", "contraction", "n_sub")
 
-    def __init__(self, k, coeff, height, base, n_sub):
+    def __init__(self, coeff, height, base, n_sub):
         self.contraction = _contraction(coeff)
         coeff[0] = coeff[-1] = 0.0
-        self.offset = height - coeff * base[k]
-        self.coeff = coeff
-        self.k = k
-        self.height = height
-        self.n_sub = n_sub
+        self.coeff, self.height, self.n_sub = coeff, height, n_sub
+        self.offset = height.copy()
+        rows = self.offset[1:].reshape(n_sub, -1)
+        rows -= coeff[1:].reshape(n_sub, -1) * base[n_sub::n_sub]
 
-    def apply(self, values):
-        return self.coeff * values[self.k] + self.offset
+    def apply(self, values, out=None, s=1):
+        """The update of ``values`` at the stride-``s`` points, which read
+        stride ``N s``, written into ``out`` (new by default) and returned;
+        ``out`` may be ``values``: NumPy buffers an overlapping input."""
+        out = np.empty_like(self.offset) if out is None else out
+        rows = out[s::s].reshape(self.n_sub, -1)
+        np.multiply(self.coeff[s::s].reshape(self.n_sub, -1),
+                    values[self.n_sub * s :: self.n_sub * s], out=rows)
+        rows += self.offset[s::s].reshape(self.n_sub, -1)
+        out[0] = self.offset[0]
+        return out
 
     def solve(self, tol, max_sweeps):
         """Picard iterate ``m <= max_sweeps`` from the height that the sweep
@@ -262,16 +269,17 @@ class _GridPlan:
         threshold = tol * (1.0 - self.contraction)
         nxt = self.apply(self.height)
         change = float(np.max(np.abs(nxt - self.height)))
-        n, steps, coarse, levels = 0, 1, self.k.size - 1, 0
+        n, steps, coarse, levels = 0, 1, self.coeff.size - 1, 0
         if change > threshold:
             while coarse % self.n_sub == 0:
                 coarse, levels = coarse // self.n_sub, levels + 1
             if levels + 1 >= max_sweeps:  # the budget cannot fit the fill
-                coarse, levels = self.k.size - 1, 0
+                coarse, levels = self.coeff.size - 1, 0
             s = self.n_sub**levels
             # the coarse grid is closed, so nxt[::s] is its own iterate 1
             gap = float(np.max(np.abs(nxt[::s] - self.height[::s])))
-            coeff, offset, k = self.coeff[::s].copy(), self.offset[::s].copy(), self.k[::s] // s
+            coeff, offset = self.coeff[::s].copy(), self.offset[::s].copy()
+            k = _grid_index(self.n_sub, coarse)[1]
             # the sweep after iterate p moves it by |coeff_p * (phi_1 - phi_0)[k_p]|,
             # at most max|coeff_p| * gap: doubling stops once that bound passes
             p = int(gap > threshold and levels + 1 < max_sweeps)
@@ -286,7 +294,7 @@ class _GridPlan:
             del coeff, offset, k  # the fill and the single sweeps need only the plan
             while s > 1:
                 s //= self.n_sub
-                phi[::s] = self.coeff[::s] * phi[self.k[::s]] + self.offset[::s]
+                self.apply(phi, out=phi, s=s)
             nxt = self.apply(phi)
             change = float(np.max(np.abs(nxt - phi)))
             n, steps = p + levels, steps + (levels > 0)
@@ -322,22 +330,25 @@ def _validate_cells(problem, cells):
 
 
 def _build_plan(problem, cells):
-    """The level-0 update on the render grid: ``(plan, grid, i_idx, base)``.
+    """The level-0 update on the render grid: ``(plan, grid, base)``.
 
-    The grid is closed under every pre-image map, so ``base`` at a pre-image
-    is a gather from ``base`` on the grid and no value is interpolated.
+    Every piece reads its pre-images from the strided view ``x[N::N]``, so
+    no value is interpolated; ``alpha_i`` is evaluated once per piece on
+    ``x[::N]``, which adds point 0, its own pre-image under ``L_1``.
     """
     part = problem.partition
     pieces = _assemble(problem)
     x = _render_grid(part, cells)
     height = pieces.height_eval(x)
     base = pieces.base_eval(x)
-    i_idx, k = _grid_index(part.size, x.size - 1)
-    plan = _GridPlan(k, problem.scaling.values_at(i_idx, x[k]), height, base, part.size)
-    return plan, x, i_idx, base
+    alpha = problem.scaling.values_at(np.arange(1, part.size + 1)[:, None], x[:: part.size])
+    coeff = np.empty_like(x)
+    coeff[0] = alpha[0, 0]
+    coeff[1:].reshape(part.size, -1)[...] = alpha[:, 1:]
+    return _GridPlan(coeff, height, base, part.size), x, base
 
 
-def _derivative_levels(problem, k, x, i_idx, matching_tol):
+def _derivative_levels(problem, x, matching_tol):
     """Plans of levels ``1..r`` of a smooth problem on the level-0 grid ``x``,
     with their diagnostics: ``{order: (plan, info)}``.  Each order's junction
     data are read off the grid at the knots and compared at once; the end
@@ -367,7 +378,8 @@ def _derivative_levels(problem, k, x, i_idx, matching_tol):
             )
         identity_gap = (float(abs(y0 - fj[0])), float(abs(y1 - fj[-1])))
         fj[0], fj[-1] = y0, y1
-        plan = _GridPlan(k, (alphas / sj)[i_idx - 1], fj, dbase, part.size)
+        coeff = np.repeat(alphas / sj, knots[1])
+        plan = _GridPlan(np.r_[coeff[0], coeff], fj, dbase, part.size)
         levels[j] = (plan, {
             "contraction": plan.contraction,
             "matching_residual": float(np.max(gap)),
@@ -385,7 +397,7 @@ def _knot_checks(problem, values, height, base_at_a):
     part = problem.partition
     inner = np.arange(1, part.size)
     at = inner * ((values.size - 1) // part.size)
-    alpha_r = problem.scaling.values_at(inner + 1, np.full(inner.size, part.a))
+    alpha_r = problem.scaling.values_at(inner + 1, part.a)
     right = alpha_r * values[0] + height[at] - alpha_r * base_at_a
     cont_max = float(np.max(np.abs(values[at] - right)))
     knot_max = float(np.max(np.abs(values[at] - height[at])))
@@ -416,9 +428,9 @@ def solve_fif(problem: FifProblem, cells=None, tol=DEFAULT_TOL,
         raise InvalidConfig("tolerance must be positive")
     if not max_sweeps >= 1:
         raise InvalidConfig("sweep budget must be at least 1")
-    plan, x, i_idx, base = _build_plan(problem, cells)
+    plan, x, base = _build_plan(problem, cells)
     smooth = problem.variant == "smooth"
-    levels = _derivative_levels(problem, plan.k, x, i_idx, matching_tol) if smooth else {}
+    levels = _derivative_levels(problem, x, matching_tol) if smooth else {}
     values, stats = plan.solve(tol, max_sweeps)
     cont_max, knot_max, checked = _knot_checks(problem, values, plan.height, base[0])
     diagnostics = {
@@ -455,7 +467,8 @@ def rb_apply(problem: FifProblem, phi: SampledFunction) -> SampledFunction:
     ``phi`` must share the problem interval and match the endpoint data;
     anything else is outside the function class the update acts on.  The
     partition must be uniform: that closes the uniform grid of ``phi`` for
-    any cell count, so the sweep gathers exactly.
+    any cell count, so the sweep is an exact ``_grid_index`` gather, the
+    reference for the strided solve.
     """
     part = problem.partition
     if not part.is_uniform:
@@ -463,11 +476,18 @@ def rb_apply(problem: FifProblem, phi: SampledFunction) -> SampledFunction:
     span = part.b - part.a
     if abs(phi.a - part.a) > 1e-12 * span or abs(phi.b - part.b) > 1e-12 * span:
         raise InvalidConfig("sampled function must live on the problem interval")
-    plan = _build_plan(problem, phi.cells)[0]
-    beta = plan.height[[0, -1]]
+    pieces = _assemble(problem)
+    x = _render_grid(part, phi.cells)
+    height = pieces.height_eval(x)
+    i_idx, k = _grid_index(part.size, phi.cells)
+    coeff = problem.scaling.values_at(i_idx, x[k])
+    _contraction(coeff)
+    coeff[0] = coeff[-1] = 0.0
+    beta = height[[0, -1]]
     if np.any(np.abs(phi.values[[0, -1]] - beta) > 1e-9 * max(1.0, *np.abs(beta))):
         raise InvalidConfig("phi is not in the endpoint-matching class X_{beta1}^{beta2}")
-    return SampledFunction(part.a, part.b, plan.apply(phi.values))
+    offset = height - coeff * pieces.base_eval(x)[k]
+    return SampledFunction(part.a, part.b, coeff * phi.values[k] + offset)
 
 
 def _affine_scan(coeff, offset):

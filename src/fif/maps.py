@@ -141,12 +141,11 @@ class ScalingVector:
         return np.asarray([float(e) for e in self.entries])
 
     def values_at(self, i, x):
-        """alpha_i(x) with a per-point 1-based index array."""
-        i = np.asarray(i)
+        """alpha_i(x), with the 1-based indices ``i`` broadcast against ``x``."""
+        i, x = np.broadcast_arrays(np.asarray(i), np.asarray(x, dtype=float))
         if self.is_constant:
             return self.constants()[i - 1]
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
+        out = np.empty(x.shape)
         owner = self._owner[i - 1]
         for j, e in enumerate(self._distinct):
             mask = owner == j

@@ -785,6 +785,15 @@ def test_linear_scaling_family_builds(tmp_path):
     assert diag["contraction"] == 0.7
 
 
+def test_contraction_counts_both_end_coefficients(tmp_path):
+    # linear:0.9,0.1 reaches 0.9 only at point 0, its own pre-image under
+    # L_1, whose coefficient the solve zeroes after reading the contraction
+    argv = ["build", "--alpha", "linear:0.9,0.1", "--N", "3", "--grid-exp", "8"]
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    diag = json.loads((tmp_path / "meta.json").read_text())["diagnostics"]
+    assert diag["contraction"] == 0.9
+
+
 @pytest.mark.parametrize("error", [fif.MatchingConditionError, fif.CrossCheckError])
 def test_failed_solver_cross_check_exits_4_with_one_error_line(
     tmp_path, capsys, monkeypatch, error

@@ -12,6 +12,7 @@ from fif.errors import (
     MatchingConditionError,
     NonConvergence,
 )
+from fif import fractal
 from fif.fractal import (
     MATCHING_TOL,
     FifProblem,
@@ -436,8 +437,8 @@ def test_level_fill_solves_both_smooth_derivative_levels(count, cells, coarse, l
     res = solve_fif(prob, cells=cells, tol=tol)
     exact = exact_grid(prob, cells)
     g = np.arange(0, cells + 1, 5)
-    plan0, x, i_idx, _ = _build_plan(prob, cells)
-    plans = _derivative_levels(prob, plan0.k, x, i_idx, MATCHING_TOL)
+    x = _build_plan(prob, cells)[1]
+    plans = _derivative_levels(prob, x, MATCHING_TOL)
     for j in (1, 2):
         info = res.diagnostics["derivative_levels"][j]
         assert (info["coarse_cells"], info["fill_levels"]) == (coarse, levels)
@@ -453,6 +454,55 @@ def test_level_fill_solves_both_smooth_derivative_levels(count, cells, coarse, l
             if moved <= threshold:
                 break
         assert np.max(np.abs(res.derivatives[j] - phi)) <= 2 * tol
+
+
+def recorded_index_cells(monkeypatch):
+    calls = []
+    grid_index = fractal._grid_index
+
+    def recorded(n_sub, cells):
+        calls.append(cells)
+        return grid_index(n_sub, cells)
+
+    monkeypatch.setattr(fractal, "_grid_index", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("shape, cells, coarse", [
+    ("dimension", 4**5, 1),
+    ("converge", 5 * 2**6, 64),
+    ("smooth", 4 * 2**5, 2),
+])
+def test_solve_indexes_only_the_coarse_grid(monkeypatch, shape, cells, coarse):
+    # every sweep and fill level reads one strided view; only pointer jumping
+    # on the c + 1 coarse points builds an explicit pre-image index
+    if shape == "converge":
+        prob = sine_problem(alpha=0.95, n=16, count=5, b=1.0)
+    else:
+        part = Partition.uniform(0.0, 1.0, 4)
+        if shape == "dimension":
+            prob = FifProblem(part, ScalingVector.broadcast(0.55, 4),
+                              OperatorConfig(ramp(), 0.0, 1.0, 1), make_function("poly:0,1,-1"))
+        else:  # r = 2 with alpha below slope^2, as in the level-fill test above
+            prob = FifProblem(part, ScalingVector.broadcast(0.7 * part.slopes[0] ** 2, 4),
+                              OperatorConfig(smoothstep(2), 0.0, 1.0, 8, r=2),
+                              make_function("sin"), "smooth")
+    calls = recorded_index_cells(monkeypatch)
+    res = solve_fif(prob, cells=cells, tol=1e-10)
+    solves = [res.diagnostics, *res.diagnostics.get("derivative_levels", {}).values()]
+    assert [d["coarse_cells"] for d in solves] == [coarse] * len(solves)
+    assert calls == [coarse] * len(solves)
+
+
+def test_only_a_budget_below_the_fill_indexes_the_whole_grid(monkeypatch):
+    # K = 4 fill levels: a budget of K + 1 sweeps doubles on the whole grid
+    prob = sine_problem(alpha=0.9, n=16, count=4, b=1.0)
+    calls = recorded_index_cells(monkeypatch)
+    for budget, coarse in [(5, 4**4), (6, 1)]:
+        calls.clear()
+        res = solve_fif(prob, cells=4**4, tol=1e-12, max_sweeps=budget)
+        assert res.diagnostics["coarse_cells"] == coarse
+        assert calls == [coarse]
 
 
 @pytest.mark.parametrize("count, cells, levels, budget", [
@@ -519,6 +569,36 @@ def test_apply_on_a_grid_the_piece_count_does_not_divide():
     want = alpha * phi(pre) + np.sin(x) - alpha * nn_eval(prob.operator, prob.f, pre)
     want[0], want[-1] = np.sin(0.0), np.sin(1.0)
     assert np.max(np.abs(out.values - want)) <= 1e-13
+
+
+def linear_scaling(count, lo, hi):
+    # the CLI's linear:lo,hi family on [0, 1]
+    fn = lambda x: lo + (hi - lo) * np.asarray(x)
+    return ScalingVector([fn] * count, domain=(0.0, 1.0))
+
+
+@pytest.mark.parametrize("scaling", ["constant", "sine", "linear"])
+@pytest.mark.parametrize("count", [2, 3, 4, 5, 8])
+def test_strided_sweep_is_bitwise_the_reference_gather(count, scaling):
+    part = Partition.uniform(0.0, 1.0, count)
+    sv = {
+        "constant": ScalingVector.constant(np.linspace(0.6, -0.5, count)),
+        "sine": sine_scaling(count, 0.7),
+        "linear": linear_scaling(count, 0.9, 0.1),
+    }[scaling]
+    prob = FifProblem(part, sv, OperatorConfig(ramp(), 0.0, 1.0, 16), make_function("exp"))
+    cells = count**2 * 2**5
+    plan, x, _ = _build_plan(prob, cells)
+    phi = np.exp(x) + x * (1.0 - x) * np.cos(7.0 * x)
+    want = rb_apply(prob, SampledFunction(0.0, 1.0, phi)).values
+    assert plan.apply(phi).tobytes() == want.tobytes()
+    # a fill level writes the stride-s points in place while reading stride N s
+    for s in (count, count * 2):
+        filled = phi.copy()
+        assert plan.apply(filled, filled, s) is filled
+        assert filled[::s].tobytes() == want[::s].tobytes()
+        kept = np.arange(cells + 1) % s != 0
+        assert filled[kept].tobytes() == phi[kept].tobytes()
 
 
 def test_uniform_grid_helpers_refuse_non_uniform_partitions():
