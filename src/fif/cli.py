@@ -291,8 +291,7 @@ def cmd_build(cfg: RunConfig, out: Path) -> int:
         )
     _write_json(out / "meta.json", _meta(cfg, results, res.diagnostics))
     print(
-        f"build: {res.iterations} sweeps ({_solve_summary(res)}), "
-        f"residual {res.residual:.3e}, "
+        f"build: {res.iterations} sweeps, residual {res.residual:.3e}, "
         f"wrote {out / 'fif.csv'} and {out / 'meta.json'}"
     )
     return 0
@@ -403,8 +402,8 @@ def cmd_smooth(cfg: RunConfig, out: Path) -> int:
     }
     _write_json(out / "meta.json", _meta(cfg, results, res.diagnostics))
     print(
-        f"smooth: order {cfg.order}, {res.iterations} sweeps "
-        f"({_solve_summary(res)}), residual {res.residual:.3e}"
+        f"smooth: order {cfg.order}, {res.iterations} sweeps, "
+        f"residual {res.residual:.3e}"
     )
     return 0
 
@@ -484,11 +483,6 @@ def _discrete_bound(sup, dense, span, n, om):
     return error_bound_discrete(sup, om, om_k)
 
 
-def _solve_summary(res) -> str:
-    d = res.diagnostics
-    return f"{d['solve_method']} in {d['solve_steps']} steps"
-
-
 def _parse_ladder(spec: str):
     try:
         ladder = [int(v) for v in spec.split(",") if v.strip()]
@@ -557,8 +551,9 @@ def _make_parser() -> argparse.ArgumentParser:
             "--grid-exp", dest="grid_exp", type=int,
             help="render cells = N * 2^this",
         )
-        p.add_argument("--tol", type=float, help="fixed-point tolerance")
-        p.add_argument("--max-iters", dest="max_iters", type=int)
+        p.add_argument("--tol", type=float, help="bound on the distance to the fixed point")
+        p.add_argument("--max-iters", dest="max_iters", type=int,
+                       help="doubling passes per solve (N^K cells need none)")
         p.add_argument("--seed", type=int, help="random-orbit seed")
         p.add_argument("--mu", type=float, help="roughness exponent")
         p.add_argument("--n-ladder", dest="n_ladder", help="e.g. 8,16,32,64")

@@ -10,9 +10,11 @@ class InvalidConfig(FifError, ValueError):
 
 
 class NonConvergence(FifError, RuntimeError):
-    """Fixed-point iteration hit the sweep budget before the tolerance.
+    """The certifying sweep moved the solve's result by more than
+    ``tol * (1 - contraction)``, mostly because the doubling budget ran out.
 
-    Carries the best iterate so callers can inspect how far the solve got.
+    Carries that sweep's iterate as ``values``, its move as ``residual`` and
+    ``passes + K + 1`` as ``iterations``, so callers can see how far it got.
     """
 
     def __init__(self, message, values=None, residual=None, iterations=None):

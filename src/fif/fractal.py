@@ -31,19 +31,21 @@ the ends then carry ``c = 0`` and the height's values.  With ``N^K`` the
 largest power of ``N`` dividing the cell count, the stride-``N^K`` points
 form a closed coarse grid.  There the update composed with itself has the
 same form over an explicit pre-image index, so pointer jumping (Wyllie
-1979) reaches Picard iterate ``p`` in ``log2 p`` array passes.  A point of
+1979) squares every coefficient per array pass until none exceeds the unit
+roundoff: the coarse values are then the fixed point up to rounding, at
+once when the coarse grid is the two ends (always on ``G_K``).  A point of
 stride ``t < N^K`` has its pre-image at stride ``N t``, so the same sweep
-on every ``t``-th point fills each level with iterate ``p + K``, the exact
-discrete fixed point when the coarse grid is the two ends (always on
-``G_K``).  The solve stops at an iterate that one further sweep moves by at
-most ``tol * (1 - contraction)``, within ``tol`` of the fixed point.
+on every ``t``-th point fills each level from the one above.  One further
+sweep certifies the result: it moves it by the residual, which must be at
+most ``tol * (1 - contraction)``, so the result is within ``tol`` of the
+fixed point.
 
 The random-orbit render (chaos game) follows one seeded orbit of the
 iterated function system instead.  Its x-orbit and its y-recurrence are
 first-order affine recurrences along the orbit, so the same doubling
 applies with index ``t - w`` as the pre-image: a slice-based scan solves
 each in at most ``log2`` of the orbit length array passes, and stops early
-once every window's coefficient product has underflowed to exactly zero.
+once every window's coefficient product is at most the same unit roundoff.
 """
 
 from __future__ import annotations
@@ -76,6 +78,9 @@ VARIANTS = ("alpha", "discrete", "smooth")
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_SWEEPS = 1000
 MATCHING_TOL = 1e-8
+# unit roundoff of a double: a composed coefficient at or below it changes
+# no result by more than rounding, so doubling stops there
+ROUNDOFF = 2.0**-53
 # junction continuity tolerance, relative to the render's sup norm (at least 1)
 KNOT_TOL = 1e-9
 # orbit steps the random-orbit render discards before its first point
@@ -255,63 +260,43 @@ class _GridPlan:
         return out
 
     def solve(self, tol, max_sweeps):
-        """Picard iterate ``m <= max_sweeps`` from the height that the sweep
-        producing it moved by at most ``tol * (1 - contraction)``.
-
-        Returns ``(values, stats)`` or raises ``NonConvergence``.  Doubling
-        takes the power ``p`` to ``2 p`` in one pass over the coarse grid of
-        ``c = cells / N^K`` cells (``N`` not dividing ``c``) until iterate
-        ``p`` is close enough or the next step would pass the budget; one
-        strided sweep per level then fills strides ``N^(K-1), ..., 1`` with
-        iterate ``p + K``, and single sweeps go on from it.  A budget below
-        ``K + 2`` doubles on the whole grid: ``stats`` records the split used.
+        """Pointer jumping on the closed coarse grid of ``C = cells / N^K``
+        cells until no composed coefficient exceeds ``ROUNDOFF`` (none does
+        when ``C = 1``) or ``max_sweeps`` passes are spent, one strided sweep
+        per level to fill strides ``N^(K-1), ..., 1``, then a certifying
+        sweep whose move is ``residual``.  Returns ``(values, stats)``, or
+        raises ``NonConvergence`` if ``residual > tol * (1 - contraction)``.
         """
+        coarse, levels = self.coeff.size - 1, 0
+        while coarse % self.n_sub == 0:
+            coarse, levels = coarse // self.n_sub, levels + 1
+        s = self.n_sub**levels
+        coeff, offset = self.coeff[::s].copy(), self.offset[::s].copy()
+        k = _grid_index(self.n_sub, coarse)[1]
+        passes = 0
+        while passes < max_sweeps and np.max(np.abs(coeff)) > ROUNDOFF:
+            offset += coeff * offset[k]
+            coeff *= coeff[k]
+            k = k[k]
+            passes += 1
+        phi = np.empty_like(self.height)
+        phi[::s] = coeff * self.height[::s][k] + offset
+        del coeff, offset, k  # the fill and the certifying sweep need only the plan
+        while s > 1:
+            s //= self.n_sub
+            self.apply(phi, out=phi, s=s)
+        nxt = self.apply(phi)
+        residual = float(np.max(np.abs(nxt - phi)))
         threshold = tol * (1.0 - self.contraction)
-        nxt = self.apply(self.height)
-        change = float(np.max(np.abs(nxt - self.height)))
-        n, steps, coarse, levels = 0, 1, self.coeff.size - 1, 0
-        if change > threshold:
-            while coarse % self.n_sub == 0:
-                coarse, levels = coarse // self.n_sub, levels + 1
-            if levels + 1 >= max_sweeps:  # the budget cannot fit the fill
-                coarse, levels = self.coeff.size - 1, 0
-            s = self.n_sub**levels
-            # the coarse grid is closed, so nxt[::s] is its own iterate 1
-            gap = float(np.max(np.abs(nxt[::s] - self.height[::s])))
-            coeff, offset = self.coeff[::s].copy(), self.offset[::s].copy()
-            k = _grid_index(self.n_sub, coarse)[1]
-            # the sweep after iterate p moves it by |coeff_p * (phi_1 - phi_0)[k_p]|,
-            # at most max|coeff_p| * gap: doubling stops once that bound passes
-            p = int(gap > threshold and levels + 1 < max_sweeps)
-            while p and 2 * p + levels < max_sweeps and np.max(np.abs(coeff)) * gap > threshold:
-                offset += coeff * offset[k]
-                coeff *= coeff[k]
-                k = k[k]
-                p *= 2
-                steps += 1
-            phi = np.empty_like(self.height)
-            phi[::s] = coeff * self.height[::s][k] + offset if p else self.height[::s]
-            del coeff, offset, k  # the fill and the single sweeps need only the plan
-            while s > 1:
-                s //= self.n_sub
-                self.apply(phi, out=phi, s=s)
-            nxt = self.apply(phi)
-            change = float(np.max(np.abs(nxt - phi)))
-            n, steps = p + levels, steps + (levels > 0)
-        while change > threshold and n + 1 < max_sweeps:
-            phi = nxt
-            nxt = self.apply(phi)
-            change = float(np.max(np.abs(nxt - phi)))
-            n += 1
-            steps += 1
-        residual = float(np.max(np.abs(self.apply(nxt) - nxt)))
-        if change > threshold:
+        iterations = passes + levels + 1
+        if residual > threshold:
             raise NonConvergence(
-                f"no convergence in {max_sweeps} sweeps: the last sweep moved "
-                f"{change:.3e}, above tol * (1 - contraction) = {threshold:.3e}",
-                values=nxt, residual=residual, iterations=max_sweeps,
+                f"no convergence in {passes} of {max_sweeps} doubling passes: the "
+                f"certifying sweep moved {residual:.3e}, above tol * (1 - contraction) "
+                f"= {threshold:.3e}",
+                values=nxt, residual=residual, iterations=iterations,
             )
-        return nxt, {"iterations": n + 1, "steps": steps, "residual": residual,
+        return nxt, {"iterations": iterations, "residual": residual,
                      "coarse_cells": coarse, "fill_levels": levels}
 
 
@@ -348,7 +333,7 @@ def _build_plan(problem, cells):
     return _GridPlan(coeff, height, base, part.size), x, base
 
 
-def _derivative_levels(problem, x, matching_tol):
+def _derivative_levels(problem, x):
     """Plans of levels ``1..r`` of a smooth problem on the level-0 grid ``x``,
     with their diagnostics: ``{order: (plan, info)}``.  Each order's junction
     data are read off the grid at the knots and compared at once; the end
@@ -370,7 +355,7 @@ def _derivative_levels(problem, x, matching_tol):
             (alphas[:-1] * y1 + q_at_b[:-1]) / sj[:-1]
             - (alphas[1:] * y0 + q_at_a[1:]) / sj[1:]
         )
-        bad = np.flatnonzero(gap > matching_tol)
+        bad = np.flatnonzero(gap > MATCHING_TOL)
         if bad.size:
             raise MatchingConditionError(
                 f"junction data mismatch {gap[bad[0]]:.3e} at "
@@ -410,7 +395,7 @@ def _knot_checks(problem, values, height, base_at_a):
 
 
 def solve_fif(problem: FifProblem, cells=None, tol=DEFAULT_TOL,
-              max_sweeps=DEFAULT_MAX_SWEEPS, matching_tol=MATCHING_TOL):
+              max_sweeps=DEFAULT_MAX_SWEEPS):
     """Render the fixed point of ``problem`` on a dense grid, for any variant.
 
     The variant is read off the problem.  A discrete problem touches ``f``
@@ -420,17 +405,17 @@ def solve_fif(problem: FifProblem, cells=None, tol=DEFAULT_TOL,
     ``f^(k)``, base ``(Lf)^(k)`` and scaling ``alpha_i / s_i^k``.  Before any
     level is solved, the junction data of consecutive maps must agree for
     every order (the Barnsley-Harrington compatibility conditions); a
-    mismatch above ``matching_tol`` signals a kernel-smoothness or
+    mismatch above ``MATCHING_TOL`` signals a kernel-smoothness or
     derivative-data defect and raises ``MatchingConditionError``.
     """
     cells = _validate_cells(problem, cells)
     if not tol > 0:
         raise InvalidConfig("tolerance must be positive")
     if not max_sweeps >= 1:
-        raise InvalidConfig("sweep budget must be at least 1")
+        raise InvalidConfig("doubling budget must be at least 1")
     plan, x, base = _build_plan(problem, cells)
     smooth = problem.variant == "smooth"
-    levels = _derivative_levels(problem, x, matching_tol) if smooth else {}
+    levels = _derivative_levels(problem, x) if smooth else {}
     values, stats = plan.solve(tol, max_sweeps)
     cont_max, knot_max, checked = _knot_checks(problem, values, plan.height, base[0])
     diagnostics = {
@@ -438,8 +423,6 @@ def solve_fif(problem: FifProblem, cells=None, tol=DEFAULT_TOL,
         "cells": x.size - 1,
         "tol": tol,
         "contraction": plan.contraction,
-        "solve_method": "doubling",
-        "solve_steps": stats["steps"],
         "coarse_cells": stats["coarse_cells"], "fill_levels": stats["fill_levels"],
         "junction_mismatch": cont_max,
         "knots_checked": checked,
@@ -498,14 +481,15 @@ def _affine_scan(coeff, offset):
     window of ``w`` maps with the window before it (a doubling scan of affine
     maps), so after it an entry spans ``2 w`` steps and one whose span
     reaches ``t = 0`` carries coefficient 0 and its final value.  Passes stop
-    once every coefficient is exactly 0.0, where further passes would change
-    nothing (a product of 1024 factors 1/4 underflows), and in any case after
-    ``ceil(log2 n)``.  Returns the number of passes.
+    once every coefficient is at most ``ROUNDOFF`` in size, where a further
+    pass would move each value by at most its rounding (a product of 32
+    factors 1/4 is 2^-64), and in any case after ``ceil(log2 n)``.  Returns
+    the number of passes.
     """
     n = offset.size
     scratch = np.empty(n - 1)
     w, passes = 1, 0
-    while w < n and coeff[w:].any():
+    while w < n and max(coeff[w:].max(), -coeff[w:].min()) > ROUNDOFF:
         tmp = scratch[: n - w]
         np.multiply(coeff[w:], offset[:-w], out=tmp)
         offset[w:] += tmp
@@ -525,8 +509,8 @@ def chaos_game_render(problem: FifProblem, point_count: int, seed: int):
     ``y[t+1] = alpha_k(x[t]) y[t] + shift[t]`` are affine recurrences, each
     solved in place by a doubling scan (Wyllie 1979; Blelloch 1990) of at
     most ``ceil(log2(BURN_IN + point_count + 1))`` array passes, fewer once
-    the window coefficients underflow.  The result matches the step-by-step
-    loop up to rounding in the order of the additions.
+    every window coefficient is at most ``ROUNDOFF``.  The result matches the
+    step-by-step loop up to rounding.
     """
     if point_count < 1000:
         raise InvalidConfig("need at least 1000 points")

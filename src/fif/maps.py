@@ -23,7 +23,9 @@ class Partition:
     __slots__ = ("knots", "slopes", "intercepts")
 
     def __init__(self, knots):
-        knots = np.asarray(knots, dtype=float)
+        # a private read-only copy keeps knots in step with slopes and intercepts
+        knots = np.array(knots, dtype=float)
+        knots.flags.writeable = False
         if knots.ndim != 1 or knots.size < 3:
             raise InvalidConfig("need at least 3 knots (2 subintervals)")
         if not np.all(np.isfinite(knots)):

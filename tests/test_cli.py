@@ -186,7 +186,9 @@ def test_malformed_config_exits_2(tmp_path, config):
     assert run(["build", "--config", str(path), "--out", str(tmp_path)]) == 2
 
 
-def test_build_reports_the_solve_method(tmp_path, capsys):
+def test_build_reports_the_solve_split(tmp_path, capsys):
+    # 5 * 2^6 cells: a coarse grid of 64 cells and one fill level; 0.9^(2^9)
+    # is the first composed coefficient below the roundoff
     code = run(
         [
             "build", "--function", "sin", "--N", "5", "--alpha", "0.9",
@@ -194,21 +196,30 @@ def test_build_reports_the_solve_method(tmp_path, capsys):
         ]
     )
     assert code == 0
-    diag = json.loads((tmp_path / "meta.json").read_text())["diagnostics"]
-    assert diag["solve_method"] == "doubling"
-    assert "predicted_sweeps" not in diag
-    assert f"doubling in {diag['solve_steps']} steps" in capsys.readouterr().out
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    diag = meta["diagnostics"]
+    assert (diag["coarse_cells"], diag["fill_levels"]) == (64, 1)
+    assert meta["results"]["iterations"] == 9 + 1 + 1
+    assert "predicted_sweeps" not in diag and "solve_method" not in diag
+    assert capsys.readouterr().out.startswith("build: 11 sweeps, residual ")
 
 
 def test_nonconvergence_exit_3(tmp_path):
+    # one doubling pass cannot finish the 64-cell coarse grid of N = 5
     code = run(
         [
-            "build", "--function", "sin", "--alpha", "0.9", "--N", "4",
-            "--n", "16", "--grid-exp", "6", "--tol", "1e-15",
+            "build", "--function", "sin", "--alpha", "0.9", "--N", "5",
+            "--n", "16", "--grid-exp", "6",
             "--max-iters", "1", "--out", str(tmp_path),
         ]
     )
     assert code == 3
+
+
+def test_slow_contraction_converges_in_the_default_budget(tmp_path):
+    # Picard would contract by 0.999 per sweep on this 16384-cell coarse grid
+    argv = ["build", "--function", "sin", "--N", "5", "--alpha", "0.999", "--grid-exp", "14"]
+    assert run(argv + ["--out", str(tmp_path)]) == 0
 
 
 def test_converge_ladder(tmp_path):
@@ -760,13 +771,13 @@ def test_overflowing_function_prints_only_the_error(tmp_path):
 
 
 def test_nonconvergence_names_the_sweep_that_failed(tmp_path, capsys):
-    # the iterate after the failing sweep has a residual below tol (6.661e-16
-    # here), so the message quotes the sweep's move and the threshold it missed
-    argv = ["build", "--function", "weier", "--alpha", "0.99", "--max-iters", "3"]
+    # three passes leave 0.99^8 on the coarse grid of N = 5, so the message
+    # quotes the certifying sweep's move and the threshold it missed
+    argv = ["build", "--function", "weier", "--alpha", "0.99", "--N", "5", "--max-iters", "3"]
     assert run(argv + ["--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err == (
-        "error: no convergence in 3 sweeps: the last sweep moved 2.740e-01, "
-        "above tol * (1 - contraction) = 1.000e-11\n"
+        "error: no convergence in 3 of 3 doubling passes: the certifying sweep "
+        "moved 3.449e-01, above tol * (1 - contraction) = 1.000e-11\n"
     )
 
 

@@ -14,7 +14,7 @@ from fif.errors import (
 )
 from fif import fractal
 from fif.fractal import (
-    MATCHING_TOL,
+    ROUNDOFF,
     FifProblem,
     _assemble,
     _affine_scan,
@@ -51,7 +51,8 @@ def test_zero_scaling_returns_the_function_itself():
     prob = sine_problem(alpha=0.0)
     res = solve_fif(prob, cells=4 * 2**8)
     assert np.max(np.abs(res.values - np.sin(res.grid))) <= 1e-12
-    assert res.iterations <= 2
+    # 4^5 cells: the K = 5 fill levels, then the certifying sweep
+    assert res.iterations == 5 + 1
 
 
 def test_result_metadata():
@@ -183,32 +184,33 @@ def test_doubling_matches_interpolating_picard(count):
     res = solve_fif(prob, cells=cells, tol=tol)
     assert np.max(np.abs(res.values - ref)) <= 2 * tol
     assert res.residual <= tol * (1 - 0.9)
-    assert res.diagnostics["solve_method"] == "doubling"
-    assert res.diagnostics["solve_steps"] < 16 < sweeps
+    # passes + K + 1, against hundreds of Picard sweeps
+    assert res.iterations < 16 < sweeps
 
 
-def test_budget_between_powers_of_two_still_converges():
+def test_budget_counts_doubling_passes():
+    # 0.9^(2^9) is below the roundoff and 0.9^(2^8) is not: nine passes on
+    # the 64-cell coarse grid, one fill level, the certifying sweep
     prob = sine_problem(alpha=0.9, count=5, b=1.0)
-    tol = 1e-9
+    tol = 1e-12
     cells = 5 * 2**6
-    _, need = plain_picard(prob, cells, tol)
-    s = need.bit_length() - 1
-    assert 2**s < need  # the budget is not itself a power of two
-    res = solve_fif(prob, cells=cells, tol=tol, max_sweeps=need)
-    assert res.iterations <= need
-    assert res.residual <= tol * (1 - 0.9)
-    # doubling up to 2^s, then single sweeps: not a Picard run from the start
-    assert res.diagnostics["solve_steps"] <= s + 1 + (need - 2**s)
+    res = solve_fif(prob, cells=cells, tol=tol)
+    assert res.iterations == 9 + 1 + 1
+    same = solve_fif(prob, cells=cells, tol=tol, max_sweeps=9)
+    assert np.array_equal(same.values, res.values) and same.iterations == 11
+    # 0.9^(2^7) = 1.4e-6 leaves the certifying sweep a move above tol / 10
+    with pytest.raises(NonConvergence) as info:
+        solve_fif(prob, cells=cells, tol=tol, max_sweeps=7)
+    assert info.value.iterations == 7 + 1 + 1
 
 
 def test_slow_contraction_takes_few_steps():
-    # Picard contracts by 0.99 per sweep here and needs more than the
-    # default budget of 1000 sweeps
+    # Picard contracts by 0.99 per sweep here and needs thousands of sweeps;
+    # doubling needs 12 passes, well inside the default budget
     prob = sine_problem(alpha=0.99, count=5, b=1.0)
-    res = solve_fif(prob, cells=5 * 2**16, max_sweeps=4096)
-    assert 1000 < res.iterations <= 4096
+    res = solve_fif(prob, cells=5 * 2**16)
+    assert res.iterations == 12 + 1 + 1
     assert res.residual <= 1e-12
-    assert res.diagnostics["solve_steps"] <= 13
 
 
 def exact_knots(problem):
@@ -318,7 +320,6 @@ def test_doubling_matches_orbit_oracle(knots, alpha, name, cells, stride):
     prob = orbit_case(knots, alpha, name)
     tol = 1e-9
     res = solve_fif(prob, cells=cells, tol=tol)
-    assert res.diagnostics["solve_method"] == "doubling"
     g = np.arange(0, cells + 1, stride)
     exact = exact_grid(prob, cells)
     ref = orbit_oracle(prob, [exact[k] for k in g])
@@ -340,7 +341,6 @@ def test_non_uniform_partition_renders_closed_grid(knots, alpha, name, cells, re
     prob = orbit_case(knots, alpha, name)
     tol = 1e-10
     res = solve_fif(prob, cells=cells, tol=tol)
-    assert res.diagnostics["solve_method"] == "doubling"
     assert res.residual <= tol
     assert res.diagnostics["cells"] == rendered == res.grid.size - 1
     assert np.all(np.diff(res.grid) > 0)
@@ -409,8 +409,8 @@ def test_level_fill_matches_orbit_oracle_and_picard(knots, cells, coarse, levels
     rendered = coarse * prob.partition.size**levels
     assert diag["cells"] == rendered
     if coarse == 1:
-        # doubling on the two fixed ends stops at once: the fill is Picard
-        # iterate K, the discrete fixed point, and one sweep confirms it
+        # the two fixed ends need no doubling pass: the fill is the discrete
+        # fixed point, and one sweep certifies it
         assert res.iterations == levels + 1
     g = np.arange(0, rendered + 1, 7)
     exact = exact_grid(prob, rendered)
@@ -438,7 +438,7 @@ def test_level_fill_solves_both_smooth_derivative_levels(count, cells, coarse, l
     exact = exact_grid(prob, cells)
     g = np.arange(0, cells + 1, 5)
     x = _build_plan(prob, cells)[1]
-    plans = _derivative_levels(prob, x, MATCHING_TOL)
+    plans = _derivative_levels(prob, x)
     for j in (1, 2):
         info = res.diagnostics["derivative_levels"][j]
         assert (info["coarse_cells"], info["fill_levels"]) == (coarse, levels)
@@ -454,6 +454,29 @@ def test_level_fill_solves_both_smooth_derivative_levels(count, cells, coarse, l
             if moved <= threshold:
                 break
         assert np.max(np.abs(res.derivatives[j] - phi)) <= 2 * tol
+
+
+@pytest.mark.parametrize("scaling", ["constant", "sine"])
+@pytest.mark.parametrize("count", [3, 5])
+def test_solve_reaches_the_orbit_oracle_to_rounding(count, scaling):
+    # N^K does not close these grids (c = 256), yet doubling runs until no
+    # composed coefficient exceeds the roundoff: the result is the discrete
+    # fixed point up to rounding even for a tol that one sweep would meet
+    part = Partition.uniform(0.0, 1.0, count)
+    if scaling == "sine":
+        sv = sine_scaling(count, 0.95)
+    else:
+        sv = ScalingVector.broadcast(0.95, count)
+    prob = FifProblem(part, sv, OperatorConfig(ramp(), 0.0, 1.0, 16), make_function("sin"))
+    cells = count * 2**8
+    res = solve_fif(prob, cells=cells, tol=1e-2)
+    assert res.diagnostics["coarse_cells"] == 2**8
+    g = np.arange(0, cells + 1, 11)
+    exact = exact_grid(prob, cells)
+    ref = orbit_oracle(prob, [exact[i] for i in g])
+    c = res.diagnostics["contraction"]
+    bound = 64 * np.finfo(float).eps * np.max(np.abs(res.values)) / (1 - c)
+    assert np.max(np.abs(res.values[g] - ref)) <= bound
 
 
 def recorded_index_cells(monkeypatch):
@@ -494,42 +517,77 @@ def test_solve_indexes_only_the_coarse_grid(monkeypatch, shape, cells, coarse):
     assert calls == [coarse] * len(solves)
 
 
-def test_only_a_budget_below_the_fill_indexes_the_whole_grid(monkeypatch):
-    # K = 4 fill levels: a budget of K + 1 sweeps doubles on the whole grid
-    prob = sine_problem(alpha=0.9, n=16, count=4, b=1.0)
+@pytest.mark.parametrize("count, cells, coarse", [(4, 4**4, 1), (5, 5 * 2**6, 64)])
+def test_every_budget_indexes_only_the_coarse_grid(monkeypatch, count, cells, coarse):
+    # whatever the budget, doubling runs on the coarse grid alone
+    prob = sine_problem(alpha=0.9, n=16, count=count, b=1.0)
     calls = recorded_index_cells(monkeypatch)
-    for budget, coarse in [(5, 4**4), (6, 1)]:
+    for budget in (1, 2, 5, 6, 1000):
         calls.clear()
-        res = solve_fif(prob, cells=4**4, tol=1e-12, max_sweeps=budget)
-        assert res.diagnostics["coarse_cells"] == coarse
+        try:
+            res = solve_fif(prob, cells=cells, tol=1e-12, max_sweeps=budget)
+        except NonConvergence:
+            assert coarse > 1
+        else:
+            assert res.diagnostics["coarse_cells"] == coarse
         assert calls == [coarse]
 
 
+def test_certifying_sweep_is_the_only_allocating_sweep(monkeypatch):
+    # on a c = 1 grid the fill writes in place and one sweep certifies it
+    allocating = []
+    apply = fractal._GridPlan.apply
+
+    def recorded(self, values, out=None, s=1):
+        allocating.append(out is None)
+        return apply(self, values, out, s)
+
+    monkeypatch.setattr(fractal._GridPlan, "apply", recorded)
+    prob = sine_problem(alpha=0.55, n=1, count=4, b=1.0)
+    res = solve_fif(prob, cells=4**5)
+    assert res.diagnostics["coarse_cells"] == 1
+    assert allocating.count(True) == 1
+    assert allocating.count(False) == 5  # one per fill level
+
+
 @pytest.mark.parametrize("count, cells, levels, budget", [
-    # a c = 1 grid of K = 4 levels: budgets 1, K, K + 1 and K + 2
+    # a c = 1 grid of K = 4 levels: no doubling pass, so every budget suffices
     (4, 4**4, 4, 1), (4, 4**4, 4, 4), (4, 4**4, 4, 5), (4, 4**4, 4, 6),
-    # c = 32, K = 1: doubling must leave room for the fill, 2^m + K
+    # c = 32, K = 1: 0.9^(2^9) is the first power below the roundoff
     (3, 3 * 2**5, 1, 2), (3, 3 * 2**5, 1, 3), (3, 3 * 2**5, 1, 257), (3, 3 * 2**5, 1, 513),
+    # c = 64, K = 1: two passes short of the roundoff, and just enough
+    (5, 5 * 2**6, 1, 7), (5, 5 * 2**6, 1, 9),
 ])
 def test_sweep_budget_around_the_fill_levels(count, cells, levels, budget):
-    # below K + 2 the solve doubles on the whole grid; either way it converges
-    # within the budget or reports the budget as its iteration count
+    # a budget bounds the doubling passes: the solve converges within it or
+    # reports the passes it spent, plus the fill and the certifying sweep
     prob = sine_problem(alpha=0.9, n=16, count=count, b=1.0)
     tol = 1e-12
-    fill = budget >= levels + 2
+    passes = 0 if cells == count**levels else 9
     try:
         res = solve_fif(prob, cells=cells, tol=tol, max_sweeps=budget)
     except NonConvergence as err:
-        assert err.iterations == budget
+        assert budget < passes
+        assert err.iterations == budget + levels + 1
         assert err.values.size == cells + 1
-        # on c = 1 the fill reaches the fixed point in K + 1 sweeps
-        assert not (fill and cells == count**levels)
+        assert err.residual > tol * (1 - 0.9)
     else:
-        assert res.iterations <= budget
+        assert budget >= passes
+        assert res.iterations == passes + levels + 1
         assert res.residual <= tol * (1 - 0.9)
-        assert res.diagnostics["fill_levels"] == (levels if fill else 0)
+        assert res.diagnostics["fill_levels"] == levels
         ref, _ = plain_picard(prob, cells, tol)
         assert np.max(np.abs(res.values - ref)) <= 2 * tol
+
+
+def test_partition_keeps_its_own_knots():
+    # editing the array a partition was made from changes no later solve
+    knots = np.array([0.0, 0.3, 1.0])
+    prob = orbit_case(knots, [0.6, -0.7], "sin")
+    before = solve_fif(prob, cells=256).values
+    knots[1] = 0.6
+    assert prob.partition.knots[1] == 0.3
+    assert np.array_equal(solve_fif(prob, cells=256).values, before)
 
 
 def test_non_uniform_knots_are_grid_points_and_checked():
@@ -760,7 +818,7 @@ def test_smooth_scaling_power_gate():
         FifProblem(part, sv, op, make_function("sin"), "smooth")
 
 
-def test_smooth_matching_check_can_fire():
+def test_smooth_matching_check_can_fire(monkeypatch):
     # a scaling within a whisker of the slope power leaves a nonzero
     # junction rounding residue; zero tolerance must flag it
     part = Partition.uniform(0.0, 1.0, 4)
@@ -768,21 +826,23 @@ def test_smooth_matching_check_can_fire():
     op = OperatorConfig(smoothstep(1), 0.0, 1.0, 64, r=1)
     prob = FifProblem(part, sv, op, make_function("sin"), "smooth")
     solve_fif(prob, cells=4 * 2**8)  # default tolerance is fine
+    monkeypatch.setattr(fractal, "MATCHING_TOL", 0.0)
     with pytest.raises(MatchingConditionError, match="subinterval 2, derivative order 1"):
-        solve_fif(prob, cells=4 * 2**8, matching_tol=0.0)
+        solve_fif(prob, cells=4 * 2**8)
 
 
-def test_smooth_junctions_are_checked_before_any_level_is_solved():
-    # one sweep cannot converge, so only a check made before the level-0
-    # solve reports the mismatch
-    part = Partition.uniform(0.0, 1.0, 4)
-    sv = ScalingVector.constant([0.2499999, 0.2, 0.2, 0.2])
+def test_smooth_junctions_are_checked_before_any_level_is_solved(monkeypatch):
+    # one doubling pass cannot finish the 256-cell coarse grid of an N = 5
+    # grid, so only a check made before the level-0 solve reports the mismatch
+    part = Partition.uniform(0.0, 1.0, 5)
+    sv = ScalingVector.constant([0.1999999, 0.15, 0.15, 0.15, 0.15])
     op = OperatorConfig(smoothstep(1), 0.0, 1.0, 64, r=1)
     prob = FifProblem(part, sv, op, make_function("sin"), "smooth")
     with pytest.raises(NonConvergence):
-        solve_fif(prob, cells=4 * 2**8, max_sweeps=1)
+        solve_fif(prob, cells=5 * 2**8, max_sweeps=1)
+    monkeypatch.setattr(fractal, "MATCHING_TOL", 0.0)
     with pytest.raises(MatchingConditionError):
-        solve_fif(prob, cells=4 * 2**8, matching_tol=0.0, max_sweeps=1)
+        solve_fif(prob, cells=5 * 2**8, max_sweeps=1)
 
 
 def test_every_level_is_evaluated_once_on_the_render_grid(monkeypatch):
@@ -831,13 +891,15 @@ def test_smooth_requires_analytic_input():
 
 
 def test_sweep_budget_exhaustion_keeps_best_iterate():
-    prob = sine_problem(alpha=0.95, n=8)
+    # two passes on the 256-cell coarse grid of N = 5, one fill level, and
+    # the certifying sweep, whose iterate is kept
+    prob = sine_problem(alpha=0.95, n=8, count=5)
     with pytest.raises(NonConvergence) as info:
-        solve_fif(prob, cells=4 * 2**8, tol=1e-14, max_sweeps=2)
+        solve_fif(prob, cells=5 * 2**8, tol=1e-14, max_sweeps=2)
     err = info.value
-    assert err.iterations == 2
+    assert err.iterations == 2 + 1 + 1
     assert err.residual > 1e-14
-    assert err.values is not None and err.values.size == 4 * 2**8 + 1
+    assert err.values is not None and err.values.size == 5 * 2**8 + 1
 
 
 def test_non_finite_function_values_are_invalid():
@@ -1044,7 +1106,7 @@ def test_orbit_scan_matches_sequential_loop(name):
     assert np.max(np.abs(ys - ref_y)) <= 1e-13 * max(1.0, np.max(np.abs(ref_y)))
 
 
-def test_affine_scan_stops_when_coefficients_underflow():
+def test_affine_scan_stops_at_roundoff():
     rng = np.random.default_rng(0)
     n = 10**5 + 1
     offset = rng.standard_normal(n)
@@ -1053,11 +1115,11 @@ def test_affine_scan_stops_when_coefficients_underflow():
     ref = offset.copy()
     for t in range(1, n):
         ref[t] += 0.25 * ref[t - 1]
-    # windows of 1024 maps multiply to 2^-2048, which is exactly 0.0
-    assert _affine_scan(coeff, offset) == 10
-    assert not coeff.any()
-    assert np.max(np.abs(offset - ref)) <= 1e-14 * np.max(np.abs(ref))
-    # no underflow: the scan runs to ceil(log2 n) passes
+    # windows of 32 maps multiply to 2^-64, below the roundoff; 16 give 2^-32
+    assert _affine_scan(coeff, offset) == 5
+    assert np.max(np.abs(coeff)) <= ROUNDOFF
+    assert np.max(np.abs(offset - ref)) <= 1e-15 * np.max(np.abs(ref))
+    # no window falls below the roundoff: the scan runs to ceil(log2 n) passes
     coeff = np.full(n, 0.999999)
     coeff[0] = 0.0
     assert _affine_scan(coeff, np.ones(n)) == 17
