@@ -349,6 +349,7 @@ def cmd_dimension(cfg: RunConfig, out: Path) -> int:
     else:
         res = solve_fif(problem, cfg.cells(), cfg.tol, cfg.max_iters)
         xs, ys = res.grid, res.values
+        del res  # box counting reads the graph alone: base and height can go
     report = box_counting_dimension(xs, ys, _parse_scales(cfg.scales))
     f = problem.f
     knot_y = f.values if f.mode == "tabulated" else f(problem.partition.knots)

@@ -286,7 +286,8 @@ class _GridPlan:
             s //= self.n_sub
             self.apply(phi, out=phi, s=s)
         nxt = self.apply(phi)
-        residual = float(np.max(np.abs(nxt - phi)))
+        move = np.subtract(nxt, phi, out=phi)  # max|move| without a temporary
+        residual = max(0.0, float(np.max(move)), -float(np.min(move)))
         threshold = tol * (1.0 - self.contraction)
         iterations = passes + levels + 1
         if residual > threshold:
@@ -318,15 +319,15 @@ def _build_plan(problem, cells):
     """The level-0 update on the render grid: ``(plan, grid, base)``.
 
     Every piece reads its pre-images from the strided view ``x[N::N]``, so
-    no value is interpolated; ``alpha_i`` is evaluated once per piece on
-    ``x[::N]``, which adds point 0, its own pre-image under ``L_1``.
+    no value is interpolated; each distinct scaling entry is evaluated once
+    on ``x[::N]``, which adds point 0, its own pre-image under ``L_1``.
     """
     part = problem.partition
     pieces = _assemble(problem)
     x = _render_grid(part, cells)
     height = pieces.height_eval(x)
     base = pieces.base_eval(x)
-    alpha = problem.scaling.values_at(np.arange(1, part.size + 1)[:, None], x[:: part.size])
+    alpha = problem.scaling.rows_at(x[:: part.size])
     coeff = np.empty_like(x)
     coeff[0] = alpha[0, 0]
     coeff[1:].reshape(part.size, -1)[...] = alpha[:, 1:]

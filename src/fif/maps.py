@@ -89,7 +89,8 @@ class ScalingVector:
     Function entries are sampled on a dense grid over the domain to bound
     their sup norms; the overall sup norm must stay below 1.  Pieces often
     share one entry object, so each distinct entry is sampled once and, in
-    :meth:`values_at`, evaluated once over all the points of its pieces.
+    :meth:`values_at`, evaluated once over all the points of its pieces; in
+    :meth:`rows_at`, where every piece reads the same points, once on them.
     """
 
     __slots__ = ("entries", "domain", "sup_norms", "_distinct", "_owner")
@@ -154,6 +155,15 @@ class ScalingVector:
             if not np.any(mask):
                 continue
             out[mask] = _call_vectorized(e, x[mask]) if callable(e) else float(e)
+        return out
+
+    def rows_at(self, x):
+        """``alpha_i(x)`` of every piece ``i = 1..N`` at the same points ``x``,
+        as ``N`` rows; each distinct entry is evaluated once on them."""
+        x = np.ascontiguousarray(x, dtype=float)
+        out = np.empty((self.size,) + x.shape)
+        for j, e in enumerate(self._distinct):
+            out[self._owner == j] = _call_vectorized(e, x) if callable(e) else float(e)
         return out
 
     def holder_contraction(self, partition: Partition, mu: float) -> float:

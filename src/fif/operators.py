@@ -19,11 +19,14 @@ derivatives follow by the Leibniz rule with ``d^i P(s) / dx^i = P^(i)(s) / h^i``
 It reproduces derivative values at the nodes when the profile is flat
 enough there.
 
-Every entry point blends at offsets ``s`` in node cells ``klo``.  On the
-render grid ``linspace(a, b, n M + 1)`` every node cell holds the same
-offsets ``s = j / M``, so ``P^(i)(s)`` and the Taylor steps are computed
-once for ``M`` offsets and broadcast against the ``n`` cells of the node
-table; any other input is bracketed point by point.
+Every entry point blends at offsets ``s`` in node cells ``klo``, and writes
+its output in tiles of ``_TILE`` points, so the temporaries of a blend stay
+a few MiB however many points are asked for.  On the render grid
+``linspace(a, b, n M + 1)`` every node cell holds the same offsets
+``s = j / M``, so ``P^(i)(s)`` and the Taylor steps are computed once per
+tile of offsets and broadcast against the node cells of the table; any
+other input is bracketed point by point, one tile at a time.  Each point
+goes through the same arithmetic whatever the tiling.
 """
 
 from __future__ import annotations
@@ -35,13 +38,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .kernels import SigmoidalKernel, _as_array, _shaped, transition
+from .kernels import SigmoidalKernel, _shaped, transition
 # not called here: the benchmark's tracer (bench/spans.py) wraps these two by
 # name as attributes of this module
 from .kernels import xi_derivative, xi_eval  # noqa: F401
 
 # Relative step used when a derivative has to be approximated from values.
 FD_STEP_SCALE = 1e-3
+# Points an evaluation blends at a time, so that its temporaries (about a
+# dozen arrays) take a few MiB whatever the input size.
+_TILE = 2**15
 
 
 @dataclass(frozen=True)
@@ -180,13 +186,20 @@ def _weight_table(cfg: OperatorConfig, f: FunctionInput, upto: int):
     return rows
 
 
-def _bracket(cfg: OperatorConfig, x):
+def _check_points(cfg: OperatorConfig, arr):
+    """Raise ``ValueError`` unless every point is finite and inside ``[a, b]``
+    up to ``4e-12 (b - a)``: two reductions over ``arr``, no temporaries."""
+    if arr.size:
+        lo, hi = float(arr.min()), float(arr.max())  # NaN propagates into both
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("non-finite input")
+        slack = 4e-12 * (cfg.b - cfg.a)
+        if lo < cfg.a - slack or hi > cfg.b + slack:
+            raise ValueError("outside domain")
+
+
+def _bracket(cfg: OperatorConfig, arr):
     """Offset ``s`` in [0, 1] of each point in its node cell, and the cell ``klo``."""
-    arr = _as_array(x)
-    span = cfg.b - cfg.a
-    slack = 4e-12 * span
-    if np.any(arr < cfg.a - slack) or np.any(arr > cfg.b + slack):
-        raise ValueError("outside domain")
     u = (np.clip(arr, cfg.a, cfg.b) - cfg.a) / cfg.h
     near = np.round(u)
     u = np.where(np.abs(u - near) <= 1e-12 * max(1.0, cfg.n), near, u)
@@ -195,12 +208,34 @@ def _bracket(cfg: OperatorConfig, x):
     return u - klo, klo
 
 
+def _linspace_part(a, b, num, lo, hi):
+    """``np.linspace(a, b, num)[lo:hi]`` by the same arithmetic, without the
+    rest of the array."""
+    y = np.arange(lo, hi, dtype=float)
+    step = (b - a) / (num - 1)
+    if step == 0:  # NumPy's order for a subnormal step
+        y /= num - 1
+        y *= b - a
+    else:
+        y *= step
+    y += a
+    if hi == num:
+        y[-1] = b
+    return y
+
+
 def _grid_step(cfg: OperatorConfig, arr):
-    """``M`` when ``arr`` is exactly ``linspace(a, b, n M + 1)``, else 0."""
+    """``M`` when ``arr`` is exactly ``linspace(a, b, n M + 1)``, else 0;
+    compared one tile at a time."""
     cells = arr.size - 1
     if arr.ndim != 1 or cells < 1 or cells % cfg.n or arr[0] != cfg.a or arr[-1] != cfg.b:
         return 0
-    return cells // cfg.n if np.array_equal(arr, np.linspace(cfg.a, cfg.b, arr.size)) else 0
+    a, b = float(cfg.a), float(cfg.b)
+    for lo in range(0, arr.size, _TILE):
+        hi = min(lo + _TILE, arr.size)
+        if not np.array_equal(arr[lo:hi], _linspace_part(a, b, arr.size, lo, hi)):
+            return 0
+    return cells // cfg.n
 
 
 def _taylor(rows, dx, q):
@@ -212,15 +247,23 @@ def _taylor(rows, dx, q):
     return out
 
 
-def _blend(cfg, table, s, klo, order, out):
+def _steps(cfg, s, order):
+    """What a blend at offsets ``s`` needs of ``s`` alone: the Taylor steps
+    ``h s`` and ``h (s - 1)`` to both nodes and ``P^(i)(s) / h^i`` for
+    ``i <= order``."""
+    profile = [transition(cfg.kernel, i, s) / cfg.h**i for i in range(order + 1)]
+    return cfg.h * s, cfg.h * (s - 1.0), profile
+
+
+def _blend(table, klo, steps, order, out):
     """Write into ``out`` the ``order``-th derivative of ``T_k (1 - P(s)) +
-    T_{k+1} P(s)`` at offset ``s`` in node cell ``k = klo`` (Leibniz rule);
-    ``s`` and ``klo`` broadcast to the shape of ``out``."""
+    T_{k+1} P(s)`` at offset ``s`` in node cell ``k = klo`` (Leibniz rule),
+    with ``steps = _steps(cfg, s, order)``; ``klo`` and ``s`` broadcast to
+    the shape of ``out``."""
     left, right = table[:, klo], table[:, klo + 1]
-    dx_left, dx_right = cfg.h * s, cfg.h * (s - 1.0)
+    dx_left, dx_right, profile = steps
     out[...] = 0.0
-    for i in range(order + 1):
-        p = transition(cfg.kernel, i, s) / cfg.h**i
+    for i, p in enumerate(profile):
         q = 1.0 - p if i == 0 else -p
         out += math.comb(order, i) * (
             _taylor(left, dx_left, order - i) * q + _taylor(right, dx_right, order - i) * p
@@ -229,19 +272,33 @@ def _blend(cfg, table, s, klo, order, out):
 
 def _evaluate(cfg, f, upto, order, x):
     """``order``-th derivative at ``x`` of the operator on the node derivatives
-    up to ``upto``: the body of every public operator entry point.  The end
-    point ``b`` of the render grid (cell ``n - 1``, ``s = 1``) is blended on
-    its own, after the ``(n, M)`` block of the other points."""
+    up to ``upto``: the body of every public operator entry point.  The
+    output is written ``_TILE`` points at a time.  On the render grid a tile
+    is a block of offsets ``j / M`` against as many node cells as fit, with
+    ``_steps`` taken once per block of offsets; the end point ``b`` (cell
+    ``n - 1``, ``s = 1``) is blended on its own."""
     table = _weight_table(cfg, f, upto)
     arr = np.asarray(x, dtype=float)
     out = np.empty(arr.shape)
     m = _grid_step(cfg, arr)
     if m:
         block = out[:-1].reshape(cfg.n, m)  # a view: _blend writes into out
-        _blend(cfg, table, np.arange(m) / m, np.arange(cfg.n)[:, None], order, block)
-        _blend(cfg, table, np.ones(1), np.array([cfg.n - 1]), order, out[-1:])
+        width = min(m, _TILE)
+        rows = _TILE // width
+        klo = np.arange(cfg.n)[:, None]
+        for j in range(0, m, width):
+            steps = _steps(cfg, np.arange(j, min(j + width, m)) / m, order)
+            for k in range(0, cfg.n, rows):
+                _blend(table, klo[k : k + rows], steps, order,
+                       block[k : k + rows, j : j + width])
+        _blend(table, np.array([cfg.n - 1]), _steps(cfg, np.ones(1), order), order, out[-1:])
     else:
-        _blend(cfg, table, *_bracket(cfg, arr), order, out)
+        _check_points(cfg, arr)
+        points, into = arr.reshape(-1), out.reshape(-1)  # a view of out
+        for lo in range(0, arr.size, _TILE):
+            tile = slice(lo, lo + _TILE)
+            s, klo = _bracket(cfg, points[tile])
+            _blend(table, klo, _steps(cfg, s, order), order, into[tile])
     return _shaped(out, x)
 
 

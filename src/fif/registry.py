@@ -11,14 +11,27 @@ _SIN_CYCLE = (np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x), np.sin)
 _COS_CYCLE = (lambda x: -np.sin(x), lambda x: -np.cos(x), np.sin, np.cos)
 
 
+def _horner(coef):
+    """Evaluator of the power series ``coef``, bit for bit a ``Polynomial``
+    call.  That call first maps its default domain onto itself,
+    ``0.0 + 1.0 * x``: two passes over the points whose only effect is
+    ``-0.0 -> +0.0``, which can reach the value only through a ``-0.0``
+    coefficient."""
+    polyval = np.polynomial.polynomial.polyval
+    if np.any(np.signbit(coef[coef == 0])):
+        return lambda x: polyval(np.asarray(x, dtype=float) + 0.0, coef)
+    return lambda x: polyval(np.asarray(x, dtype=float), coef)
+
+
 def _poly_input(coeffs, max_derivative):
-    p = np.polynomial.Polynomial(coeffs)
-    derivs = []
-    q = p
+    q = np.polynomial.Polynomial(coeffs)
+    funcs = [_horner(q.coef)]
     for _ in range(max_derivative):
+        # one order at a time: past the degree a derivative is 0 times the
+        # last coefficient, which keeps that coefficient's sign
         q = q.deriv()
-        derivs.append(q)
-    return FunctionInput.analytic(p, derivs)
+        funcs.append(_horner(q.coef))
+    return FunctionInput.analytic(funcs[0], funcs[1:])
 
 
 def _weier_like(x):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -548,6 +549,40 @@ def test_certifying_sweep_is_the_only_allocating_sweep(monkeypatch):
     assert res.diagnostics["coarse_cells"] == 1
     assert allocating.count(True) == 1
     assert allocating.count(False) == 5  # one per fill level
+
+
+def test_certifying_sweep_allocates_nothing_beyond_its_result():
+    # 2^20 cells on a c = 1 grid: the filled values and the certified ones
+    # are the solve's only full-grid arrays; the residual is read off their
+    # difference written over the first
+    prob = sine_problem(alpha=0.55, n=1, count=4, b=1.0)
+    plan = _build_plan(prob, 2**20)[0]
+    tracemalloc.start()
+    try:
+        values = plan.solve(1e-9, 100)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * values.nbytes + 2**16
+
+
+def test_build_plan_evaluates_a_shared_scaling_once_per_point():
+    sizes = []
+
+    def shared(x):
+        sizes.append(np.size(x))
+        return 0.3 + 0.2 * np.sin(5.0 * np.asarray(x))
+
+    count, cells = 8, 8 * 2**10
+    sv = ScalingVector([shared] * count, domain=(0.0, 1.0))
+    prob = FifProblem(Partition.uniform(0.0, 1.0, count), sv,
+                      OperatorConfig(ramp(), 0.0, 1.0, 4), make_function("sin"))
+    sizes.clear()
+    plan, x, _ = _build_plan(prob, cells)
+    assert sizes == [cells // count + 1]
+    tiled = sv.values_at(np.arange(1, count + 1)[:, None], x[::count])
+    assert sv.rows_at(x[::count]).tobytes() == tiled.tobytes()
+    assert plan.coeff[1:-1].tobytes() == tiled[:, 1:].ravel()[:-1].tobytes()
 
 
 @pytest.mark.parametrize("count, cells, levels, budget", [

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import fif.operators
 from fif.cli import main
 from fif.errors import InvalidConfig
 from fif.fractal import FifProblem, chaos_game_render, solve_fif
@@ -17,6 +19,7 @@ from fif.operators import (
     nn_eval_four_layer,
     operator_fd_fallback,
 )
+from fif.registry import make_function
 
 FAMILIES = [ramp(), smoothstep(1), smooth_bump()]
 
@@ -364,3 +367,68 @@ def test_off_grid_points_keep_the_pointwise_path(monkeypatch):
         sizes = _record_profile_sizes(monkeypatch)
         assert np.array_equal(nn_eval(cfg, f, x), _pointwise_expression(cfg, values, x))
         assert sizes == [x.size]
+
+
+TILE = fif.operators._TILE
+
+
+def _tiling_inputs():
+    """Pointwise inputs around the tile size, a scalar, a 2-d array across
+    tile seams, and render grids with ``M`` above and below the tile."""
+    rng = np.random.default_rng(11)
+    pointwise = [rng.uniform(0.0, 1.0, size) for size in (TILE - 1, TILE, TILE + 1, 3 * TILE + 7)]
+    pointwise[1][[0, -1]] = 0.0, 1.0
+    grids = [(1, 2 * TILE), (3, TILE + 5), (256, 256)]
+    return (
+        [(1, x) for x in pointwise] + [(3, 0.3), (3, rng.uniform(0.0, 1.0, (3, TILE + 1)))]
+        + [(n, np.linspace(0.0, 1.0, n * m + 1)) for n, m in grids]
+    )
+
+
+@pytest.mark.parametrize("name", ["ramp", "smoothstep:2", "bump"])
+def test_tiled_evaluation_is_bitwise_one_tile(monkeypatch, name):
+    kernel = kernel_from_name(name)
+    f = FunctionInput.analytic(np.sin, (np.cos, lambda t: -np.sin(t)))
+    for r in range(min(2, kernel.smoothness) + 1):
+        for n, x in _tiling_inputs():
+            cfg = OperatorConfig(kernel, 0.0, 1.0, n, r)
+            for q, evaluate in enumerate(_operator_and_derivatives(cfg, f)):
+                monkeypatch.setattr(fif.operators, "_TILE", TILE)
+                tiled = evaluate(x)
+                monkeypatch.setattr(fif.operators, "_TILE", 2 * np.size(x))
+                whole = evaluate(x)
+                assert np.shape(tiled) == np.shape(x)
+                assert np.asarray(tiled).tobytes() == np.asarray(whole).tobytes(), (r, q, n)
+
+
+def test_render_grid_is_found_one_tile_at_a_time():
+    from fif.operators import _linspace_part
+
+    for a, b, num in [(0.0, 1.0, 3 * TILE + 2), (0.0, math.pi, 2 * TILE + 1),
+                      (-1.5, 0.1, TILE), (-0.0, 1.5e-323, 8)]:
+        parts = [_linspace_part(a, b, num, lo, min(lo + TILE, num)) for lo in range(0, num, TILE)]
+        assert np.concatenate(parts).tobytes() == np.linspace(a, b, num).tobytes()
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - out.nbytes
+
+
+@pytest.mark.parametrize("kind", ["orbit", "grid"])
+def test_operator_temporaries_are_bounded_by_the_tile(kind):
+    # the dimension workload's base: ramp, n = 1, on its 10^6-point chaos
+    # orbit and on its 2^20-cell render grid; blended in one piece, the
+    # temporaries take 65-85 MiB above the 8 MiB output
+    cfg = OperatorConfig(ramp(), 0.0, 1.0, 1)
+    f = make_function("poly:0,1,-1")
+    if kind == "orbit":
+        x = np.random.default_rng(3).uniform(0.0, 1.0, 10**6)
+    else:
+        x = np.linspace(0.0, 1.0, 2**20 + 1)
+    assert _traced_peak(lambda: nn_eval(cfg, f, x)) <= 4 * 2**20

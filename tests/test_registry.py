@@ -26,6 +26,19 @@ def test_poly_derivative_chain():
     assert np.allclose(f.derivatives[1](x), -4.0)
 
 
+@pytest.mark.parametrize("coeffs", ["0,1,-1", "1,-2", "-0,1", "-0", "2.5,-1e-3,0,4"])
+def test_poly_values_are_bitwise_the_polynomial_objects(coeffs):
+    # sign of zero included: the derivatives past the degree are -0.0 or
+    # +0.0 series, and x = -0.0 is mapped to +0.0 by a Polynomial call
+    f = make_function(f"poly:{coeffs}", max_derivative=5)
+    x = np.concatenate([np.linspace(-2.0, 2.0, 4097), [-0.0, 0.0]])
+    q = np.polynomial.Polynomial([float(c) for c in coeffs.split(",")])
+    assert f(x).tobytes() == q(x).tobytes()
+    for d in f.derivatives:
+        q = q.deriv()
+        assert d(x).tobytes() == q(x).tobytes()
+
+
 def test_abspow_shape():
     f = make_function("abspow:0.3,0.5")
     assert f(0.3) == 0.0
