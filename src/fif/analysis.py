@@ -22,8 +22,11 @@ class _WindowRange:
 
     Keeps one level of a doubling min/max table, the extremes of every window
     of ``width = 2^j`` samples: a window of ``width < k + 1 <= 2 * width``
-    samples is two overlapping ones.  Nondecreasing queries only climb the
-    table; a smaller ``k`` rebuilds it from the samples.
+    samples is two overlapping ones (a sparse table, Bender & Farach-Colton
+    2000, one level at a time).  Nondecreasing queries only climb the table,
+    so queries in increasing order cost one climb to the widest window; a
+    smaller ``k`` rebuilds it from the samples.  Max and min are exact, so
+    every answer is the same bits whichever level it was reached from.
     """
 
     def __init__(self, values):
@@ -51,19 +54,30 @@ class _WindowRange:
         return best
 
 
-def modulus_of_continuity(phi: SampledFunction, delta: float) -> float:
+def modulus_of_continuity(phi: SampledFunction, delta):
     """Largest |phi(x) - phi(y)| over grid pairs with |x - y| <= delta.
 
-    The grid must resolve ``delta`` (step <= delta / 16), otherwise the
-    sampled value is too loose an underestimate to be useful.
+    ``delta`` may also be a sequence of spacings: their moduli come back as a
+    list, in the order given, from one climb of the min/max table (the
+    windows are queried smallest first), so a ladder of spacings costs about
+    what its largest one does alone.  A float ``delta`` returns a float.
+    The grid must resolve every ``delta`` (step <= delta / 16), otherwise the
+    sampled value is too loose an underestimate to be useful; every spacing
+    is checked before any table level is built.
     """
-    if not 0 < delta <= (phi.b - phi.a) * (1 + 1e-12):
-        raise InvalidConfig("delta must lie in (0, b - a]")
+    scalar = np.ndim(delta) == 0
+    deltas = [delta] if scalar else list(delta)
     step = phi.step
-    if step > delta / 16 * (1 + 1e-12):
-        raise InvalidConfig("refine grid: need step <= delta / 16")
+    for d in deltas:
+        if not 0 < d <= (phi.b - phi.a) * (1 + 1e-12):
+            raise InvalidConfig("delta must lie in (0, b - a]")
+        if step > d / 16 * (1 + 1e-12):
+            raise InvalidConfig("refine grid: need step <= delta / 16")
     # pairs at most k <= cells steps apart all lie in a window of k + 1 samples
-    return _WindowRange(phi.values)(int(math.floor(delta / step + 1e-9)))
+    ks = [int(math.floor(d / step + 1e-9)) for d in deltas]
+    omega = _WindowRange(phi.values)
+    moduli = {k: omega(k) for k in sorted(set(ks))}
+    return moduli[ks[0]] if scalar else [moduli[k] for k in ks]
 
 
 @dataclass(frozen=True)

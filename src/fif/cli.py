@@ -284,11 +284,10 @@ def cmd_build(cfg: RunConfig, out: Path) -> int:
     if problem.variant == "discrete":
         height_fn = SampledFunction(res.grid[0], res.grid[-1], res.height)
         a, b = cfg.interval
-        results["bound_discrete"] = error_bound_discrete(
-            sup,
-            modulus_of_continuity(height_fn, (b - a) / cfg.nodes),
-            modulus_of_continuity(height_fn, (b - a) / cfg.subintervals),
+        om_nodes, om_knots = modulus_of_continuity(
+            height_fn, [(b - a) / cfg.nodes, (b - a) / cfg.subintervals]
         )
+        results["bound_discrete"] = error_bound_discrete(sup, om_nodes, om_knots)
     _write_json(out / "meta.json", _meta(cfg, results, res.diagnostics))
     print(
         f"build: {res.iterations} sweeps, residual {res.residual:.3e}, "
@@ -303,19 +302,22 @@ def cmd_converge(cfg: RunConfig, out: Path) -> int:
     ladder = _parse_ladder(cfg.n_ladder)
     a, b = cfg.interval
     sup_alpha = _parse_alpha(cfg).sup_norm
-    dense = _modulus_curve(make_function(cfg.function), a, b, ladder)
+    f = make_function(cfg.function)
+    moduli = _ladder_moduli(f, a, b, ladder, cfg.discrete)
     rows_n, rows_sub, errs, bounds = [], [], [], []
-    for n in ladder:
+    truth = None
+    for n, (om, om_knots) in zip(ladder, moduli):
         step_cfg = dataclasses.replace(cfg, nodes=n)
         if cfg.discrete:
             step_cfg = dataclasses.replace(step_cfg, subintervals=max(n, 2))
         problem = _build_problem(step_cfg)
         res = solve_fif(problem, step_cfg.cells(), cfg.tol, cfg.max_iters)
-        truth = make_function(cfg.function)(res.grid)
+        # every rung renders the same grid, unless --discrete changes N
+        if truth is None or cfg.discrete:
+            truth = f(res.grid)
         err = float(np.max(np.abs(res.values - truth)))
-        om = modulus_of_continuity(dense, (b - a) / n)
         if cfg.discrete:
-            bound = _discrete_bound(sup_alpha, dense, b - a, n, om)
+            bound = error_bound_discrete(sup_alpha, om, om_knots)
         else:
             bound = error_bound_alpha(sup_alpha, om)
         rows_n.append(n)
@@ -420,12 +422,15 @@ def cmd_holder(cfg: RunConfig, out: Path) -> int:
             f"variable-scaling contraction gate failed at subinterval "
             f"{worst + 1}: {gate_terms[worst]:.6f} >= 1"
         )
-    truth = make_function(cfg.function)
+    f = make_function(cfg.function)
     rows, sups, semis, norms = [], [], [], []
+    truth = None
     for n in ladder:
         step_cfg = dataclasses.replace(cfg, nodes=n)
         res = solve_fif(_build_problem(step_cfg), cfg.cells(), cfg.tol, cfg.max_iters)
-        diff = SampledFunction(res.grid[0], res.grid[-1], res.values - truth(res.grid))
+        if truth is None:  # every rung renders the same grid
+            truth = f(res.grid)
+        diff = SampledFunction(res.grid[0], res.grid[-1], res.values - truth)
         semi = holder_seminorm(diff, params)
         sup = float(np.max(np.abs(diff.values)))
         rows.append(n)
@@ -458,30 +463,22 @@ def cmd_bounds(cfg: RunConfig, out: Path) -> int:
     sup = scaling.sup_norm
     kernel = kernel_from_name(cfg.kernel)
     f = make_function(cfg.function)
-    dense = _modulus_curve(f, a, b, ladder)
+    moduli = _ladder_moduli(f, a, b, ladder, cfg.discrete)
     probe = np.linspace(a, b, 10**4 + 1)
     truth = f(probe)
     header = ["n", "base_gap", "modulus", "bound_gap", "bound_modulus"]
     if cfg.discrete:
         header.append("bound_discrete")
     rows = []
-    for n in ladder:
+    for n, (om, om_knots) in zip(ladder, moduli):
         op = OperatorConfig(kernel, a, b, n)
         gap = float(np.max(np.abs(truth - nn_eval(op, f, probe))))
-        om = modulus_of_continuity(dense, (b - a) / n)
         row = [n, gap, om, error_bound_alpha(sup, gap), error_bound_alpha(sup, om)]
         if cfg.discrete:
-            row.append(_discrete_bound(sup, dense, b - a, n, om))
+            row.append(error_bound_discrete(sup, om, om_knots))
         rows.append(row)
     _write_table(sys.stdout, header, list(zip(*rows)), delimiter="  ")
     return 0
-
-
-def _discrete_bound(sup, dense, span, n, om):
-    # rung n has knots spaced span / max(n, 2): for n >= 2 that is the
-    # operator spacing, whose modulus om is known
-    om_k = om if n >= 2 else modulus_of_continuity(dense, span / 2)
-    return error_bound_discrete(sup, om, om_k)
 
 
 def _parse_ladder(spec: str):
@@ -499,11 +496,29 @@ def _parse_ladder(spec: str):
     return ladder
 
 
-def _modulus_curve(f, a, b, ladder):
+def _ladder_moduli(f, a, b, ladder, knots):
+    """Per rung ``n``, the moduli of ``f`` at the node spacing ``(b - a) / n``
+    and at the knot spacing ``(b - a) / max(n, 2)``, from one curve of
+    ``MODULUS_SAMPLES`` samples and one ``modulus_of_continuity`` call.
+
+    Only with ``knots`` does an ``n = 1`` rung add its knot spacing to the
+    call; otherwise the knot modulus is the node modulus.  Called before the
+    first solve, so the curve and its table are gone by then.
+    """
     # every rung is checked before the first one is computed
     if 16 * max(ladder) > MODULUS_SAMPLES:
         raise InvalidConfig(f"ladder entry above {MODULUS_SAMPLES // 16} nodes")
-    return SampledFunction.from_callable(f, a, b, MODULUS_SAMPLES)
+    dense = SampledFunction.from_callable(f, a, b, MODULUS_SAMPLES)
+    two_knots = [knots and n < 2 for n in ladder]
+    deltas = []
+    for n, extra in zip(ladder, two_knots):
+        deltas += [(b - a) / n, (b - a) / 2] if extra else [(b - a) / n]
+    moduli = iter(modulus_of_continuity(dense, deltas))
+    pairs = []
+    for extra in two_knots:
+        om = next(moduli)
+        pairs.append((om, next(moduli) if extra else om))
+    return pairs
 
 
 _COMMANDS = {
@@ -517,6 +532,44 @@ _COMMANDS = {
 
 
 def _make_parser() -> argparse.ArgumentParser:
+    # the options every subcommand shares, built once and taken by each
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="JSON config file (flags override it)")
+    shared.add_argument("--function", help="registry name or table:<csv path>")
+    shared.add_argument(
+        "--interval", nargs=2, type=float, metavar=("A", "B"),
+        help="domain endpoints",
+    )
+    shared.add_argument("--N", dest="subintervals", type=int, help="subinterval count")
+    shared.add_argument("--n", dest="nodes", type=int, help="operator node count")
+    shared.add_argument("--r", dest="order", type=int, help="derivative layers")
+    shared.add_argument(
+        "--alpha",
+        help="constant, comma list, or linear:lo,hi / sine:amp families",
+    )
+    shared.add_argument("--kernel", help="ramp | smoothstep:<k> | bump")
+    shared.add_argument(
+        "--grid-exp", dest="grid_exp", type=int,
+        help="render cells = N * 2^this",
+    )
+    shared.add_argument("--tol", type=float,
+                        help="bound on the distance to the fixed point")
+    shared.add_argument("--max-iters", dest="max_iters", type=int,
+                        help="doubling passes per solve (N^K cells need none)")
+    shared.add_argument("--seed", type=int, help="random-orbit seed")
+    shared.add_argument("--mu", type=float, help="roughness exponent")
+    shared.add_argument("--n-ladder", dest="n_ladder", help="e.g. 8,16,32,64")
+    shared.add_argument(
+        "--discrete", action="store_const", const=True, default=None,
+        help="use the node-data-only construction",
+    )
+    shared.add_argument(
+        "--chaos", action="store_const", const=True, default=None,
+        help="dimension: sample via the random orbit",
+    )
+    shared.add_argument("--points", type=int, help="random-orbit point count")
+    shared.add_argument("--scales", help="dyadic box sizes, e.g. 4..12")
+    shared.add_argument("--out", default=".", help="output directory")
     parser = argparse.ArgumentParser(
         prog="fif",
         description="Build and analyze fractal interpolants with "
@@ -531,44 +584,7 @@ def _make_parser() -> argparse.ArgumentParser:
         ("holder", "variable-scaling ladder with roughness norms"),
         ("bounds", "print error-bound tables without solving"),
     ]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--function", help="registry name or table:<csv path>")
-        p.add_argument(
-            "--interval", nargs=2, type=float, metavar=("A", "B"),
-            help="domain endpoints",
-        )
-        p.add_argument(
-            "--N", dest="subintervals", type=int, help="subinterval count"
-        )
-        p.add_argument("--n", dest="nodes", type=int, help="operator node count")
-        p.add_argument("--r", dest="order", type=int, help="derivative layers")
-        p.add_argument(
-            "--alpha",
-            help="constant, comma list, or linear:lo,hi / sine:amp families",
-        )
-        p.add_argument("--kernel", help="ramp | smoothstep:<k> | bump")
-        p.add_argument(
-            "--grid-exp", dest="grid_exp", type=int,
-            help="render cells = N * 2^this",
-        )
-        p.add_argument("--tol", type=float, help="bound on the distance to the fixed point")
-        p.add_argument("--max-iters", dest="max_iters", type=int,
-                       help="doubling passes per solve (N^K cells need none)")
-        p.add_argument("--seed", type=int, help="random-orbit seed")
-        p.add_argument("--mu", type=float, help="roughness exponent")
-        p.add_argument("--n-ladder", dest="n_ladder", help="e.g. 8,16,32,64")
-        p.add_argument(
-            "--discrete", action="store_const", const=True, default=None,
-            help="use the node-data-only construction",
-        )
-        p.add_argument(
-            "--chaos", action="store_const", const=True, default=None,
-            help="dimension: sample via the random orbit",
-        )
-        p.add_argument("--points", type=int, help="random-orbit point count")
-        p.add_argument("--scales", help="dyadic box sizes, e.g. 4..12")
-        p.add_argument("--out", default=".", help="output directory")
+        sub.add_parser(name, help=help_text, parents=[shared])
     return parser
 
 

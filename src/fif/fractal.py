@@ -523,8 +523,12 @@ def chaos_game_render(problem: FifProblem, point_count: int, seed: int):
     coeff = np.empty(total + 1)
     xs = np.empty(total + 1)
     coeff[0], xs[0] = 0.0, part.a
-    np.take(part.slopes, idx - 1, out=coeff[1:])
-    np.take(part.intercepts, idx - 1, out=xs[1:])
+    # the picks lie in range by construction; "clip" writes straight into
+    # ``out``, where the default "raise" fills a buffered copy first
+    pick = idx - 1
+    np.take(part.slopes, pick, out=coeff[1:], mode="clip")
+    np.take(part.intercepts, pick, out=xs[1:], mode="clip")
+    del pick
     _affine_scan(coeff, xs)
     np.clip(xs, part.a, part.b, out=xs)
     coeff[0] = 0.0

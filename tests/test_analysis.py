@@ -75,6 +75,55 @@ def test_modulus_matches_pair_scan():
             assert modulus_of_continuity(sf, delta) == brute_modulus(sf, delta)
 
 
+@pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
+def test_modulus_sequence_matches_pair_scan(order):
+    rng = np.random.default_rng(9)
+    noise = SampledFunction(0.0, 1.0, rng.standard_normal(257))
+    walk = SampledFunction(0.0, 1.0, np.cumsum(np.random.default_rng(10).standard_normal(257)))
+    # a repeated spacing and two spacings that share a window are included
+    deltas = [0.0625, 0.125, 0.25, 16 / 256, 31 / 256, 100 / 256, 1.0, 0.125, 100.5 / 256]
+    if order == "increasing":
+        deltas.sort()
+    elif order == "decreasing":
+        deltas.sort(reverse=True)
+    else:
+        np.random.default_rng(11).shuffle(deltas)
+    for sf in (noise, walk):
+        got = modulus_of_continuity(sf, deltas)
+        assert isinstance(got, list)
+        assert got == [brute_modulus(sf, d) for d in deltas]
+
+
+def test_modulus_sequence_checks_every_delta_before_any_work(monkeypatch):
+    sf = SampledFunction.from_callable(np.sin, 0.0, 1.0, 64)
+    built = []
+    table = fif.analysis._WindowRange
+
+    def counted(values):
+        built.append(values.size)
+        return table(values)
+
+    monkeypatch.setattr(fif.analysis, "_WindowRange", counted)
+    for deltas, match in (
+        ([0.5, 1.0, 0.05], "refine grid"),  # step 1/64 > delta/16, last
+        ([0.0, 0.5], "delta"),
+        ([0.5, 2.0, 0.25], "delta"),
+        ([0.5, float("nan")], "delta"),
+    ):
+        with pytest.raises(InvalidConfig, match=match):
+            modulus_of_continuity(sf, deltas)
+    assert built == []
+    assert modulus_of_continuity(sf, []) == []
+
+
+def test_modulus_scalar_delta_returns_a_float():
+    sf = SampledFunction.from_callable(np.sin, 0.0, 1.0, 256)
+    for delta in (0.25, np.float64(0.25), 1, np.array(0.25)):
+        got = modulus_of_continuity(sf, delta)
+        assert type(got) is float
+        assert got == modulus_of_continuity(sf, [float(delta)])[0]
+
+
 def test_modulus_monotone_in_delta():
     sf = SampledFunction.from_callable(lambda x: np.sin(7 * x) + 0.3 * x, 0.0, 2.0, 2**12)
     ladder = [modulus_of_continuity(sf, d) for d in (0.05, 0.1, 0.2, 0.4, 0.8)]

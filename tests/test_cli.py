@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -15,8 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fif
+from fif.analysis import error_bound_alpha, error_bound_discrete, modulus_of_continuity
 from fif.cli import _write_csv, main
 from fif.g17 import BLOCK_ROWS
+from fif.maps import ScalingVector
+from fif.registry import make_function
+from fif.sampled import SampledFunction
 
 
 def run(args):
@@ -476,15 +481,16 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys, command, below):
 
 @pytest.mark.parametrize("command", ["converge", "bounds"])
 def test_discrete_ladder_scans_each_modulus_once(tmp_path, monkeypatch, command):
-    # for n >= 2 the knot modulus is the operator modulus: one scan per step,
-    # and a second one only at n = 1, where the knot count is 2
+    # one call per ladder, so one table climb: for n >= 2 the knot modulus is
+    # the operator modulus, and only n = 1, where the knot count is 2, adds
+    # its knot spacing
     import fif.cli
 
     calls = []
     modulus = fif.cli.modulus_of_continuity
 
     def counted(phi, delta):
-        calls.append(delta)
+        calls.append(list(delta))
         return modulus(phi, delta)
 
     monkeypatch.setattr(fif.cli, "modulus_of_continuity", counted)
@@ -495,7 +501,64 @@ def test_discrete_ladder_scans_each_modulus_once(tmp_path, monkeypatch, command)
         ]
     )
     assert code == 0
-    assert calls == [1.0, 0.5, 1.0 / 8, 1.0 / 16]
+    assert calls == [[1.0, 0.5, 1.0 / 8, 1.0 / 16]]
+
+
+def _rung_moduli(function, ladder):
+    # the ladder's moduli one rung at a time, each from a fresh scalar call
+    from fif.cli import MODULUS_SAMPLES
+
+    dense = SampledFunction.from_callable(make_function(function), 0.0, 1.0, MODULUS_SAMPLES)
+    return [modulus_of_continuity(dense, 1.0 / n) for n in ladder], dense
+
+
+@pytest.mark.parametrize("ladder, code", [([8, 16, 32], 0), ([32, 8], 4)])
+def test_converge_bounds_match_rung_by_rung_moduli(tmp_path, ladder, code):
+    spec = ",".join(map(str, ladder))
+    argv = ["converge", "--function", "sin", "--alpha", "0.3", "--n-ladder", spec,
+            "--grid-exp", "6", "--out", str(tmp_path)]
+    assert run(argv) == code
+    _, cols = read_csv(tmp_path / "converge.csv")
+    assert cols["n"].tolist() == ladder
+    moduli, _ = _rung_moduli("sin", ladder)
+    sup = ScalingVector.constant([0.3] * 4).sup_norm
+    assert cols["bound"].tolist() == [error_bound_alpha(sup, om) for om in moduli]
+
+
+def test_discrete_bounds_match_rung_by_rung_moduli(capsys):
+    argv = ["bounds", "--function", "exp", "--alpha", "0.3", "--discrete",
+            "--n-ladder", "1,8,16"]
+    assert run(argv) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    header = lines[0].split("  ")
+    rows = np.array([[float(v) for v in line.split("  ")] for line in lines[1:]])
+    cols = dict(zip(header, rows.T))
+    moduli, dense = _rung_moduli("exp", [1, 8, 16])
+    knots = [modulus_of_continuity(dense, 0.5), moduli[1], moduli[2]]
+    sup = ScalingVector.constant([0.3] * 4).sup_norm
+    assert cols["modulus"].tolist() == moduli
+    assert cols["bound_modulus"].tolist() == [error_bound_alpha(sup, om) for om in moduli]
+    assert cols["bound_discrete"].tolist() == [
+        error_bound_discrete(sup, om, om_k) for om, om_k in zip(moduli, knots)
+    ]
+
+
+def test_subcommands_share_one_option_set():
+    from fif.cli import RunConfig, _make_parser
+
+    sub = next(a for a in _make_parser()._actions if a.dest == "command")
+    options = {
+        name: sorted((tuple(a.option_strings), a.dest) for a in p._actions)
+        for name, p in sub.choices.items()
+    }
+    assert sorted(options) == sorted(
+        ["build", "converge", "dimension", "smooth", "holder", "bounds"]
+    )
+    first = options["build"]
+    assert all(opts == first for opts in options.values())
+    dests = {dest for _, dest in first}
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert dests == fields | {"config", "out", "help"}
 
 
 def test_table_input_round_trip(tmp_path):
