@@ -29,7 +29,7 @@ def main():
     f = make_function("sin")
 
     curves = {}
-    print(f"{'alpha':>6s} {'sweeps':>7s} {'residual':>10s} {'sup |fif - sin|':>16s}")
+    print(f"{'alpha':>6s} {'passes':>7s} {'residual':>10s} {'sup |fif - sin|':>16s}")
     for alpha in ALPHAS:
         prob = FifProblem(part, ScalingVector.broadcast(alpha, 4), op, f, "alpha")
         res = solve_fif(prob, cells=4 * 2**12, tol=1e-10)

@@ -6,7 +6,6 @@ from .analysis import (
     box_counting_dimension,
     error_bound_alpha,
     error_bound_discrete,
-    holder_norm,
     holder_seminorm,
     knot_data_collinear,
     modulus_of_continuity,
@@ -23,7 +22,6 @@ from .fractal import (
     FifProblem,
     FifResult,
     chaos_game_render,
-    rb_apply,
     solve_fif,
 )
 from .kernels import (
@@ -69,7 +67,6 @@ __all__ = [
     "chaos_game_render",
     "error_bound_alpha",
     "error_bound_discrete",
-    "holder_norm",
     "holder_seminorm",
     "kernel_from_name",
     "knot_data_collinear",
@@ -79,7 +76,6 @@ __all__ = [
     "nn_eval_derivative",
     "nn_eval_four_layer",
     "ramp",
-    "rb_apply",
     "sigma_eval",
     "smooth_bump",
     "smoothstep",

@@ -122,11 +122,6 @@ def holder_seminorm(phi: SampledFunction, params: HolderParams) -> float:
     return best
 
 
-def holder_norm(phi: SampledFunction, params: HolderParams) -> float:
-    """max of the sup norm and the discrete seminorm."""
-    return max(float(np.max(np.abs(phi.values))), holder_seminorm(phi, params))
-
-
 def error_bound_alpha(scaling_sup: float, base_gap: float) -> float:
     """Sup-error bound scaling_sup / (1 - scaling_sup) * base_gap."""
     if not 0 <= scaling_sup < 1:
@@ -168,13 +163,12 @@ class DimensionReport:
 
 
 def theoretical_box_dimension(scaling, subintervals: int) -> float:
-    """Closed-form graph dimension for constant scalings on uniform knots.
+    """Closed-form graph dimension of a constant ``ScalingVector`` on uniform knots.
 
-    1 + log_N(kappa) when the absolute scalings sum to kappa > 1, else 1.
+    1 + log_N(kappa) when the absolute scalings sum to kappa > 1, else 1;
+    each |alpha_i| < 1, so kappa < N and the dimension stays below 2.
     """
-    consts = scaling.constants() if hasattr(scaling, "constants") else np.asarray(
-        scaling, dtype=float
-    )
+    consts = scaling.constants()
     if subintervals != len(consts):
         raise InvalidConfig("scaling count must match subinterval count")
     if subintervals < 2:
@@ -182,10 +176,7 @@ def theoretical_box_dimension(scaling, subintervals: int) -> float:
     kappa = float(np.sum(np.abs(consts)))
     if kappa <= 1.0:
         return 1.0
-    d = 1.0 + math.log(kappa) / math.log(subintervals)
-    if d > 2.0:
-        raise InvalidConfig("scalings give an impossible dimension > 2")
-    return d
+    return 1.0 + math.log(kappa) / math.log(subintervals)
 
 
 def knot_data_collinear(x, y) -> bool:

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 invalid configuration, 3 solver non-convergence,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -235,14 +236,24 @@ def _write_table(fh, header, columns, delimiter=","):
     write_rows(fh, columns, delimiter)
 
 
+@contextlib.contextmanager
+def _output(path: Path):
+    # an unwritable output is a configuration error, as an unusable --out is
+    try:
+        with open(path, "w", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise InvalidConfig(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_csv(path: Path, header, columns):
-    with open(path, "w", newline="\n") as fh:
+    with _output(path) as fh:
         _write_table(fh, header, columns)
 
 
 def _write_json(path: Path, obj):
     # numpy arrays and scalars are written as the lists and numbers they hold
-    with open(path, "w", newline="\n") as fh:
+    with _output(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True, default=lambda v: v.tolist())
         fh.write("\n")
 
@@ -290,7 +301,7 @@ def cmd_build(cfg: RunConfig, out: Path) -> int:
         results["bound_discrete"] = error_bound_discrete(sup, om_nodes, om_knots)
     _write_json(out / "meta.json", _meta(cfg, results, res.diagnostics))
     print(
-        f"build: {res.iterations} sweeps, residual {res.residual:.3e}, "
+        f"build: {res.iterations} passes, residual {res.residual:.3e}, "
         f"wrote {out / 'fif.csv'} and {out / 'meta.json'}"
     )
     return 0
@@ -405,7 +416,7 @@ def cmd_smooth(cfg: RunConfig, out: Path) -> int:
     }
     _write_json(out / "meta.json", _meta(cfg, results, res.diagnostics))
     print(
-        f"smooth: order {cfg.order}, {res.iterations} sweeps, "
+        f"smooth: order {cfg.order}, {res.iterations} passes, "
         f"residual {res.residual:.3e}"
     )
     return 0

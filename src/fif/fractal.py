@@ -71,7 +71,6 @@ from .operators import (
     nn_eval_four_layer,
     operator_fd_fallback,
 )
-from .sampled import SampledFunction
 
 VARIANTS = ("alpha", "discrete", "smooth")
 
@@ -152,12 +151,6 @@ class FifResult:
     height: np.ndarray
     derivatives: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
-    problem: FifProblem | None = None
-
-    def sampled(self) -> SampledFunction:
-        if self.problem is not None and not self.problem.partition.is_uniform:
-            raise InvalidConfig("a non-uniform partition renders a non-uniform grid")
-        return SampledFunction(float(self.grid[0]), float(self.grid[-1]), self.values)
 
 
 class _Pieces(NamedTuple):
@@ -435,7 +428,7 @@ def solve_fif(problem: FifProblem, cells=None, tol=DEFAULT_TOL,
     result = FifResult(
         grid=x, values=values, residual=stats["residual"], iterations=stats["iterations"],
         y_min=float(np.min(values)), y_max=float(np.max(values)),
-        base=base, height=plan.height, diagnostics=diagnostics, problem=problem,
+        base=base, height=plan.height, diagnostics=diagnostics,
     )
     for j, (dplan, info) in levels.items():
         result.derivatives[j], stats = dplan.solve(tol, max_sweeps)
@@ -443,35 +436,6 @@ def solve_fif(problem: FifProblem, cells=None, tol=DEFAULT_TOL,
     if smooth:
         diagnostics["derivative_levels"] = {j: info for j, (_, info) in levels.items()}
     return result
-
-
-def rb_apply(problem: FifProblem, phi: SampledFunction) -> SampledFunction:
-    """One sweep of the self-referential update applied to ``phi``.
-
-    ``phi`` must share the problem interval and match the endpoint data;
-    anything else is outside the function class the update acts on.  The
-    partition must be uniform: that closes the uniform grid of ``phi`` for
-    any cell count, so the sweep is an exact ``_grid_index`` gather, the
-    reference for the strided solve.
-    """
-    part = problem.partition
-    if not part.is_uniform:
-        raise InvalidConfig("rb_apply needs a uniform partition")
-    span = part.b - part.a
-    if abs(phi.a - part.a) > 1e-12 * span or abs(phi.b - part.b) > 1e-12 * span:
-        raise InvalidConfig("sampled function must live on the problem interval")
-    pieces = _assemble(problem)
-    x = _render_grid(part, phi.cells)
-    height = pieces.height_eval(x)
-    i_idx, k = _grid_index(part.size, phi.cells)
-    coeff = problem.scaling.values_at(i_idx, x[k])
-    _contraction(coeff)
-    coeff[0] = coeff[-1] = 0.0
-    beta = height[[0, -1]]
-    if np.any(np.abs(phi.values[[0, -1]] - beta) > 1e-9 * max(1.0, *np.abs(beta))):
-        raise InvalidConfig("phi is not in the endpoint-matching class X_{beta1}^{beta2}")
-    offset = height - coeff * pieces.base_eval(x)[k]
-    return SampledFunction(part.a, part.b, coeff * phi.values[k] + offset)
 
 
 def _affine_scan(coeff, offset):

@@ -35,7 +35,7 @@ class Partition:
         self.knots = knots
         span = knots[-1] - knots[0]
         self.slopes = np.diff(knots) / span
-        self.intercepts = (knots[-1] * knots[:-1] - knots[0] * knots[1:]) / span
+        self.intercepts = knots[:-1] - self.slopes * knots[0]
 
     @classmethod
     def uniform(cls, a, b, count):
@@ -93,7 +93,7 @@ class ScalingVector:
     :meth:`rows_at`, where every piece reads the same points, once on them.
     """
 
-    __slots__ = ("entries", "domain", "sup_norms", "_distinct", "_owner")
+    __slots__ = ("entries", "sup_norms", "_distinct", "_owner")
 
     def __init__(self, entries, domain=None):
         entries = tuple(entries)
@@ -106,7 +106,6 @@ class ScalingVector:
                 distinct.append(e)
         sups = np.asarray([_entry_sup(e, domain) for e in distinct])
         self.entries = entries
-        self.domain = None if domain is None else (float(domain[0]), float(domain[1]))
         self._distinct = tuple(distinct)
         self._owner = np.asarray([slot[id(e)] for e in entries])
         self.sup_norms = sups[self._owner]

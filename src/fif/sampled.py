@@ -6,11 +6,7 @@ import numpy as np
 
 
 class SampledFunction:
-    """Values on a uniform grid over ``[a, b]`` with linear interpolation.
-
-    Linear interpolation is monotone between neighbouring samples, so the
-    represented function never overshoots the sampled values.
-    """
+    """Finite samples at ``cells + 1`` evenly spaced points of ``[a, b]``, ends included."""
 
     __slots__ = ("a", "b", "values")
 
@@ -40,10 +36,3 @@ class SampledFunction:
     @property
     def step(self) -> float:
         return (self.b - self.a) / self.cells
-
-    @property
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.a, self.b, self.values.size)
-
-    def __call__(self, x):
-        return np.interp(x, self.grid, self.values)

@@ -9,7 +9,6 @@ from fif.analysis import (
     box_counting_dimension,
     error_bound_alpha,
     error_bound_discrete,
-    holder_norm,
     holder_seminorm,
     knot_data_collinear,
     modulus_of_continuity,
@@ -30,17 +29,14 @@ from fif.sampled import SampledFunction
 def test_sampled_function_grid_and_interp():
     sf = SampledFunction.from_callable(np.sin, 0.0, np.pi, 128)
     assert sf.cells == 128
-    assert sf.grid.size == 129
     assert sf.step == pytest.approx(np.pi / 128)
-    mid = (sf.grid[3] + sf.grid[4]) / 2
-    assert sf(mid) == pytest.approx((sf.values[3] + sf.values[4]) / 2, abs=1e-15)
 
 
 # ------------------------------------------------------ modulus of continuity
 
 
 def brute_modulus(sf, delta):
-    v, g = sf.values, sf.grid
+    v, g = sf.values, np.linspace(sf.a, sf.b, sf.values.size)
     best = 0.0
     for i in range(v.size):
         for j in range(i + 1, v.size):
@@ -151,7 +147,7 @@ def test_modulus_preconditions():
 
 
 def brute_seminorm(sf, mu):
-    v, g = sf.values, sf.grid
+    v, g = sf.values, np.linspace(sf.a, sf.b, sf.values.size)
     best = 0.0
     for i in range(v.size):
         for j in range(i + 1, v.size):
@@ -224,12 +220,6 @@ def test_blocked_window_ranges_match_the_scans(monkeypatch):
         assert holder_seminorm(walk, HolderParams(mu)) == spacing_scan(walk, mu)
 
 
-def test_holder_norm_combines():
-    sf = SampledFunction.from_callable(lambda x: 0.1 * x, 0.0, 1.0, 50)
-    p = HolderParams(1.0)
-    assert holder_norm(sf, p) == max(0.1, holder_seminorm(sf, p))
-
-
 def test_holder_params_validation():
     with pytest.raises(InvalidConfig):
         HolderParams(0.0)
@@ -273,16 +263,17 @@ def test_bounds_reject_expansive_scaling():
 
 
 def test_theoretical_dimension_values():
-    assert theoretical_box_dimension([0.5, 0.5, 0.5, 0.5], 4) == pytest.approx(1.5, abs=1e-15)
-    assert theoretical_box_dimension([0.1, 0.1, 0.1, 0.1], 4) == 1.0
-    assert theoretical_box_dimension([0.6, 0.6], 2) == pytest.approx(
-        1.0 + np.log2(1.2), abs=1e-12
-    )
+    def dim(values, count):
+        return theoretical_box_dimension(ScalingVector.constant(values), count)
+
+    assert dim([0.5, 0.5, 0.5, 0.5], 4) == pytest.approx(1.5, abs=1e-15)
+    assert dim([0.1, 0.1, 0.1, 0.1], 4) == 1.0
+    assert dim([0.6, 0.6], 2) == pytest.approx(1.0 + np.log2(1.2), abs=1e-12)
 
 
 def test_theoretical_dimension_permutation_invariant():
-    a = theoretical_box_dimension([0.7, 0.4, 0.5, 0.6], 4)
-    b = theoretical_box_dimension([0.4, 0.6, 0.7, 0.5], 4)
+    a = theoretical_box_dimension(ScalingVector.constant([0.7, 0.4, 0.5, 0.6]), 4)
+    b = theoretical_box_dimension(ScalingVector.constant([0.4, 0.6, 0.7, 0.5]), 4)
     assert a == b
 
 
@@ -293,10 +284,10 @@ def test_theoretical_dimension_validation():
     with pytest.raises(InvalidConfig, match="constant scalings required"):
         theoretical_box_dimension(sv, 1)
     with pytest.raises(InvalidConfig):
-        theoretical_box_dimension([0.5, 0.5], 4)  # length mismatch
-    # raw arrays skip the |alpha| < 1 gate, so the slope cap must catch them
-    with pytest.raises(InvalidConfig):
-        theoretical_box_dimension([3.0, 3.0], 2)
+        theoretical_box_dimension(ScalingVector.constant([0.5, 0.5]), 4)  # length mismatch
+    # |alpha_i| >= 1 is refused by the vector, so no dimension above 2 is reached
+    with pytest.raises(InvalidConfig, match="sup norm"):
+        ScalingVector.constant([3.0, 3.0])
 
 
 def test_theoretical_dimension_accepts_scaling_vector():

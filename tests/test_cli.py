@@ -206,7 +206,7 @@ def test_build_reports_the_solve_split(tmp_path, capsys):
     assert (diag["coarse_cells"], diag["fill_levels"]) == (64, 1)
     assert meta["results"]["iterations"] == 9 + 1 + 1
     assert "predicted_sweeps" not in diag and "solve_method" not in diag
-    assert capsys.readouterr().out.startswith("build: 11 sweeps, residual ")
+    assert capsys.readouterr().out.startswith("build: 11 passes, residual ")
 
 
 def test_nonconvergence_exit_3(tmp_path):
@@ -477,6 +477,19 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys, command, below):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot use --out")
     assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("command, name", [
+    ("build", "fif.csv"), ("build", "meta.json"),
+    ("converge", "converge.csv"), ("converge", "meta.json"),
+])
+def test_unwritable_output_exits_2_naming_it(tmp_path, capsys, command, name):
+    # a directory where the output file goes: open() raises IsADirectoryError
+    (tmp_path / name).mkdir()
+    argv = [command, "--function", "sin", "--n-ladder", "8,16", "--grid-exp", "6"]
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {tmp_path / name}: ")
 
 
 @pytest.mark.parametrize("command", ["converge", "bounds"])

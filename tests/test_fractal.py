@@ -22,7 +22,6 @@ from fif.fractal import (
     _build_plan,
     _derivative_levels,
     chaos_game_render,
-    rb_apply,
     solve_fif,
 )
 from fif.kernels import ramp, smoothstep
@@ -35,7 +34,7 @@ from fif.operators import (
     nn_eval_derivative,
 )
 from fif.registry import make_function
-from fif.sampled import SampledFunction
+from reference import rb_apply
 
 
 def sine_problem(alpha=0.3, n=32, count=4, a=0.0, b=np.pi):
@@ -65,9 +64,6 @@ def test_result_metadata():
     assert res.diagnostics["variant"] == "alpha"
     assert res.diagnostics["junction_mismatch"] <= 1e-9
     assert res.diagnostics["knots_checked"] == 3
-    sf = res.sampled()
-    assert isinstance(sf, SampledFunction)
-    assert np.array_equal(sf.values, res.values)
 
 
 def test_knot_interpolation_alpha_variant():
@@ -81,8 +77,8 @@ def test_knot_interpolation_alpha_variant():
 def test_self_referential_residual_via_reapplication():
     prob = sine_problem(alpha=0.5, n=16)
     res = solve_fif(prob, cells=4 * 2**9, tol=1e-10)
-    again = rb_apply(prob, res.sampled())
-    assert np.max(np.abs(again.values - res.values)) <= 1e-10
+    again = rb_apply(prob, res.values)
+    assert np.max(np.abs(again - res.values)) <= 1e-10
 
 
 def test_two_starting_points_agree():
@@ -94,29 +90,26 @@ def test_two_starting_points_agree():
     part = prob.partition
     grid = res.grid
     poly = np.interp(grid, part.knots, np.sin(part.knots))
-    phi = SampledFunction(part.a, part.b, poly)
+    phi = poly
     threshold = tol * (1.0 - prob.scaling.sup_norm)
     for _ in range(400):
         nxt = rb_apply(prob, phi)
-        change = np.max(np.abs(nxt.values - phi.values))
+        change = np.max(np.abs(nxt - phi))
         phi = nxt
         if change <= threshold:
             break
-    assert np.max(np.abs(phi.values - res.values)) <= 2 * tol
+    assert np.max(np.abs(phi - res.values)) <= 2 * tol
 
 
 def test_contraction_estimate_between_iterates():
     prob = sine_problem(alpha=0.45, n=16)
     part = prob.partition
     grid = np.linspace(part.a, part.b, 4 * 2**8 + 1)
-    f_start = SampledFunction(part.a, part.b, np.sin(grid))
-    base = nn_eval(prob.operator, prob.f, grid)
-    base[0], base[-1] = np.sin(part.a), np.sin(part.b)  # endpoint data pins
-    b_start = SampledFunction(part.a, part.b, base)
-    gap0 = np.max(np.abs(f_start.values - b_start.values))
-    gap1 = np.max(
-        np.abs(rb_apply(prob, f_start).values - rb_apply(prob, b_start).values)
-    )
+    f_start = np.sin(grid)
+    b_start = nn_eval(prob.operator, prob.f, grid)
+    b_start[0], b_start[-1] = np.sin(part.a), np.sin(part.b)  # endpoint data pins
+    gap0 = np.max(np.abs(f_start - b_start))
+    gap1 = np.max(np.abs(rb_apply(prob, f_start) - rb_apply(prob, b_start)))
     slack = 1e-12 + 2 * (grid[1] - grid[0])
     assert gap1 <= prob.scaling.sup_norm * gap0 + slack
 
@@ -163,14 +156,14 @@ def plain_picard(problem, cells, tol, max_sweeps=10**4):
     """
     pieces = _assemble(problem)
     part = problem.partition
-    phi = SampledFunction.from_callable(pieces.height_eval, part.a, part.b, cells)
+    phi = pieces.height_eval(np.linspace(part.a, part.b, cells + 1))
     threshold = tol * (1.0 - problem.scaling.sup_norm)
     for m in range(1, max_sweeps + 1):
         nxt = rb_apply(problem, phi)
-        change = np.max(np.abs(nxt.values - phi.values))
+        change = np.max(np.abs(nxt - phi))
         phi = nxt
         if change <= threshold:
-            return phi.values, m
+            return phi, m
     raise AssertionError(f"no convergence in {max_sweeps} sweeps")
 
 
@@ -642,8 +635,8 @@ def test_apply_with_zero_scaling_returns_height():
     prob = sine_problem(alpha=0.0, n=24)
     grid = np.linspace(0.0, np.pi, 4 * 2**8 + 1)
     poly = np.interp(grid, prob.partition.knots, np.sin(prob.partition.knots))
-    out = rb_apply(prob, SampledFunction(0.0, np.pi, poly))
-    assert np.max(np.abs(out.values - np.sin(grid))) <= 1e-12
+    out = rb_apply(prob, poly)
+    assert np.max(np.abs(out - np.sin(grid))) <= 1e-12
 
 
 def test_apply_on_a_grid_the_piece_count_does_not_divide():
@@ -651,17 +644,16 @@ def test_apply_on_a_grid_the_piece_count_does_not_divide():
     # point 3 g - (i - 1) 256, so the sweep is an exact gather
     prob = sine_problem(alpha=0.6, n=16, count=3, b=1.0)
     part = prob.partition
-    phi = SampledFunction.from_callable(
-        lambda x: np.sin(x) + x * (1.0 - x) * np.cos(7.0 * x), 0.0, 1.0, 256
-    )
+    x = np.linspace(0.0, 1.0, 257)
+    phi = np.sin(x) + x * (1.0 - x) * np.cos(7.0 * x)
     out = rb_apply(prob, phi)
-    x = phi.grid
     i = part.locate(x)
     pre = part.inverse(i, x)
     alpha = prob.scaling.values_at(i, pre)
-    want = alpha * phi(pre) + np.sin(x) - alpha * nn_eval(prob.operator, prob.f, pre)
+    base = nn_eval(prob.operator, prob.f, pre)
+    want = alpha * np.interp(pre, x, phi) + np.sin(x) - alpha * base
     want[0], want[-1] = np.sin(0.0), np.sin(1.0)
-    assert np.max(np.abs(out.values - want)) <= 1e-13
+    assert np.max(np.abs(out - want)) <= 1e-13
 
 
 def linear_scaling(count, lo, hi):
@@ -683,7 +675,7 @@ def test_strided_sweep_is_bitwise_the_reference_gather(count, scaling):
     cells = count**2 * 2**5
     plan, x, _ = _build_plan(prob, cells)
     phi = np.exp(x) + x * (1.0 - x) * np.cos(7.0 * x)
-    want = rb_apply(prob, SampledFunction(0.0, 1.0, phi)).values
+    want = rb_apply(prob, phi)
     assert plan.apply(phi).tobytes() == want.tobytes()
     # a fill level writes the stride-s points in place while reading stride N s
     for s in (count, count * 2):
@@ -692,30 +684,6 @@ def test_strided_sweep_is_bitwise_the_reference_gather(count, scaling):
         assert filled[::s].tobytes() == want[::s].tobytes()
         kept = np.arange(cells + 1) % s != 0
         assert filled[kept].tobytes() == phi[kept].tobytes()
-
-
-def test_uniform_grid_helpers_refuse_non_uniform_partitions():
-    prob = orbit_case([0.0, 0.3, 1.0], [0.6, -0.7], "sin")
-    res = solve_fif(prob, cells=256)
-    with pytest.raises(InvalidConfig, match="non-uniform"):
-        res.sampled()
-    phi = SampledFunction.from_callable(np.sin, 0.0, 1.0, 256)
-    with pytest.raises(InvalidConfig, match="uniform partition"):
-        rb_apply(prob, phi)
-
-
-def test_apply_rejects_wrong_interval():
-    prob = sine_problem()
-    phi = SampledFunction.from_callable(np.sin, 0.0, 1.0, 256)
-    with pytest.raises(InvalidConfig, match="interval"):
-        rb_apply(prob, phi)
-
-
-def test_apply_rejects_endpoint_mismatch():
-    prob = sine_problem()
-    vals = np.sin(np.linspace(0.0, np.pi, 257)) + 0.5
-    with pytest.raises(InvalidConfig, match="endpoint-matching class"):
-        rb_apply(prob, SampledFunction(0.0, np.pi, vals))
 
 
 # ------------------------------------------------------------- node variant

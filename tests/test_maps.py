@@ -19,6 +19,20 @@ def test_nonuniform_slopes_and_intercepts():
     assert Partition.uniform(0.0, 1.0, 4).is_uniform
 
 
+@pytest.mark.parametrize("a, b", [(0.0, 1e300), (1e200, 3e200), (-1e300, 5e299)])
+def test_intercepts_stay_finite_on_huge_intervals(a, b):
+    # a product of two knots overflows here; the maps need none
+    with np.errstate(all="raise"):
+        part = Partition.uniform(a, b, 4)
+        knots = part.knots
+        assert np.all(np.isfinite(part.intercepts))
+        ulp = np.spacing(np.max(np.abs(knots)))
+        at_a = part.slopes * knots[0] + part.intercepts  # L_i(x_0) = x_{i-1}
+        at_b = part.slopes * knots[-1] + part.intercepts  # L_i(x_N) = x_i
+    assert np.max(np.abs(at_a - knots[:-1])) <= 2 * ulp
+    assert np.max(np.abs(at_b - knots[1:])) <= 4 * ulp
+
+
 def test_slopes_sum_to_one():
     rng = np.random.default_rng(2)
     for _ in range(20):
