@@ -24,10 +24,10 @@ of the endpoints under all depth-``K`` compositions of the maps (Barnsley
 1986), ``N^K + 1`` points whose stride-``N`` subgrid is ``G_{K-1}``.  On
 both, with ``M = cells / N``, point ``(i - 1) M + t`` is ``L_i`` of point
 ``N t``, so every piece reads its pre-images from one strided view: the
-discrete equation reads ``phi[1:] = c * phi[N::N] + o`` with ``c`` and
-``o`` viewed as ``N`` rows of ``M``, and ``phi[0] = o[0]``.
-``contraction`` is ``max|c|`` over every grid point, which must be below 1;
-the ends then carry ``c = 0`` and the height's values.  With ``N^K`` the
+discrete equation reads ``phi[1:] = c * phi[N::N] + o`` with ``o`` viewed
+as ``N`` rows of ``M`` and ``c`` as ``N`` rows of ``M`` or, for constant
+scalings, one column; the ends take the height's values.  ``contraction``
+is ``max|c|`` over every grid point, which must be below 1.  With ``N^K`` the
 largest power of ``N`` dividing the cell count, the stride-``N^K`` points
 form a closed coarse grid.  There the update composed with itself has the
 same form over an explicit pre-image index, so pointer jumping (Wyllie
@@ -185,10 +185,11 @@ def _assemble(problem: FifProblem) -> _Pieces:
     )
 
 
-def _contraction(coeff):
-    """``max|coeff|`` without a temporary: the Lipschitz constant in sup norm
-    of an update that multiplies by ``coeff``; raises unless it is below 1."""
-    c = max(0.0, float(np.max(coeff)), -float(np.min(coeff)))
+def _contraction(coeff, first=0.0):
+    """``max|coeff|`` and ``|first|`` without a temporary: the Lipschitz
+    constant in sup norm of an update that multiplies by ``coeff`` and
+    ``first``; raises unless it is below 1."""
+    c = max(abs(float(first)), float(np.max(coeff)), -float(np.min(coeff)))
     if not c < 1.0:
         raise InvalidConfig(f"scaling reaches |alpha| = {c:.6g} at a solve point; need < 1")
     return c
@@ -225,20 +226,23 @@ def _render_grid(part, cells):
 
 
 class _GridPlan:
-    """The update ``phi -> coeff * phi[pre] + height - coeff * base[pre]`` on
-    a closed grid, whose ``N`` rows of points ``1..cells`` share pre-images
-    ``N::N``.  ``contraction`` is ``max|coeff|`` over every point; the end
-    coefficients are then zeroed.  Owns ``coeff`` and ``height``; writes neither."""
+    """The update ``phi -> c * phi[pre] + height - c * base[pre]`` on a
+    closed grid, whose ``N`` rows of ``M`` points ``1..cells`` share
+    pre-images ``N::N``.  ``c`` is ``alpha`` (at ``x[::N]``: ``N`` rows of ``M + 1``,
+    or a constant column) viewed as ``rows``, ``(N, M)``; ``contraction`` is
+    ``max|c|`` there and at point 0.  Owns ``height``; writes no input."""
 
-    __slots__ = ("coeff", "offset", "height", "contraction", "n_sub")
+    __slots__ = ("rows", "offset", "height", "contraction", "n_sub")
 
-    def __init__(self, coeff, height, base, n_sub):
-        self.contraction = _contraction(coeff)
-        coeff[0] = coeff[-1] = 0.0
-        self.coeff, self.height, self.n_sub = coeff, height, n_sub
+    def __init__(self, alpha, height, base):
+        self.n_sub, m = len(alpha), (height.size - 1) // len(alpha)
+        rows = alpha[:, -m:]  # columns 1..M, or the one constant column
+        self.contraction = _contraction(rows, alpha[0, 0])
+        self.rows, self.height = np.broadcast_to(rows, (self.n_sub, m)), height
         self.offset = height.copy()
-        rows = self.offset[1:].reshape(n_sub, -1)
-        rows -= coeff[1:].reshape(n_sub, -1) * base[n_sub::n_sub]
+        inner = self.offset[1:].reshape(self.n_sub, -1)
+        inner -= self.rows * base[self.n_sub :: self.n_sub]
+        self.offset[-1] = height[-1]
 
     def apply(self, values, out=None, s=1):
         """The update of ``values`` at the stride-``s`` points, which read
@@ -246,10 +250,10 @@ class _GridPlan:
         ``out`` may be ``values``: NumPy buffers an overlapping input."""
         out = np.empty_like(self.offset) if out is None else out
         rows = out[s::s].reshape(self.n_sub, -1)
-        np.multiply(self.coeff[s::s].reshape(self.n_sub, -1),
+        np.multiply(self.rows[:, s - 1 :: s],
                     values[self.n_sub * s :: self.n_sub * s], out=rows)
         rows += self.offset[s::s].reshape(self.n_sub, -1)
-        out[0] = self.offset[0]
+        out[0], out[-1] = self.offset[0], self.offset[-1]
         return out
 
     def solve(self, tol, max_sweeps):
@@ -260,11 +264,13 @@ class _GridPlan:
         sweep whose move is ``residual``.  Returns ``(values, stats)``, or
         raises ``NonConvergence`` if ``residual > tol * (1 - contraction)``.
         """
-        coarse, levels = self.coeff.size - 1, 0
+        coarse, levels = self.offset.size - 1, 0
         while coarse % self.n_sub == 0:
             coarse, levels = coarse // self.n_sub, levels + 1
         s = self.n_sub**levels
-        coeff, offset = self.coeff[::s].copy(), self.offset[::s].copy()
+        coeff, offset = np.zeros(coarse + 1), self.offset[::s].copy()
+        inner = np.arange(s, self.offset.size - 1, s) - 1  # rows' flat index
+        coeff[1:-1] = self.rows[np.unravel_index(inner, self.rows.shape)]
         k = _grid_index(self.n_sub, coarse)[1]
         passes = 0
         while passes < max_sweeps and np.max(np.abs(coeff)) > ROUNDOFF:
@@ -321,10 +327,7 @@ def _build_plan(problem, cells):
     height = pieces.height_eval(x)
     base = pieces.base_eval(x)
     alpha = problem.scaling.rows_at(x[:: part.size])
-    coeff = np.empty_like(x)
-    coeff[0] = alpha[0, 0]
-    coeff[1:].reshape(part.size, -1)[...] = alpha[:, 1:]
-    return _GridPlan(coeff, height, base, part.size), x, base
+    return _GridPlan(alpha, height, base), x, base
 
 
 def _derivative_levels(problem, x):
@@ -357,8 +360,7 @@ def _derivative_levels(problem, x):
             )
         identity_gap = (float(abs(y0 - fj[0])), float(abs(y1 - fj[-1])))
         fj[0], fj[-1] = y0, y1
-        coeff = np.repeat(alphas / sj, knots[1])
-        plan = _GridPlan(np.r_[coeff[0], coeff], fj, dbase, part.size)
+        plan = _GridPlan((alphas / sj)[:, None], fj, dbase)
         levels[j] = (plan, {
             "contraction": plan.contraction,
             "matching_residual": float(np.max(gap)),
@@ -441,28 +443,40 @@ def solve_fif(problem: FifProblem, cells=None, tol=DEFAULT_TOL,
 def _affine_scan(coeff, offset):
     """Solve ``v[t] = coeff[t] * v[t - 1] + offset[t]`` in place.
 
-    ``coeff[0]`` must be 0, so ``v[0] = offset[0]``; on return ``offset``
-    holds ``v`` and ``coeff`` is spent.  Each pass composes every entry's
+    ``coeff`` is an array with ``coeff[0] = 0``, so ``v[0] = offset[0]``, or
+    one float shared by every step ``t >= 1``; on return ``offset`` holds
+    ``v`` and an array ``coeff`` is spent.  Each pass composes every entry's
     window of ``w`` maps with the window before it (a doubling scan of affine
     maps), so after it an entry spans ``2 w`` steps and one whose span
-    reaches ``t = 0`` carries coefficient 0 and its final value.  Passes stop
-    once every coefficient is at most ``ROUNDOFF`` in size, where a further
-    pass would move each value by at most its rounding (a product of 32
-    factors 1/4 is 2^-64), and in any case after ``ceil(log2 n)``.  Returns
-    the number of passes.
+    reaches ``t = 0`` carries coefficient 0 and its final value (with a
+    shared float, the rest carry its ``w``-th power, squared per pass).
+    Passes stop once every coefficient is at most ``ROUNDOFF`` in size, where
+    a further pass would move each value by at most its rounding (a product
+    of 32 factors 1/4 is 2^-64), and in any case after ``ceil(log2 n)``.
+    Returns the number of passes.
     """
     n = offset.size
     scratch = np.empty(n - 1)
+    c = coeff if np.ndim(coeff) == 0 else coeff[1:]  # the steps' coefficients
     w, passes = 1, 0
-    while w < n and max(coeff[w:].max(), -coeff[w:].min()) > ROUNDOFF:
+    while w < n and max(np.max(c), -np.min(c)) > ROUNDOFF:
         tmp = scratch[: n - w]
-        np.multiply(coeff[w:], offset[:-w], out=tmp)
+        np.multiply(c, offset[:-w], out=tmp)
         offset[w:] += tmp
-        np.multiply(coeff[w:], coeff[:-w], out=tmp)
-        coeff[w:] = tmp
+        if np.ndim(c) == 0:
+            c = c * c
+        else:
+            np.multiply(c, coeff[:-w], out=tmp)
+            coeff[w:] = tmp
+            c = coeff[2 * w :]
         w *= 2
         passes += 1
     return passes
+
+
+def _shared(table):
+    """The entry of ``table`` when every entry is bitwise equal, else ``None``."""
+    return float(table[0]) if table.tobytes() == table[:1].tobytes() * table.size else None
 
 
 def chaos_game_render(problem: FifProblem, point_count: int, seed: int):
@@ -473,9 +487,9 @@ def chaos_game_render(problem: FifProblem, point_count: int, seed: int):
     the x-orbit ``x[t+1] = slope_k x[t] + intercept_k`` and the y-recurrence
     ``y[t+1] = alpha_k(x[t]) y[t] + shift[t]`` are affine recurrences, each
     solved in place by a doubling scan (Wyllie 1979; Blelloch 1990) of at
-    most ``ceil(log2(BURN_IN + point_count + 1))`` array passes, fewer once
-    every window coefficient is at most ``ROUNDOFF``.  The result matches the
-    step-by-step loop up to rounding.
+    most ``ceil(log2(BURN_IN + point_count + 1))`` passes, fewer once every
+    window coefficient is at most ``ROUNDOFF``, on one float when all steps
+    share it.  The result matches the step-by-step loop up to rounding.
     """
     if point_count < 1000:
         raise InvalidConfig("need at least 1000 points")
@@ -484,24 +498,28 @@ def chaos_game_render(problem: FifProblem, point_count: int, seed: int):
     total = BURN_IN + int(point_count)
     rng = np.random.default_rng(seed)
     idx = rng.integers(1, part.size + 1, size=total)
-    coeff = np.empty(total + 1)
     xs = np.empty(total + 1)
-    coeff[0], xs[0] = 0.0, part.a
+    xs[0] = part.a
     # the picks lie in range by construction; "clip" writes straight into
     # ``out``, where the default "raise" fills a buffered copy first
     pick = idx - 1
-    np.take(part.slopes, pick, out=coeff[1:], mode="clip")
     np.take(part.intercepts, pick, out=xs[1:], mode="clip")
+    coeff = _shared(part.slopes)
+    if coeff is None:
+        coeff = np.zeros(total + 1)
+        np.take(part.slopes, pick, out=coeff[1:], mode="clip")
     del pick
     _affine_scan(coeff, xs)
     np.clip(xs, part.a, part.b, out=xs)
-    coeff[0] = 0.0
-    coeff[1:] = problem.scaling.values_at(idx, xs[:-1])
+    coeff = _shared(problem.scaling.constants()) if problem.scaling.is_constant else None
+    if coeff is None:
+        coeff = np.r_[0.0, problem.scaling.values_at(idx, xs[:-1])]
+    del idx
     _contraction(coeff)
     # ys[1:] = height(x[t+1]) - alpha_t * base(x[t]), the recurrence's shift
     ys = pieces.height_eval(xs)
     shift = pieces.base_eval(xs[:-1])
-    shift *= coeff[1:]
+    shift *= coeff if np.ndim(coeff) == 0 else coeff[1:]
     ys[1:] -= shift
     del shift  # the scan allocates its own scratch
     _affine_scan(coeff, ys)

@@ -157,8 +157,10 @@ class ScalingVector:
         return out
 
     def rows_at(self, x):
-        """``alpha_i(x)`` of every piece ``i = 1..N`` at the same points ``x``,
-        as ``N`` rows; each distinct entry is evaluated once on them."""
+        """``alpha_i(x)`` of pieces ``i = 1..N`` at the same points ``x``, as ``N`` rows
+        (one column when all are constant); each distinct entry is evaluated once."""
+        if self.is_constant:
+            return self.constants()[:, None]
         x = np.ascontiguousarray(x, dtype=float)
         out = np.empty((self.size,) + x.shape)
         for j, e in enumerate(self._distinct):

@@ -24,7 +24,7 @@ from fif.fractal import (
     chaos_game_render,
     solve_fif,
 )
-from fif.kernels import ramp, smoothstep
+from fif.kernels import ramp, smooth_bump, smoothstep
 from fif.maps import Partition, ScalingVector
 from fif.operators import (
     FunctionInput,
@@ -575,7 +575,61 @@ def test_build_plan_evaluates_a_shared_scaling_once_per_point():
     assert sizes == [cells // count + 1]
     tiled = sv.values_at(np.arange(1, count + 1)[:, None], x[::count])
     assert sv.rows_at(x[::count]).tobytes() == tiled.tobytes()
-    assert plan.coeff[1:-1].tobytes() == tiled[:, 1:].ravel()[:-1].tobytes()
+    # piece i reads alpha_i at the pre-images of points 1..M of its row
+    assert plan.rows.tobytes() == tiled[:, 1:].tobytes()
+
+
+def traced_peak(run, size, small):
+    """Peak traced bytes of ``run(size)``, once ``run(small)`` has paid the
+    one-time set-up of a first call in a fresh process."""
+    run(small)
+    tracemalloc.start()
+    try:
+        run(size)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("variant", ["alpha", "discrete"])
+@pytest.mark.parametrize("count", [4, 5])
+def test_constant_scaling_solve_is_bitwise_the_per_cell_rows(variant, count):
+    # constants stay one coefficient column; the same values as callables
+    # fill a coefficient per cell, and the solve must not tell them apart
+    # (N = 5 also takes the coarse solve's gather over C = 2^10 cells)
+    consts = [0.55, -0.3, 0.2, 0.45, -0.1][:count]
+    funcs = [lambda x, c=c: np.full_like(x, c) for c in consts]
+    part = Partition.uniform(0.0, 1.0, count)
+    op = OperatorConfig(ramp(), 0.0, 1.0, 8)
+
+    def solve(sv):
+        prob = FifProblem(part, sv, op, make_function("sin"), variant)
+        return solve_fif(prob, cells=count * 2**10, tol=1e-12)
+
+    const = solve(ScalingVector.constant(consts))
+    rows = solve(ScalingVector(funcs, domain=(0.0, 1.0)))
+    assert const.values.tobytes() == rows.values.tobytes()
+    assert np.float64(const.residual).tobytes() == np.float64(rows.residual).tobytes()
+    assert const.iterations == rows.iterations
+
+
+def test_constant_scaling_solve_holds_no_per_cell_coefficients():
+    # grid, height, base and offset, then the filled and the certified
+    # values: six arrays of 8 bytes per cell, and no coefficient array
+    cells = 2**16
+    prob = sine_problem(alpha=0.55, n=32, count=4, b=1.0)
+    assert traced_peak(lambda c: solve_fif(prob, cells=c), cells, 64) <= 48 * cells + 2**16
+
+
+def test_constant_scaling_smooth_solve_holds_no_per_cell_coefficients():
+    # level 0 as above; each derivative level adds f^(k), (Lf)^(k) and its
+    # offset, and no coefficient array: 96 bytes per cell at r = 2
+    cells = 2**16
+    part = Partition.uniform(0.0, 1.0, 4)
+    op = OperatorConfig(smooth_bump(), 0.0, 1.0, 256, r=2)
+    prob = FifProblem(part, ScalingVector.broadcast(0.05, 4), op, make_function("sin"),
+                      "smooth")
+    assert traced_peak(lambda c: solve_fif(prob, cells=c), cells, 64) <= 96 * cells + 2**16
 
 
 @pytest.mark.parametrize("count, cells, levels, budget", [
@@ -1107,6 +1161,44 @@ def test_orbit_scan_matches_sequential_loop(name):
     span = prob.partition.b - prob.partition.a
     assert np.max(np.abs(xs - ref_x)) <= 1e-15 * span
     assert np.max(np.abs(ys - ref_y)) <= 1e-13 * max(1.0, np.max(np.abs(ref_y)))
+
+
+@pytest.mark.parametrize("c", [0.25, 0.55, -0.55, 0.0, 0.999])
+def test_affine_scan_shared_coefficient_is_bitwise_the_array(c):
+    # every window of the array scan multiplies equal floats, so squaring
+    # the one shared float forms the same products
+    n = 10**5 + 1
+    offset = np.random.default_rng(1).standard_normal(n)
+    shared = offset.copy()
+    passes = _affine_scan(np.r_[0.0, np.full(n - 1, c)], offset)
+    assert _affine_scan(c, shared) == passes
+    assert shared.tobytes() == offset.tobytes()
+
+
+def test_chaos_constant_scaling_is_bitwise_the_per_step_arrays(monkeypatch):
+    # N = 4 on [0, 1]: one slope and one alpha, each scanned as a float;
+    # a callable alpha, or no shared value at all, builds per-step arrays
+    part = Partition.uniform(0.0, 1.0, 4)
+    op = OperatorConfig(ramp(), 0.0, 1.0, 1)
+
+    def render(sv):
+        prob = FifProblem(part, sv, op, make_function("poly:0,1,-1"))
+        xs, ys = chaos_game_render(prob, 10**5, seed=7)
+        return xs.tobytes(), ys.tobytes()
+
+    const = render(ScalingVector.broadcast(0.55, 4))
+    assert render(ScalingVector([lambda x: np.full_like(x, 0.55)] * 4, domain=(0.0, 1.0))) == const
+    monkeypatch.setattr(fractal, "_shared", lambda table: None)
+    assert render(ScalingVector.broadcast(0.55, 4)) == const
+
+
+def test_chaos_constant_scaling_holds_no_per_step_coefficients():
+    # the x-orbit, the y-recurrence, their shift, then the scan's scratch,
+    # plus the operator's fixed-size tiles
+    points = 2**18
+    prob = sine_problem(alpha=0.55, n=1, count=4, b=1.0)
+    render = lambda p: chaos_game_render(prob, p, seed=7)
+    assert traced_peak(render, points, 1000) <= 40 * points
 
 
 def test_affine_scan_stops_at_roundoff():

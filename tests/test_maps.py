@@ -79,6 +79,9 @@ def test_constant_scaling_basics():
     assert sv.sup_norm == pytest.approx(0.4, abs=0)
     assert sv.kappa == pytest.approx(0.9, abs=1e-15)
     assert np.array_equal(sv.constants(), [0.3, -0.4, 0.2])
+    # all constants: one column, which broadcasts against any points
+    rows = sv.rows_at(np.linspace(0.0, 1.0, 5))
+    assert rows.shape == (3, 1) and rows.ravel().tolist() == [0.3, -0.4, 0.2]
 
 
 def test_broadcast_scaling():
@@ -103,6 +106,7 @@ def test_function_scalings_report_sampled_sup():
     )
     assert not sv.is_constant
     assert sv.sup_norm == pytest.approx(0.5, abs=1e-9)
+    assert sv.rows_at(np.linspace(0.0, 1.0, 5)).shape == (2, 5)
     with pytest.raises(InvalidConfig, match="constant scalings required"):
         sv.constants()
 
