@@ -16,6 +16,10 @@ DEFAULT_SCALES = tuple(2.0**-j for j in range(4, 13))
 # Samples per block of a window-range query.
 _BLOCK = 2**14
 
+# Points per block of box counting's normalize-and-bin pass: above the 1e5
+# points it requires, so that small sets take one block.
+_BOX_BLOCK = 2**17
+
 
 class _WindowRange:
     """omega(k): the largest max - min over k + 1 >= 2 consecutive samples.
@@ -192,14 +196,19 @@ def knot_data_collinear(x, y) -> bool:
     return bool(np.max(resid) <= 1e-9 * max(rng, 1.0))
 
 
-def _column_extremes(xn, yn, inv: int):
-    """Lowest and highest ``yn`` in each of ``inv`` columns (inf/-inf if empty)."""
-    ix = np.minimum((xn * inv).astype(np.int64), inv - 1)
-    lo = np.full(inv, np.inf)
-    hi = np.full(inv, -np.inf)
-    np.minimum.at(lo, ix, yn)
-    np.maximum.at(hi, ix, yn)
-    return lo, hi
+def _column_extremes(blocks, invs):
+    """``(lo, hi)`` for each ``inv`` of ``invs``: the lowest and highest ``yn`` in
+    each of ``inv`` columns (inf/-inf if empty), merged over ``(xn, yn)``
+    blocks.  Min and max are exact, so any split gives the same bits."""
+    extremes = [(np.full(inv, np.inf), np.full(inv, -np.inf)) for inv in invs]
+    for xn, yn in blocks:
+        for inv, (lo, hi) in zip(invs, extremes):
+            ix = np.minimum((xn * inv).astype(np.int64), inv - 1)
+            np.minimum.at(lo, ix, yn)
+            np.maximum.at(hi, ix, yn)
+            del ix  # each block's arrays go before the next ones are made
+        del xn, yn
+    return extremes
 
 
 def _boxes_spanned(lo, hi, inv: int) -> int:
@@ -211,20 +220,16 @@ def _boxes_spanned(lo, hi, inv: int) -> int:
     return int(np.sum(ihi - ilo + 1))
 
 
-def _count_boxes(xn, yn, inv: int) -> int:
-    return _boxes_spanned(*_column_extremes(xn, yn, inv), inv)
-
-
-def _dyadic_counts(xn, yn, invs) -> list:
+def _dyadic_counts(blocks, invs) -> list:
     """Box counts for power-of-two ``invs`` from one column pass at the finest.
 
     Multiplying by a power of two is exact, so the column of a point at
     ``2^j`` columns is its column at the finest ``2^J`` shifted right by
     ``J - j``: each coarser level's extremes are the pairwise min/max of the
-    level below, and every count equals ``_count_boxes`` exactly.
+    level below, and every count equals a per-scale count exactly.
     """
     inv = max(invs)
-    lo, hi = _column_extremes(xn, yn, inv)
+    [(lo, hi)] = _column_extremes(blocks, [inv])
     counts = {}
     while inv >= min(invs):
         counts[inv] = _boxes_spanned(lo, hi, inv)
@@ -247,6 +252,8 @@ def box_counting_dimension(x, y, scales=None) -> DimensionReport:
         When every size is a power of two, the point set is binned into
         columns once, at the finest size, and the coarser counts come from
         a pairwise min/max pyramid; other sizes are binned one by one.
+        Points are normalized and binned ``_BOX_BLOCK`` at a time, so beyond
+        its inputs the count holds a fixed amount of memory.
 
     Returns
     -------
@@ -272,16 +279,19 @@ def box_counting_dimension(x, y, scales=None) -> DimensionReport:
         if abs(inv * s - 1.0) > 1e-9:
             raise InvalidConfig("each scale must subdivide the unit square")
         invs.append(inv)
-    x_span = float(np.max(x) - np.min(x))
-    y_span = float(np.max(y) - np.min(y))
+    x_lo, y_lo = np.min(x), np.min(y)
+    x_span, y_span = float(np.max(x) - x_lo), float(np.max(y) - y_lo)
     if x_span <= 0 or y_span <= 0:
         raise InvalidConfig("degenerate point set")
-    xn = (x - np.min(x)) / x_span
-    yn = (y - np.min(y)) / y_span
+    # the points normalized to the unit square, one block at a time
+    blocks = (((x[i : i + _BOX_BLOCK] - x_lo) / x_span,
+               (y[i : i + _BOX_BLOCK] - y_lo) / y_span)
+              for i in range(0, x.size, _BOX_BLOCK))
     if all(i & (i - 1) == 0 for i in invs):
-        counts = _dyadic_counts(xn, yn, invs)
+        counts = _dyadic_counts(blocks, invs)
     else:
-        counts = [_count_boxes(xn, yn, i) for i in invs]
+        counts = [_boxes_spanned(lo, hi, i)
+                  for i, (lo, hi) in zip(invs, _column_extremes(blocks, invs))]
     if len(set(counts)) < 2:
         raise InvalidConfig("degenerate point set: box counts do not vary")
     logx = np.log(1.0 / np.asarray(scales))

@@ -276,12 +276,11 @@ def cmd_build(cfg: RunConfig, out: Path) -> int:
             f"discrete bound on {cfg.cells()} cells needs --n <= {cfg.cells() // 16}"
         )
     res = solve_fif(problem, cfg.cells(), cfg.tol, cfg.max_iters)
-    _write_csv(
-        out / "fif.csv",
-        ["x", "f", "base", "fif"],
-        [res.grid, res.height, res.base, res.values],
-    )
-    base_gap = float(np.max(np.abs(res.height - res.base)))
+    pieces = problem.pieces()
+    height, base = pieces.height_eval(res.grid), pieces.base_eval(res.grid)
+    _write_csv(out / "fif.csv", ["x", "f", "base", "fif"],
+               [res.grid, height, base, res.values])
+    base_gap = float(np.max(np.abs(height - base)))
     sup = problem.scaling.sup_norm
     results = {
         "residual": res.residual,
@@ -293,7 +292,7 @@ def cmd_build(cfg: RunConfig, out: Path) -> int:
         "scaling_sup": sup,
     }
     if problem.variant == "discrete":
-        height_fn = SampledFunction(res.grid[0], res.grid[-1], res.height)
+        height_fn = SampledFunction(res.grid[0], res.grid[-1], height)
         a, b = cfg.interval
         om_nodes, om_knots = modulus_of_continuity(
             height_fn, [(b - a) / cfg.nodes, (b - a) / cfg.subintervals]
@@ -362,7 +361,6 @@ def cmd_dimension(cfg: RunConfig, out: Path) -> int:
     else:
         res = solve_fif(problem, cfg.cells(), cfg.tol, cfg.max_iters)
         xs, ys = res.grid, res.values
-        del res  # box counting reads the graph alone: base and height can go
     report = box_counting_dimension(xs, ys, _parse_scales(cfg.scales))
     f = problem.f
     knot_y = f.values if f.mode == "tabulated" else f(problem.partition.knots)

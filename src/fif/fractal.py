@@ -131,6 +131,29 @@ class FifProblem:
         self.f = f
         self.variant = variant
 
+    def pieces(self) -> _Pieces:
+        """The variant's height and base, as evaluators on arrays of points."""
+        part, cfg, f = self.partition, self.operator, self.f
+        if self.variant == "alpha":
+            return _Pieces(lambda xs: nn_eval(cfg, f, xs), f)
+        if self.variant == "smooth":
+            return _Pieces(lambda xs: nn_eval_four_layer(cfg, f, xs), f)
+        # discrete: both height and base are operator evaluations of node data,
+        # so f is read at the knots and the operator nodes and nowhere else
+        height_cfg = OperatorConfig(cfg.kernel, cfg.a, cfg.b, part.size)
+        if f.mode == "tabulated":
+            knot_vals = f.values
+            base_vals = knot_vals[:: part.size // cfg.n]
+        else:
+            knot_vals = f(part.knots)
+            base_vals = f(cfg.nodes)
+        f_height = FunctionInput.tabulated(knot_vals)
+        f_base = FunctionInput.tabulated(base_vals)
+        return _Pieces(
+            lambda xs: nn_eval(cfg, f_base, xs),
+            lambda xs: nn_eval(height_cfg, f_height, xs),
+        )
+
 
 @dataclass
 class FifResult:
@@ -138,7 +161,8 @@ class FifResult:
 
     On a non-uniform partition ``grid`` is the closed grid ``G_K`` of
     ``N^K`` cells, which is not evenly spaced: its largest gap is
-    ``(max slope)^K`` times the interval length.
+    ``(max slope)^K`` times the interval length.  Height and base are not
+    kept: ``problem.pieces()`` evaluates them on ``grid``.
     """
 
     grid: np.ndarray
@@ -147,8 +171,6 @@ class FifResult:
     iterations: int
     y_min: float
     y_max: float
-    base: np.ndarray
-    height: np.ndarray
     derivatives: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
@@ -158,31 +180,6 @@ class _Pieces(NamedTuple):
 
     base_eval: Callable
     height_eval: Callable
-
-
-def _assemble(problem: FifProblem) -> _Pieces:
-    part = problem.partition
-    cfg = problem.operator
-    f = problem.f
-    if problem.variant == "alpha":
-        return _Pieces(lambda xs: nn_eval(cfg, f, xs), f)
-    if problem.variant == "smooth":
-        return _Pieces(lambda xs: nn_eval_four_layer(cfg, f, xs), f)
-    # discrete: both height and base are operator evaluations of node data,
-    # so f is read at the knots and the operator nodes and nowhere else
-    height_cfg = OperatorConfig(cfg.kernel, cfg.a, cfg.b, part.size)
-    if f.mode == "tabulated":
-        knot_vals = f.values
-        base_vals = knot_vals[:: part.size // cfg.n]
-    else:
-        knot_vals = f(part.knots)
-        base_vals = f(cfg.nodes)
-    f_height = FunctionInput.tabulated(knot_vals)
-    f_base = FunctionInput.tabulated(base_vals)
-    return _Pieces(
-        lambda xs: nn_eval(cfg, f_base, xs),
-        lambda xs: nn_eval(height_cfg, f_height, xs),
-    )
 
 
 def _contraction(coeff, first=0.0):
@@ -230,19 +227,31 @@ class _GridPlan:
     closed grid, whose ``N`` rows of ``M`` points ``1..cells`` share
     pre-images ``N::N``.  ``c`` is ``alpha`` (at ``x[::N]``: ``N`` rows of ``M + 1``,
     or a constant column) viewed as ``rows``, ``(N, M)``; ``contraction`` is
-    ``max|c|`` there and at point 0.  Owns ``height``; writes no input."""
+    ``max|c|`` there and at point 0.  Owns ``offset``; of ``height`` it keeps
+    copies at the ``C + 1`` points of stride ``N^levels``, where the coarse
+    solve starts, and at the ``N + 1`` knots.  Writes no input."""
 
-    __slots__ = ("rows", "offset", "height", "contraction", "n_sub")
+    __slots__ = ("rows", "offset", "coarse_height", "knot_height", "levels",
+                 "contraction", "n_sub")
 
     def __init__(self, alpha, height, base):
         self.n_sub, m = len(alpha), (height.size - 1) // len(alpha)
         rows = alpha[:, -m:]  # columns 1..M, or the one constant column
         self.contraction = _contraction(rows, alpha[0, 0])
-        self.rows, self.height = np.broadcast_to(rows, (self.n_sub, m)), height
-        self.offset = height.copy()
-        inner = self.offset[1:].reshape(self.n_sub, -1)
-        inner -= self.rows * base[self.n_sub :: self.n_sub]
-        self.offset[-1] = height[-1]
+        self.rows = np.broadcast_to(rows, (self.n_sub, m))
+        self.offset = np.empty_like(height)
+        pre = base[self.n_sub :: self.n_sub]
+        # one row of M at a time: no (N, M) temporary
+        for c, h, row in zip(self.rows, height[1:].reshape(self.n_sub, -1),
+                             self.offset[1:].reshape(self.n_sub, -1)):
+            np.multiply(c, pre, out=row)
+            np.subtract(h, row, out=row)
+        self.offset[0], self.offset[-1] = height[0], height[-1]
+        coarse, self.levels = height.size - 1, 0
+        while coarse % self.n_sub == 0:
+            coarse, self.levels = coarse // self.n_sub, self.levels + 1
+        self.coarse_height = height[:: self.n_sub**self.levels].copy()
+        self.knot_height = height[::m].copy()
 
     def apply(self, values, out=None, s=1):
         """The update of ``values`` at the stride-``s`` points, which read
@@ -264,10 +273,8 @@ class _GridPlan:
         sweep whose move is ``residual``.  Returns ``(values, stats)``, or
         raises ``NonConvergence`` if ``residual > tol * (1 - contraction)``.
         """
-        coarse, levels = self.offset.size - 1, 0
-        while coarse % self.n_sub == 0:
-            coarse, levels = coarse // self.n_sub, levels + 1
-        s = self.n_sub**levels
+        levels, s = self.levels, self.n_sub**self.levels
+        coarse = self.coarse_height.size - 1
         coeff, offset = np.zeros(coarse + 1), self.offset[::s].copy()
         inner = np.arange(s, self.offset.size - 1, s) - 1  # rows' flat index
         coeff[1:-1] = self.rows[np.unravel_index(inner, self.rows.shape)]
@@ -278,8 +285,8 @@ class _GridPlan:
             coeff *= coeff[k]
             k = k[k]
             passes += 1
-        phi = np.empty_like(self.height)
-        phi[::s] = coeff * self.height[::s][k] + offset
+        phi = np.empty_like(self.offset)
+        phi[::s] = coeff * self.coarse_height[k] + offset
         del coeff, offset, k  # the fill and the certifying sweep need only the plan
         while s > 1:
             s //= self.n_sub
@@ -315,19 +322,20 @@ def _validate_cells(problem, cells):
 
 
 def _build_plan(problem, cells):
-    """The level-0 update on the render grid: ``(plan, grid, base)``.
+    """The level-0 update on the render grid: ``(plan, grid, base(a))``;
+    height and base are freed once the plan holds its offset.
 
     Every piece reads its pre-images from the strided view ``x[N::N]``, so
     no value is interpolated; each distinct scaling entry is evaluated once
     on ``x[::N]``, which adds point 0, its own pre-image under ``L_1``.
     """
     part = problem.partition
-    pieces = _assemble(problem)
+    pieces = problem.pieces()
     x = _render_grid(part, cells)
     height = pieces.height_eval(x)
     base = pieces.base_eval(x)
     alpha = problem.scaling.rows_at(x[:: part.size])
-    return _GridPlan(alpha, height, base), x, base
+    return _GridPlan(alpha, height, base), x, base[0]
 
 
 def _derivative_levels(problem, x):
@@ -335,7 +343,7 @@ def _derivative_levels(problem, x):
     with their diagnostics: ``{order: (plan, info)}``.  Each order's junction
     data are read off the grid at the knots and compared at once; the end
     values are the fixed points of the end maps, written into the ends of
-    ``f^(k)`` once their gap to it is recorded."""
+    the plan's offset and coarse start; their gap to ``f^(k)`` is recorded."""
     part, cfg = problem.partition, problem.operator
     alphas = problem.scaling.constants()
     knots = np.arange(part.size + 1) * ((x.size - 1) // part.size)
@@ -359,8 +367,8 @@ def _derivative_levels(problem, x):
                 f"subinterval {bad[0] + 2}, derivative order {j}"
             )
         identity_gap = (float(abs(y0 - fj[0])), float(abs(y1 - fj[-1])))
-        fj[0], fj[-1] = y0, y1
         plan = _GridPlan((alphas / sj)[:, None], fj, dbase)
+        plan.offset[[0, -1]] = plan.coarse_height[[0, -1]] = y0, y1
         levels[j] = (plan, {
             "contraction": plan.contraction,
             "matching_residual": float(np.max(gap)),
@@ -370,18 +378,18 @@ def _derivative_levels(problem, x):
     return levels
 
 
-def _knot_checks(problem, values, height, base_at_a):
+def _knot_checks(problem, values, knot_height, base_a):
     """Continuity across subinterval junctions and knot reproduction at the
     internal knots: ``(mismatch, deviation, checked)``.  Knot ``i`` is grid
-    point ``i cells / N`` on every render grid, so ``values`` and ``height``
-    are read there."""
+    point ``i cells / N`` on every render grid, so ``values`` is read there;
+    ``knot_height`` holds the height at the ``N + 1`` knots."""
     part = problem.partition
     inner = np.arange(1, part.size)
     at = inner * ((values.size - 1) // part.size)
     alpha_r = problem.scaling.values_at(inner + 1, part.a)
-    right = alpha_r * values[0] + height[at] - alpha_r * base_at_a
+    right = alpha_r * values[0] + knot_height[inner] - alpha_r * base_a
     cont_max = float(np.max(np.abs(values[at] - right)))
-    knot_max = float(np.max(np.abs(values[at] - height[at])))
+    knot_max = float(np.max(np.abs(values[at] - knot_height[inner])))
     scale = max(1.0, float(np.max(np.abs(values))))
     if cont_max > KNOT_TOL * scale:
         raise CrossCheckError(
@@ -409,11 +417,11 @@ def solve_fif(problem: FifProblem, cells=None, tol=DEFAULT_TOL,
         raise InvalidConfig("tolerance must be positive")
     if not max_sweeps >= 1:
         raise InvalidConfig("doubling budget must be at least 1")
-    plan, x, base = _build_plan(problem, cells)
+    plan, x, base_a = _build_plan(problem, cells)
     smooth = problem.variant == "smooth"
     levels = _derivative_levels(problem, x) if smooth else {}
     values, stats = plan.solve(tol, max_sweeps)
-    cont_max, knot_max, checked = _knot_checks(problem, values, plan.height, base[0])
+    cont_max, knot_max, checked = _knot_checks(problem, values, plan.knot_height, base_a)
     diagnostics = {
         "variant": problem.variant,
         "cells": x.size - 1,
@@ -430,7 +438,7 @@ def solve_fif(problem: FifProblem, cells=None, tol=DEFAULT_TOL,
     result = FifResult(
         grid=x, values=values, residual=stats["residual"], iterations=stats["iterations"],
         y_min=float(np.min(values)), y_max=float(np.max(values)),
-        base=base, height=plan.height, diagnostics=diagnostics,
+        diagnostics=diagnostics,
     )
     for j, (dplan, info) in levels.items():
         result.derivatives[j], stats = dplan.solve(tol, max_sweeps)
@@ -494,7 +502,7 @@ def chaos_game_render(problem: FifProblem, point_count: int, seed: int):
     if point_count < 1000:
         raise InvalidConfig("need at least 1000 points")
     part = problem.partition
-    pieces = _assemble(problem)
+    pieces = problem.pieces()
     total = BURN_IN + int(point_count)
     rng = np.random.default_rng(seed)
     idx = rng.integers(1, part.size + 1, size=total)

@@ -127,7 +127,7 @@ def _call_vectorized(func, x):
     # every value of a user function enters here; a NaN would pass every
     # later convergence and knot check as if it were converged.  That check
     # is the contract, so an overflow that ends finite, as in 1 / (1 + exp(x)),
-    # warns nothing.  The caller owns the result: it is never ``x`` itself.
+    # warns nothing.  The caller owns the result: never ``x``, and writeable.
     arr = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
         out = np.asarray(func(arr), dtype=float)
@@ -135,7 +135,7 @@ def _call_vectorized(func, x):
         raise InvalidConfig("function returned non-finite values")
     if out.shape != arr.shape:
         out = np.broadcast_to(out, arr.shape).copy()
-    elif np.may_share_memory(out, arr):
+    elif np.may_share_memory(out, arr) or not out.flags.writeable:
         out = out.copy()
     return out
 

@@ -1,6 +1,6 @@
 """Reference implementations that tests compare the library against."""
 
-from fif.fractal import _assemble, _grid_index, _render_grid
+from fif.fractal import _grid_index, _render_grid
 
 
 def rb_apply(problem, values):
@@ -16,7 +16,7 @@ def rb_apply(problem, values):
     part = problem.partition
     assert part.is_uniform, "the reference sweep needs a uniform partition"
     cells = values.size - 1
-    pieces = _assemble(problem)
+    pieces = problem.pieces()
     x = _render_grid(part, cells)
     i_idx, k = _grid_index(part.size, cells)
     coeff = problem.scaling.values_at(i_idx, x[k])

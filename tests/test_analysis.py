@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import fif.analysis
 from fif.analysis import (
+    _BOX_BLOCK,
     DEFAULT_SCALES,
     DimensionReport,
     HolderParams,
@@ -352,18 +355,40 @@ def test_box_counting_degenerate():
         box_counting_dimension(t, np.zeros_like(t))  # flat: no y extent
 
 
+def brute_counts(x, y, invs):
+    """Curve-aware box counts of the whole point set, one scale at a time, on
+    full arrays: the reference for the blocked pass and its pyramid."""
+    xn = (x - x.min()) / (x.max() - x.min())
+    yn = (y - y.min()) / (y.max() - y.min())
+    counts = []
+    for inv in invs:
+        ix = np.minimum((xn * inv).astype(np.int64), inv - 1)
+        lo, hi = np.full(inv, np.inf), np.full(inv, -np.inf)
+        np.minimum.at(lo, ix, yn)
+        np.maximum.at(hi, ix, yn)
+        seen = hi >= lo
+        ilo = np.clip(np.floor(lo[seen] * inv).astype(np.int64), 0, inv - 1)
+        ihi = np.clip(np.floor(hi[seen] * inv).astype(np.int64), 0, inv - 1)
+        counts.append(int(np.sum(ihi - ilo + 1)))
+    return counts
+
+
 def _point_sets():
+    # each set holds one point more than a block of the counting pass
     part = Partition.uniform(0.0, 1.0, 4)
     op = OperatorConfig(ramp(), 0.0, 1.0, 1)
     prob = FifProblem(part, ScalingVector.broadcast(0.55, 4), op,
                       make_function("poly:0,1,-1"))
-    res = solve_fif(prob, cells=2**17)
-    t = np.linspace(0.0, 1.0, 10**5 + 1)
+    res = solve_fif(prob, cells=_BOX_BLOCK)
+    t = np.linspace(0.0, 1.0, _BOX_BLOCK + 1)
     return {
         "grid": (res.grid, res.values),
-        "orbit": chaos_game_render(prob, 10**5, seed=3),
+        "orbit": chaos_game_render(prob, _BOX_BLOCK + 1, seed=3),
         "sine": (t, np.sin(5 * t)),
     }
+
+
+NON_DYADIC = (10, 20, 50, 100, 1000)
 
 
 @pytest.mark.parametrize(
@@ -371,10 +396,9 @@ def _point_sets():
     ids=["default", "4..11"],
 )
 def test_box_counting_pyramid_matches_per_scale_counts(scales):
+    invs = [round(1 / s) for s in scales]
     for name, (x, y) in _point_sets().items():
-        xn = (x - x.min()) / (x.max() - x.min())
-        yn = (y - y.min()) / (y.max() - y.min())
-        brute = [fif.analysis._count_boxes(xn, yn, round(1 / s)) for s in scales]
+        brute = brute_counts(x, y, invs)
         assert list(box_counting_dimension(x, y, scales).counts) == brute, name
 
 
@@ -385,7 +409,42 @@ def test_box_counting_non_dyadic_scales_count_per_scale(monkeypatch):
     monkeypatch.setattr(fif.analysis, "_dyadic_counts", refuse)
     t = np.linspace(0.0, 1.0, 10**5 + 1)
     y = np.sin(5 * t)
-    yn = (y - y.min()) / (y.max() - y.min())
-    invs = (10, 20, 50, 100, 1000)
-    report = box_counting_dimension(t, y, scales=[1.0 / i for i in invs])
-    assert list(report.counts) == [fif.analysis._count_boxes(t, yn, i) for i in invs]
+    report = box_counting_dimension(t, y, scales=[1.0 / i for i in NON_DYADIC])
+    assert list(report.counts) == brute_counts(t, y, NON_DYADIC)
+
+
+@pytest.mark.parametrize("size", [_BOX_BLOCK - 1, _BOX_BLOCK, _BOX_BLOCK + 1, 10**5 + 1])
+def test_box_counting_blocks_match_whole_array_counts(size):
+    # a partial last block, an exact block, one point over, and a set of
+    # fewer points than a block: the counts never see the blocks
+    invs = [round(1 / s) for s in DEFAULT_SCALES]
+    for name, (x, y) in _point_sets().items():
+        x, y = x[:size], y[:size]
+        assert list(box_counting_dimension(x, y).counts) == brute_counts(x, y, invs), name
+        report = box_counting_dimension(x, y, scales=[1.0 / i for i in NON_DYADIC])
+        assert list(report.counts) == brute_counts(x, y, NON_DYADIC), name
+
+
+def test_box_counting_ignores_point_order():
+    x, y = _point_sets()["grid"]
+    order = np.random.default_rng(5).permutation(x.size)
+    for scales in (DEFAULT_SCALES, [1.0 / i for i in NON_DYADIC]):
+        counts = box_counting_dimension(x, y, scales).counts
+        assert box_counting_dimension(x[order], y[order], scales).counts == counts
+
+
+def test_box_counting_memory_beyond_its_inputs_is_fixed():
+    # normalizing and binning run one block at a time: past the inputs, the
+    # peak is the same for 2^17 and 2^19 points
+    def peak(size):
+        x = np.linspace(0.0, 1.0, size)
+        y = np.sin(7 * x) + 0.1 * np.sin(300 * x)
+        tracemalloc.start()
+        try:
+            box_counting_dimension(x, y)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10**5)  # the one-time set-up of a first call
+    assert abs(peak(2**19) - peak(2**17)) <= 2**10

@@ -13,11 +13,10 @@ from fif.errors import (
     MatchingConditionError,
     NonConvergence,
 )
-from fif import fractal
+from fif import cli, fractal
 from fif.fractal import (
     ROUNDOFF,
     FifProblem,
-    _assemble,
     _affine_scan,
     _build_plan,
     _derivative_levels,
@@ -154,7 +153,7 @@ def plain_picard(problem, cells, tol, max_sweeps=10**4):
     Returns the first iterate ``m`` that its sweep moved by at most
     ``tol * (1 - contraction)``, and ``m``.
     """
-    pieces = _assemble(problem)
+    pieces = problem.pieces()
     part = problem.partition
     phi = pieces.height_eval(np.linspace(part.a, part.b, cells + 1))
     threshold = tol * (1.0 - problem.scaling.sup_norm)
@@ -263,7 +262,7 @@ def orbit_oracle(problem, points, order=0):
     problem has height ``f^(order)``, base ``(Lf)^(order)`` and each scaling
     divided by its map's slope to the power ``order``.
     """
-    pieces = _assemble(problem)
+    pieces = problem.pieces()
     if order:
         cfg, f = problem.operator, problem.f
         pieces = pieces._replace(
@@ -438,9 +437,10 @@ def test_level_fill_solves_both_smooth_derivative_levels(count, cells, coarse, l
         assert (info["coarse_cells"], info["fill_levels"]) == (coarse, levels)
         ref = orbit_oracle(prob, [exact[i] for i in g], order=j)
         assert np.max(np.abs(res.derivatives[j][g] - ref)) <= 2 * tol
-        # plain Picard on the level's own update, one sweep at a time
+        # plain Picard on the level's own update, one sweep at a time, from
+        # zero: the fixed point does not depend on where it starts
         plan = plans[j][0]
-        phi, threshold = plan.height, tol * (1.0 - plan.contraction)
+        phi, threshold = np.zeros_like(plan.offset), tol * (1.0 - plan.contraction)
         while True:
             nxt = plan.apply(phi)
             moved = np.max(np.abs(nxt - phi))
@@ -613,23 +613,41 @@ def test_constant_scaling_solve_is_bitwise_the_per_cell_rows(variant, count):
     assert const.iterations == rows.iterations
 
 
+def traced_slope(run, small, big):
+    """Traced peak bytes per unit of size between ``run(small)`` and
+    ``run(big)``: whatever does not grow with the size, such as the
+    operator's fixed-size tiles, drops out.  Allows 4 KiB of Python object
+    noise between the two peaks."""
+    return (traced_peak(run, big, 64) - traced_peak(run, small, 64) - 2**12) / (big - small)
+
+
+def solve_slope(sv):
+    prob = FifProblem(Partition.uniform(0.0, 1.0, 4), sv, OperatorConfig(ramp(), 0.0, 1.0, 32),
+                      make_function("sin"))
+    return traced_slope(lambda c: solve_fif(prob, cells=c), 2**16, 2**18)
+
+
 def test_constant_scaling_solve_holds_no_per_cell_coefficients():
-    # grid, height, base and offset, then the filled and the certified
-    # values: six arrays of 8 bytes per cell, and no coefficient array
-    cells = 2**16
-    prob = sine_problem(alpha=0.55, n=32, count=4, b=1.0)
-    assert traced_peak(lambda c: solve_fif(prob, cells=c), cells, 64) <= 48 * cells + 2**16
+    # grid, height, base and the plan's offset while it is built; then grid,
+    # offset, and the filled and the certified values
+    assert solve_slope(ScalingVector.broadcast(0.55, 4)) <= 32
+
+
+def test_callable_scaling_solve_adds_only_its_coefficient_rows():
+    # the plan's build also holds the callable's rows of coefficients
+    sv = ScalingVector([lambda x: 0.3 + 0.2 * np.sin(5.0 * x)] * 4, domain=(0.0, 1.0))
+    assert solve_slope(sv) <= 40
 
 
 def test_constant_scaling_smooth_solve_holds_no_per_cell_coefficients():
-    # level 0 as above; each derivative level adds f^(k), (Lf)^(k) and its
-    # offset, and no coefficient array: 96 bytes per cell at r = 2
-    cells = 2**16
+    # level 0 as above, then each derivative level keeps only its offset,
+    # built from f^(k) and (Lf)^(k): 64 bytes per cell at r = 2
     part = Partition.uniform(0.0, 1.0, 4)
     op = OperatorConfig(smooth_bump(), 0.0, 1.0, 256, r=2)
     prob = FifProblem(part, ScalingVector.broadcast(0.05, 4), op, make_function("sin"),
                       "smooth")
-    assert traced_peak(lambda c: solve_fif(prob, cells=c), cells, 64) <= 96 * cells + 2**16
+    run = lambda c: solve_fif(prob, cells=c)
+    assert traced_slope(run, 2**16, 2**18) <= 64
 
 
 @pytest.mark.parametrize("count, cells, levels, budget", [
@@ -1008,19 +1026,51 @@ def test_constant_scaling_contraction_is_the_sup_norm():
     assert res.diagnostics["contraction"] == prob.scaling.sup_norm
 
 
-def test_identity_function_keeps_its_own_arrays():
-    # an identity f returns its argument: the height and the orbit's shift
-    # are written into, so neither may be the grid or the x-orbit itself
+def test_identity_function_keeps_its_own_arrays(tmp_path, monkeypatch):
+    # an identity f returns its argument: the orbit's shift is written into
+    # the height, so neither the grid nor the x-orbit may be that array
     part = Partition.uniform(0.0, 1.0, 4)
     sv = ScalingVector.broadcast(0.3, 4)
     op = OperatorConfig(ramp(), 0.0, 1.0, 8)
     ident = FifProblem(part, sv, op, FunctionInput.analytic(lambda x: x))
     res = solve_fif(ident, cells=4 * 2**6)
-    assert not np.may_share_memory(res.height, res.grid)
-    assert np.array_equal(res.height, res.grid)
+    assert res.grid.tobytes() == np.linspace(0.0, 1.0, 4 * 2**6 + 1).tobytes()
     xs, _ = chaos_game_render(ident, 1000, seed=1)
     xs_sin, _ = chaos_game_render(FifProblem(part, sv, op, make_function("sin")), 1000, seed=1)
     assert np.array_equal(xs, xs_sin)
+    # `build` evaluates the height on the grid after the solve
+    monkeypatch.setattr(cli, "make_function",
+                        lambda name, **kw: FunctionInput.analytic(lambda x: x))
+    assert cli.main(["build", "--function", "ident", "--alpha", "0.3", "--n", "8",
+                     "--grid-exp", "6", "--out", str(tmp_path)]) == 0
+    table = np.loadtxt(tmp_path / "fif.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(table[:, 1], table[:, 0])
+
+
+def test_read_only_function_results_are_copied():
+    # a user function may hand back a read-only array: the chaos game writes
+    # its shift into the height, the smooth solve fixes its derivative levels'
+    # ends, and both must leave that array alone
+    def frozen(g):
+        def call(x):
+            out = g(x)
+            out.flags.writeable = False
+            return out
+        return call
+
+    derivs = (np.cos, lambda x: -np.sin(x))
+    plain = FunctionInput.analytic(np.sin, derivs)
+    locked = FunctionInput.analytic(frozen(np.sin), tuple(frozen(d) for d in derivs))
+    part = Partition.uniform(0.0, 1.0, 4)
+    sv = ScalingVector.broadcast(0.05, 4)
+    op = OperatorConfig(smooth_bump(), 0.0, 1.0, 16, r=2)
+    chaos = [chaos_game_render(FifProblem(part, sv, op, f), 1000, seed=3)
+             for f in (plain, locked)]
+    assert [a.tobytes() for a in chaos[0]] == [a.tobytes() for a in chaos[1]]
+    smooth = [solve_fif(FifProblem(part, sv, op, f, "smooth"), cells=4 * 2**6)
+              for f in (plain, locked)]
+    for j in (1, 2):
+        assert smooth[0].derivatives[j].tobytes() == smooth[1].derivatives[j].tobytes()
 
 
 def test_overflow_to_a_finite_limit_solves_without_warnings():
@@ -1116,7 +1166,7 @@ def test_orbit_is_deterministic_per_seed():
 def _sequential_orbit(problem, point_count, seed, burn_in=100):
     # the chaos game one step at a time: the reference for the scan
     part = problem.partition
-    pieces = _assemble(problem)
+    pieces = problem.pieces()
     total = burn_in + int(point_count)
     idx = np.random.default_rng(seed).integers(1, part.size + 1, size=total)
     slopes = [float(s) for s in part.slopes]
