@@ -196,19 +196,20 @@ def knot_data_collinear(x, y) -> bool:
     return bool(np.max(resid) <= 1e-9 * max(rng, 1.0))
 
 
-def _column_extremes(blocks, invs):
-    """``(lo, hi)`` for each ``inv`` of ``invs``: the lowest and highest ``yn`` in
-    each of ``inv`` columns (inf/-inf if empty), merged over ``(xn, yn)``
-    blocks.  Min and max are exact, so any split gives the same bits."""
+def _column_extremes(blocks, invs, y_lo, y_span):
+    """``(lo, hi)`` for each ``inv`` of ``invs``: the lowest and highest normalized
+    ``y`` in each of ``inv`` columns (inf/-inf if empty), merged over blocks of
+    normalized ``x`` and raw ``y``.  Min and max are exact, so any split gives the
+    same bits, as does normalizing only the extremes (it is nondecreasing)."""
     extremes = [(np.full(inv, np.inf), np.full(inv, -np.inf)) for inv in invs]
-    for xn, yn in blocks:
+    for xn, y in blocks:
         for inv, (lo, hi) in zip(invs, extremes):
             ix = np.minimum((xn * inv).astype(np.int64), inv - 1)
-            np.minimum.at(lo, ix, yn)
-            np.maximum.at(hi, ix, yn)
+            np.minimum.at(lo, ix, y)
+            np.maximum.at(hi, ix, y)
             del ix  # each block's arrays go before the next ones are made
-        del xn, yn
-    return extremes
+        del xn, y
+    return [((lo - y_lo) / y_span, (hi - y_lo) / y_span) for lo, hi in extremes]
 
 
 def _boxes_spanned(lo, hi, inv: int) -> int:
@@ -220,7 +221,7 @@ def _boxes_spanned(lo, hi, inv: int) -> int:
     return int(np.sum(ihi - ilo + 1))
 
 
-def _dyadic_counts(blocks, invs) -> list:
+def _dyadic_counts(blocks, invs, y_lo, y_span) -> list:
     """Box counts for power-of-two ``invs`` from one column pass at the finest.
 
     Multiplying by a power of two is exact, so the column of a point at
@@ -229,7 +230,7 @@ def _dyadic_counts(blocks, invs) -> list:
     level below, and every count equals a per-scale count exactly.
     """
     inv = max(invs)
-    [(lo, hi)] = _column_extremes(blocks, [inv])
+    [(lo, hi)] = _column_extremes(blocks, [inv], y_lo, y_span)
     counts = {}
     while inv >= min(invs):
         counts[inv] = _boxes_spanned(lo, hi, inv)
@@ -252,8 +253,9 @@ def box_counting_dimension(x, y, scales=None) -> DimensionReport:
         When every size is a power of two, the point set is binned into
         columns once, at the finest size, and the coarser counts come from
         a pairwise min/max pyramid; other sizes are binned one by one.
-        Points are normalized and binned ``_BOX_BLOCK`` at a time, so beyond
-        its inputs the count holds a fixed amount of memory.
+        Points are binned ``_BOX_BLOCK`` at a time, ``y`` raw and only the
+        columns' extremes normalized, so beyond its inputs the count holds a
+        fixed amount of memory.
 
     Returns
     -------
@@ -283,15 +285,14 @@ def box_counting_dimension(x, y, scales=None) -> DimensionReport:
     x_span, y_span = float(np.max(x) - x_lo), float(np.max(y) - y_lo)
     if x_span <= 0 or y_span <= 0:
         raise InvalidConfig("degenerate point set")
-    # the points normalized to the unit square, one block at a time
-    blocks = (((x[i : i + _BOX_BLOCK] - x_lo) / x_span,
-               (y[i : i + _BOX_BLOCK] - y_lo) / y_span)
+    # normalized x and raw y, one block at a time
+    blocks = (((x[i : i + _BOX_BLOCK] - x_lo) / x_span, y[i : i + _BOX_BLOCK])
               for i in range(0, x.size, _BOX_BLOCK))
     if all(i & (i - 1) == 0 for i in invs):
-        counts = _dyadic_counts(blocks, invs)
+        counts = _dyadic_counts(blocks, invs, y_lo, y_span)
     else:
-        counts = [_boxes_spanned(lo, hi, i)
-                  for i, (lo, hi) in zip(invs, _column_extremes(blocks, invs))]
+        extremes = _column_extremes(blocks, invs, y_lo, y_span)
+        counts = [_boxes_spanned(lo, hi, i) for i, (lo, hi) in zip(invs, extremes)]
     if len(set(counts)) < 2:
         raise InvalidConfig("degenerate point set: box counts do not vary")
     logx = np.log(1.0 / np.asarray(scales))

@@ -63,6 +63,7 @@ from .errors import (
 )
 from .maps import Partition, ScalingVector
 from .operators import (
+    _TILE,
     FunctionInput,
     OperatorConfig,
     input_derivative,
@@ -378,23 +379,20 @@ def _derivative_levels(problem, x):
     return levels
 
 
-def _knot_checks(problem, values, knot_height, base_a):
-    """Continuity across subinterval junctions and knot reproduction at the
-    internal knots: ``(mismatch, deviation, checked)``.  Knot ``i`` is grid
-    point ``i cells / N`` on every render grid, so ``values`` is read there;
-    ``knot_height`` holds the height at the ``N + 1`` knots."""
+def _knot_checks(problem, values, plan, base_a, y_min, y_max):
+    """Continuity across subinterval junctions, relative to ``max(1, -y_min, y_max)
+    = max(1, max|values|)``, and knot reproduction at the internal knots:
+    ``(mismatch, deviation, checked)``.  Knot ``i`` is grid point ``i cells / N``
+    on every render grid; ``plan.knot_height`` holds the height at the knots."""
     part = problem.partition
     inner = np.arange(1, part.size)
     at = inner * ((values.size - 1) // part.size)
     alpha_r = problem.scaling.values_at(inner + 1, part.a)
-    right = alpha_r * values[0] + knot_height[inner] - alpha_r * base_a
+    right = alpha_r * values[0] + plan.knot_height[inner] - alpha_r * base_a
     cont_max = float(np.max(np.abs(values[at] - right)))
-    knot_max = float(np.max(np.abs(values[at] - knot_height[inner])))
-    scale = max(1.0, float(np.max(np.abs(values))))
-    if cont_max > KNOT_TOL * scale:
-        raise CrossCheckError(
-            f"junction continuity check failed: mismatch {cont_max:.3e}"
-        )
+    knot_max = float(np.max(np.abs(values[at] - plan.knot_height[inner])))
+    if cont_max > KNOT_TOL * max(1.0, -y_min, y_max):
+        raise CrossCheckError(f"junction continuity check failed: mismatch {cont_max:.3e}")
     return cont_max, knot_max, inner.size
 
 
@@ -421,7 +419,8 @@ def solve_fif(problem: FifProblem, cells=None, tol=DEFAULT_TOL,
     smooth = problem.variant == "smooth"
     levels = _derivative_levels(problem, x) if smooth else {}
     values, stats = plan.solve(tol, max_sweeps)
-    cont_max, knot_max, checked = _knot_checks(problem, values, plan.knot_height, base_a)
+    y_min, y_max = float(np.min(values)), float(np.max(values))
+    cont_max, knot_max, checked = _knot_checks(problem, values, plan, base_a, y_min, y_max)
     diagnostics = {
         "variant": problem.variant,
         "cells": x.size - 1,
@@ -437,14 +436,15 @@ def solve_fif(problem: FifProblem, cells=None, tol=DEFAULT_TOL,
         diagnostics["height_nodes"] = problem.partition.size
     result = FifResult(
         grid=x, values=values, residual=stats["residual"], iterations=stats["iterations"],
-        y_min=float(np.min(values)), y_max=float(np.max(values)),
-        diagnostics=diagnostics,
+        y_min=y_min, y_max=y_max, diagnostics=diagnostics,
     )
-    for j, (dplan, info) in levels.items():
-        result.derivatives[j], stats = dplan.solve(tol, max_sweeps)
-        info.update(stats)
     if smooth:
         diagnostics["derivative_levels"] = {j: info for j, (_, info) in levels.items()}
+    del plan  # from here on each plan goes once its level is solved
+    for j in list(levels):
+        dplan, info = levels.pop(j)
+        result.derivatives[j], stats = dplan.solve(tol, max_sweeps)
+        info.update(stats)
     return result
 
 
@@ -461,14 +461,33 @@ def _affine_scan(coeff, offset):
     Passes stop once every coefficient is at most ``ROUNDOFF`` in size, where
     a further pass would move each value by at most its rounding (a product
     of 32 factors 1/4 is 2^-64), and in any case after ``ceil(log2 n)``.
-    Returns the number of passes.
+    Returns the number of passes.  A shared float fixes that number ``P`` up
+    front: its passes run on tiles of ``max(_TILE, 2^P)`` entries, last first,
+    each behind a halo of the ``2^P - 1`` input offsets before it: same bits.
     """
     n = offset.size
-    scratch = np.empty(n - 1)
+    if np.ndim(coeff):
+        return _doubling(coeff, offset, np.empty(n - 1))
+    passes, width, c = 0, 1, coeff
+    while width < n and abs(c) > ROUNDOFF:  # _doubling's stop test
+        passes, width, c = passes + 1, 2 * width, c * c
+    tile, halo = max(_TILE, width), width - 1
+    buf, scratch = np.empty(tile + halo), np.empty(tile + halo)
+    for lo in reversed(range(0, n, tile) if passes else ()):
+        start = max(lo - halo, 0)  # before it, the input is not yet overwritten
+        part = buf[: min(lo + tile, n) - start]
+        part[:] = offset[start : lo + tile]
+        _doubling(coeff, part, scratch)
+        offset[lo : lo + tile] = part[lo - start :]
+    return passes
+
+
+def _doubling(coeff, offset, scratch):
+    """``_affine_scan``'s passes over the whole of ``offset``, into ``scratch``."""
     c = coeff if np.ndim(coeff) == 0 else coeff[1:]  # the steps' coefficients
     w, passes = 1, 0
-    while w < n and max(np.max(c), -np.min(c)) > ROUNDOFF:
-        tmp = scratch[: n - w]
+    while w < offset.size and max(np.max(c), -np.min(c)) > ROUNDOFF:
+        tmp = scratch[: offset.size - w]
         np.multiply(c, offset[:-w], out=tmp)
         offset[w:] += tmp
         if np.ndim(c) == 0:
@@ -505,30 +524,29 @@ def chaos_game_render(problem: FifProblem, point_count: int, seed: int):
     pieces = problem.pieces()
     total = BURN_IN + int(point_count)
     rng = np.random.default_rng(seed)
-    idx = rng.integers(1, part.size + 1, size=total)
+    pick = rng.integers(0, part.size, size=total)  # the stream of integers(1, N + 1) - 1
     xs = np.empty(total + 1)
     xs[0] = part.a
     # the picks lie in range by construction; "clip" writes straight into
     # ``out``, where the default "raise" fills a buffered copy first
-    pick = idx - 1
     np.take(part.intercepts, pick, out=xs[1:], mode="clip")
     coeff = _shared(part.slopes)
     if coeff is None:
         coeff = np.zeros(total + 1)
         np.take(part.slopes, pick, out=coeff[1:], mode="clip")
-    del pick
     _affine_scan(coeff, xs)
     np.clip(xs, part.a, part.b, out=xs)
     coeff = _shared(problem.scaling.constants()) if problem.scaling.is_constant else None
     if coeff is None:
-        coeff = np.r_[0.0, problem.scaling.values_at(idx, xs[:-1])]
-    del idx
+        pick += 1  # in place: values_at takes 1-based pieces
+        coeff = np.r_[0.0, problem.scaling.values_at(pick, xs[:-1])]
+    del pick
     _contraction(coeff)
     # ys[1:] = height(x[t+1]) - alpha_t * base(x[t]), the recurrence's shift
     ys = pieces.height_eval(xs)
     shift = pieces.base_eval(xs[:-1])
     shift *= coeff if np.ndim(coeff) == 0 else coeff[1:]
     ys[1:] -= shift
-    del shift  # the scan allocates its own scratch
+    del shift  # an array coefficient's scan allocates its own scratch
     _affine_scan(coeff, ys)
     return xs[BURN_IN + 1 :], ys[BURN_IN + 1 :]

@@ -178,28 +178,30 @@ def transition(kernel: SigmoidalKernel, d: int, t):
     ``P`` rises from 0 to 1 and ``sigma(x) = P((x + m) / 2m)``.  The value
     saturates exactly (0 at or below the band, 1 at or above it) and every
     derivative is exactly 0 outside the open band.  The band is (0, 1),
-    narrowed for ``bump`` by ``_BUMP_TAIL`` at both ends.
+    narrowed for ``bump`` by ``_BUMP_TAIL`` at both ends; ``t`` wholly inside skips the mask.
     """
     t = np.asarray(t, dtype=float)
     lo = _BUMP_TAIL if kernel.family == "bump" else 0.0
+    if t.size and t.min() > lo and t.max() < 1.0 - lo:
+        return _band_profile(kernel, d, t)
     out = np.where(t >= 1.0 - lo, 1.0, 0.0) if d == 0 else np.zeros_like(t)
     inner = (t > lo) & (t < 1.0 - lo)
-    if not np.any(inner):
-        return out
-    ti = t[inner]
+    if np.any(inner):
+        out[inner] = _band_profile(kernel, d, t[inner])
+    return out
+
+
+def _band_profile(kernel: SigmoidalKernel, d: int, t):
+    """d-th derivative of the transition profile at ``t`` inside the open band."""
     if kernel.family == "bump":
         # evaluate on the half where P <= 1/2, so that 1 - P does not cancel,
         # and reflect: P(1-t) = 1 - P(t)
-        flip = ti > 0.5
-        vals = _bump_profile(d, np.where(flip, 1.0 - ti, ti))
+        flip = t > 0.5
+        vals = _bump_profile(d, np.where(flip, 1.0 - t, t))
         if d == 0:
-            vals = np.where(flip, 1.0 - vals, vals)
-        elif d % 2 == 0:
-            vals = np.where(flip, -vals, vals)
-        out[inner] = vals
-    else:
-        out[inner] = np.polynomial.polynomial.polyval(ti, _transition_poly(kernel.order, d))
-    return out
+            return np.where(flip, 1.0 - vals, vals)
+        return np.where(flip, -vals, vals) if d % 2 == 0 else vals
+    return np.polynomial.polynomial.polyval(t, _transition_poly(kernel.order, d))
 
 
 def _sigma_derivative(kernel: SigmoidalKernel, d: int, x):

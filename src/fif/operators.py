@@ -85,7 +85,9 @@ class FunctionInput:
     Analytic mode may carry derivative callables ``(f', f'', ...)``.  If it
     carries none and derivatives are needed, central finite differences with
     step ``h * FD_STEP_SCALE`` fill in (see :func:`operator_fd_fallback`); if
-    it carries some but not enough, the input is rejected outright.
+    it carries some but not enough, the input is rejected outright.  The
+    callables must be elementwise: a 1-D input of more than ``_TILE``
+    points reaches them one ``_TILE``-point slice at a time.
     """
 
     __slots__ = ("mode", "func", "derivatives", "values")
@@ -120,7 +122,7 @@ class FunctionInput:
     def __call__(self, x):
         if self.mode != "analytic":
             raise InvalidConfig("tabulated input is not callable off its nodes")
-        return _call_vectorized(self.func, x)
+        return _call_tiled(self.func, x)
 
 
 def _call_vectorized(func, x):
@@ -151,18 +153,16 @@ def input_derivative(f: FunctionInput, order: int, x, h: float):
         raise InvalidConfig("derivatives unavailable")
     arr = np.asarray(x, dtype=float)
     if order == 0:
-        return _call_vectorized(f.func, arr)
+        return _call_tiled(f.func, arr)
     if f.derivatives:
         if len(f.derivatives) < order:
             raise InvalidConfig("derivatives unavailable")
-        return _call_vectorized(f.derivatives[order - 1], arr)
+        return _call_tiled(f.derivatives[order - 1], arr)
     s = h * FD_STEP_SCALE
     out = np.zeros_like(arr)
     for i in range(order + 1):
         shift = (order / 2.0 - i) * s
-        out += ((-1) ** i * math.comb(order, i)) * _call_vectorized(
-            f.func, arr + shift
-        )
+        out += ((-1) ** i * math.comb(order, i)) * _call_tiled(f.func, arr + shift)
     return out / s**order
 
 
@@ -184,6 +184,18 @@ def _weight_table(cfg: OperatorConfig, f: FunctionInput, upto: int):
         # many operator calls of a solve substitute differences
         warnings.warn("derivative callables missing; central differences substituted")
     return rows
+
+
+def _call_tiled(func, x):
+    """``_call_vectorized(func, x)``, called on ``_TILE``-point slices of a longer
+    1-D ``x`` into one result: ``func``'s temporaries stay in cache."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 1 or arr.size <= _TILE:
+        return _call_vectorized(func, arr)
+    out = np.empty(arr.shape)
+    for lo in range(0, arr.size, _TILE):
+        out[lo : lo + _TILE] = _call_vectorized(func, arr[lo : lo + _TILE])
+    return out
 
 
 def _check_points(cfg: OperatorConfig, arr):
@@ -247,21 +259,28 @@ def _taylor(rows, dx, q):
     return out
 
 
-def _steps(cfg, s, order):
-    """What a blend at offsets ``s`` needs of ``s`` alone: the Taylor steps
-    ``h s`` and ``h (s - 1)`` to both nodes and ``P^(i)(s) / h^i`` for
-    ``i <= order``."""
-    profile = [transition(cfg.kernel, i, s) / cfg.h**i for i in range(order + 1)]
-    return cfg.h * s, cfg.h * (s - 1.0), profile
+def _steps(cfg, s, order, upto):
+    """What a blend at offsets ``s`` needs of ``s`` alone: ``P^(i)(s) / h^i``
+    for ``i <= order`` and, for derivative rows up to ``upto >= 1``, the
+    Taylor steps ``h s`` and ``h (s - 1)`` to both nodes."""
+    profile = [transition(cfg.kernel, 0, s)]
+    profile += [transition(cfg.kernel, i, s) / cfg.h**i for i in range(1, order + 1)]
+    return profile, (cfg.h * s, cfg.h * (s - 1.0)) if upto else (None, None)
 
 
 def _blend(table, klo, steps, order, out):
     """Write into ``out`` the ``order``-th derivative of ``T_k (1 - P(s)) +
     T_{k+1} P(s)`` at offset ``s`` in node cell ``k = klo`` (Leibniz rule),
-    with ``steps = _steps(cfg, s, order)``; ``klo`` and ``s`` broadcast to
-    the shape of ``out``."""
+    with ``steps = _steps(cfg, s, order, len(table) - 1)``; ``klo`` and ``s``
+    broadcast to the shape of ``out``.  Node values alone blend directly, plus
+    the ``0.0`` the sum starts from, so that a ``-0.0`` blend reads ``+0.0``."""
+    profile, (dx_left, dx_right) = steps
+    if dx_left is None:
+        np.multiply(table[0, klo], 1.0 - profile[0], out=out)
+        out += table[0, klo + 1] * profile[0]
+        out += 0.0
+        return
     left, right = table[:, klo], table[:, klo + 1]
-    dx_left, dx_right, profile = steps
     out[...] = 0.0
     for i, p in enumerate(profile):
         q = 1.0 - p if i == 0 else -p
@@ -287,18 +306,18 @@ def _evaluate(cfg, f, upto, order, x):
         rows = _TILE // width
         klo = np.arange(cfg.n)[:, None]
         for j in range(0, m, width):
-            steps = _steps(cfg, np.arange(j, min(j + width, m)) / m, order)
+            steps = _steps(cfg, np.arange(j, min(j + width, m)) / m, order, upto)
             for k in range(0, cfg.n, rows):
                 _blend(table, klo[k : k + rows], steps, order,
                        block[k : k + rows, j : j + width])
-        _blend(table, np.array([cfg.n - 1]), _steps(cfg, np.ones(1), order), order, out[-1:])
+        _blend(table, np.array([cfg.n - 1]), _steps(cfg, np.ones(1), order, upto), order, out[-1:])
     else:
         _check_points(cfg, arr)
         points, into = arr.reshape(-1), out.reshape(-1)  # a view of out
         for lo in range(0, arr.size, _TILE):
             tile = slice(lo, lo + _TILE)
             s, klo = _bracket(cfg, points[tile])
-            _blend(table, klo, _steps(cfg, s, order), order, into[tile])
+            _blend(table, klo, _steps(cfg, s, order, upto), order, into[tile])
     return _shaped(out, x)
 
 

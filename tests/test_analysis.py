@@ -448,3 +448,15 @@ def test_box_counting_memory_beyond_its_inputs_is_fixed():
 
     peak(10**5)  # the one-time set-up of a first call
     assert abs(peak(2**19) - peak(2**17)) <= 2**10
+
+
+def test_box_counting_bins_raw_y():
+    # y is binned raw and only the columns' extremes are normalized: far
+    # from 0 (where rounding coarsens y) and on a tiny span, the counts are
+    # still those of the whole normalized set
+    x, y = _point_sets()["grid"]
+    tiny = 0.5 + 1e-9 * (y - y.min()) / (y.max() - y.min())
+    for ys in (y + 1e8, tiny):
+        for scales in (DEFAULT_SCALES, [1.0 / i for i in NON_DYADIC]):
+            invs = [round(1 / s) for s in scales]
+            assert list(box_counting_dimension(x, ys, scales).counts) == brute_counts(x, ys, invs)

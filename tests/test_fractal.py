@@ -1273,3 +1273,45 @@ def test_affine_scan_stops_at_roundoff():
 def test_orbit_point_budget_checked():
     with pytest.raises(InvalidConfig, match="1000"):
         chaos_game_render(sine_problem(), 10, seed=0)
+
+
+TILE = fif.operators._TILE
+
+
+@pytest.mark.parametrize("n", [TILE - 1, TILE, TILE + 1, 3 * TILE + 7, 10**6 + 101])
+@pytest.mark.parametrize("c", [0.25, 0.55, -0.55, 0.0, 0.999, 1e-20])
+def test_tiled_shared_scan_is_bitwise_the_array_scan(n, c):
+    # the shared float runs its passes tile by tile behind a halo of input
+    # offsets; 0.999 needs 2^16 - 1 of them, more than a tile, and 1e-20
+    # and 0 need no pass at all
+    offset = np.random.default_rng(n).standard_normal(n)
+    shared = offset.copy()
+    passes = _affine_scan(np.r_[0.0, np.full(n - 1, c)], offset)
+    assert _affine_scan(c, shared) == passes
+    assert shared.tobytes() == offset.tobytes()
+
+
+def test_shared_scan_scratch_is_a_tile():
+    # the halo-led tile and its scratch, not a second array of the input's size
+    n = 2**20
+    offset = np.random.default_rng(3).standard_normal(n)
+    assert traced_peak(lambda size: _affine_scan(0.55, offset[:size]), n, 1000) <= 2**20
+
+
+def test_chaos_picks_are_the_one_based_stream_shifted():
+    # the orbit draws 0-based picks; the 1-based draw gives the same stream
+    for count in (2, 3, 4, 5, 8, 13):
+        for seed in (0, 7, 11):
+            zero = np.random.default_rng(seed).integers(0, count, size=10**4)
+            one = np.random.default_rng(seed).integers(1, count + 1, size=10**4)
+            assert zero.tobytes() == (one - 1).tobytes()
+
+
+def test_smooth_solve_drops_each_plan_once_solved():
+    # a plan's offset goes as soon as its level is solved, so the derivative
+    # levels no longer keep every offset until the solve returns
+    part = Partition.uniform(0.0, 1.0, 4)
+    op = OperatorConfig(smooth_bump(), 0.0, 1.0, 256, r=2)
+    prob = FifProblem(part, ScalingVector.broadcast(0.05, 4), op, make_function("sin"),
+                      "smooth")
+    assert traced_slope(lambda c: solve_fif(prob, cells=c), 2**16, 2**18) <= 56

@@ -432,3 +432,74 @@ def test_operator_temporaries_are_bounded_by_the_tile(kind):
     else:
         x = np.linspace(0.0, 1.0, 2**20 + 1)
     assert _traced_peak(lambda: nn_eval(cfg, f, x)) <= 4 * 2**20
+
+
+def test_target_function_sees_tiles_and_gives_one_call_bits():
+    # a 1-d input of more than a tile reaches f one tile at a time; smaller
+    # or other shapes get one call; every value is bitwise the one call's
+    sizes = []
+
+    def recording(x):
+        sizes.append(np.size(x))
+        return np.sin(3.0 * x) + x * x
+
+    f = FunctionInput.analytic(recording, (recording,))
+    x = np.random.default_rng(4).uniform(0.0, 1.0, 3 * TILE + 7)
+    want = np.sin(3.0 * x) + x * x
+    for got in (f(x), fif.operators.input_derivative(f, 0, x, 0.1),
+                fif.operators.input_derivative(f, 1, x, 0.1)):
+        assert got.tobytes() == want.tobytes()
+    assert sizes == [TILE, TILE, TILE, 7] * 3
+    sizes.clear()
+    assert f(x[:TILE]).tobytes() == want[:TILE].tobytes()
+    block = x[: 2 * TILE].reshape(2, TILE)
+    assert f(block).tobytes() == want[: 2 * TILE].tobytes()
+    assert sizes == [TILE, 2 * TILE]
+    # finite differences call f on shifted tiles of the same points
+    fd = FunctionInput.analytic(np.sin)
+    grid, h = np.linspace(0.0, 1.0, 2 * TILE + 1), 0.125
+    s = h * fif.operators.FD_STEP_SCALE
+    want = (np.sin(grid + 0.5 * s) - np.sin(grid - 0.5 * s)) / s
+    assert fif.operators.input_derivative(fd, 1, grid, h).tobytes() == want.tobytes()
+
+
+def test_tiled_target_function_keeps_the_value_checks():
+    x = np.linspace(0.0, 1.0, 2 * TILE + 3)
+    scalar = FunctionInput.analytic(lambda t: 2.5)
+    assert scalar(x).tobytes() == np.full(x.size, 2.5).tobytes()
+    late_nan = FunctionInput.analytic(lambda t: np.where(t > 1.0 - 1e-6, np.nan, t))
+    with pytest.raises(InvalidConfig, match="non-finite"):
+        late_nan(x)
+    # the caller's points never come back as the result, even by the tile
+    same = FunctionInput.analytic(lambda t: t)
+    out = same(x)
+    assert out.tobytes() == x.tobytes() and not np.may_share_memory(out, x)
+
+
+def test_negative_zero_node_values_blend_to_positive_zero():
+    # the node-value blend adds the 0.0 the Leibniz sum starts from, on the
+    # render grid and pointwise alike, and so does the four-layer operator
+    cfg = OperatorConfig(ramp(), 0.0, 1.0, 4)
+    f = FunctionInput.tabulated([-0.0] * 5)
+    grid = np.linspace(0.0, 1.0, 4 * 64 + 1)
+    points = np.random.default_rng(6).uniform(0.0, 1.0, 1000)
+    for x in (grid, points):
+        out = nn_eval(cfg, f, x)
+        assert np.all(out == 0.0) and not np.any(np.signbit(out))
+    negative_zero = lambda t: np.full_like(t, -0.0)
+    smooth = FunctionInput.analytic(negative_zero, (negative_zero,))
+    cfg = OperatorConfig(smoothstep(1), 0.0, 1.0, 4, r=1)
+    for x in (grid, points):
+        assert not np.any(np.signbit(nn_eval_four_layer(cfg, smooth, x)))
+
+
+@pytest.mark.parametrize("kernel", FAMILIES, ids=["ramp", "smoothstep:1", "bump"])
+def test_transition_inside_the_band_is_bitwise_the_masked_path(kernel):
+    # every t inside the band skips the mask; one t on the band's edge
+    # forces the masked path over the same points
+    lo = 2e-3 if kernel.family == "bump" else 1e-9
+    t = np.random.default_rng(8).uniform(lo, 1.0 - lo, 5000)
+    for d in range(min(kernel.smoothness, 3) + 1):
+        inside = transition(kernel, d, t)
+        masked = transition(kernel, d, np.r_[t, 0.0])
+        assert inside.tobytes() == masked[:-1].tobytes()
