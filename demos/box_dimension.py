@@ -36,7 +36,7 @@ def main():
         res = solve_fif(FifProblem(part, sv, op, f, "alpha"),
                         cells=2**18, tol=1e-9)
         rep = box_counting_dimension(res.grid, res.values)
-        theo = theoretical_box_dimension(sv, 4)
+        theo = theoretical_box_dimension(sv)
         print(f"{alpha:6.2f} {4 * alpha:6.2f} {theo:8.4f}"
               f" {rep.estimated_dimension:9.4f} {rep.r_squared:8.5f}")
         last = (res, rep)

@@ -166,21 +166,20 @@ class DimensionReport:
             raise InvalidConfig("kappa must be nonnegative")
 
 
-def theoretical_box_dimension(scaling, subintervals: int) -> float:
+def theoretical_box_dimension(scaling) -> float:
     """Closed-form graph dimension of a constant ``ScalingVector`` on uniform knots.
 
-    1 + log_N(kappa) when the absolute scalings sum to kappa > 1, else 1;
-    each |alpha_i| < 1, so kappa < N and the dimension stays below 2.
+    1 + log_N(kappa) with ``N = scaling.size`` pieces, when the absolute
+    scalings sum to kappa > 1, else 1; each |alpha_i| < 1, so kappa < N and
+    the dimension stays below 2.
     """
     consts = scaling.constants()
-    if subintervals != len(consts):
-        raise InvalidConfig("scaling count must match subinterval count")
-    if subintervals < 2:
+    if consts.size < 2:
         raise InvalidConfig("need at least 2 subintervals")
     kappa = float(np.sum(np.abs(consts)))
     if kappa <= 1.0:
         return 1.0
-    return 1.0 + math.log(kappa) / math.log(subintervals)
+    return 1.0 + math.log(kappa) / math.log(consts.size)
 
 
 def knot_data_collinear(x, y) -> bool:
@@ -196,29 +195,18 @@ def knot_data_collinear(x, y) -> bool:
     return bool(np.max(resid) <= 1e-9 * max(rng, 1.0))
 
 
-def _column_extremes(blocks, invs, y_lo, y_span):
-    """``(lo, hi)`` for each ``inv`` of ``invs``: the lowest and highest normalized
-    ``y`` in each of ``inv`` columns (inf/-inf if empty), merged over blocks of
-    normalized ``x`` and raw ``y``.  Min and max are exact, so any split gives the
-    same bits, as does normalizing only the extremes (it is nondecreasing)."""
-    extremes = [(np.full(inv, np.inf), np.full(inv, -np.inf)) for inv in invs]
+def _column_extremes(blocks, inv, y_lo, y_span):
+    """``(lo, hi)``: the lowest and highest normalized ``y`` in each of ``inv``
+    columns (inf/-inf if empty), merged over blocks of normalized ``x`` and raw
+    ``y``.  Min and max are exact, so any split gives the same bits, as does
+    normalizing only the extremes (it is nondecreasing)."""
+    lo, hi = np.full(inv, np.inf), np.full(inv, -np.inf)
     for xn, y in blocks:
-        for inv, (lo, hi) in zip(invs, extremes):
-            ix = np.minimum((xn * inv).astype(np.int64), inv - 1)
-            np.minimum.at(lo, ix, y)
-            np.maximum.at(hi, ix, y)
-            del ix  # each block's arrays go before the next ones are made
-        del xn, y
-    return [((lo - y_lo) / y_span, (hi - y_lo) / y_span) for lo, hi in extremes]
-
-
-def _boxes_spanned(lo, hi, inv: int) -> int:
-    # curve-aware count: the points sample a continuous graph, so within
-    # one column every box between the column's extremes is occupied
-    seen = hi >= lo
-    ilo = np.clip(np.floor(lo[seen] * inv).astype(np.int64), 0, inv - 1)
-    ihi = np.clip(np.floor(hi[seen] * inv).astype(np.int64), 0, inv - 1)
-    return int(np.sum(ihi - ilo + 1))
+        ix = np.minimum((xn * inv).astype(np.int64), inv - 1)
+        np.minimum.at(lo, ix, y)
+        np.maximum.at(hi, ix, y)
+        del xn, y, ix  # each block's arrays go before the next ones are made
+    return (lo - y_lo) / y_span, (hi - y_lo) / y_span
 
 
 def _dyadic_counts(blocks, invs, y_lo, y_span) -> list:
@@ -230,10 +218,15 @@ def _dyadic_counts(blocks, invs, y_lo, y_span) -> list:
     level below, and every count equals a per-scale count exactly.
     """
     inv = max(invs)
-    [(lo, hi)] = _column_extremes(blocks, [inv], y_lo, y_span)
+    lo, hi = _column_extremes(blocks, inv, y_lo, y_span)
     counts = {}
     while inv >= min(invs):
-        counts[inv] = _boxes_spanned(lo, hi, inv)
+        # curve-aware count: the points sample a continuous graph, so within
+        # one column every box between the column's extremes is occupied
+        seen = hi >= lo
+        ilo = np.clip(np.floor(lo[seen] * inv).astype(np.int64), 0, inv - 1)
+        ihi = np.clip(np.floor(hi[seen] * inv).astype(np.int64), 0, inv - 1)
+        counts[inv] = int(np.sum(ihi - ilo + 1))
         lo = np.minimum(lo[0::2], lo[1::2])
         hi = np.maximum(hi[0::2], hi[1::2])
         inv //= 2
@@ -248,11 +241,10 @@ def box_counting_dimension(x, y, scales=None) -> DimensionReport:
     x, y : arrays of equal length (>= 1e5 points)
         The point cloud; it is normalized to the unit square first.
     scales : sequence of box sizes, optional
-        Each must subdivide the unit square integrally.  Defaults to
-        2^-4 ... 2^-12.  At least 5 scales spanning a factor >= 100.
-        When every size is a power of two, the point set is binned into
-        columns once, at the finest size, and the coarser counts come from
-        a pairwise min/max pyramid; other sizes are binned one by one.
+        Each must be a power of two ``2^-j``.  Defaults to 2^-4 ... 2^-12.
+        At least 5 scales spanning a factor >= 100.  The point set is
+        binned into columns once, at the finest size, and the coarser
+        counts come from a pairwise min/max pyramid.
         Points are binned ``_BOX_BLOCK`` at a time, ``y`` raw and only the
         columns' extremes normalized, so beyond its inputs the count holds a
         fixed amount of memory.
@@ -278,8 +270,8 @@ def box_counting_dimension(x, y, scales=None) -> DimensionReport:
     invs = []
     for s in scales:
         inv = round(1.0 / s)
-        if abs(inv * s - 1.0) > 1e-9:
-            raise InvalidConfig("each scale must subdivide the unit square")
+        if inv & (inv - 1) or abs(inv * s - 1.0) > 1e-9:
+            raise InvalidConfig("each scale must be a power of two 2^-j")
         invs.append(inv)
     x_lo, y_lo = np.min(x), np.min(y)
     x_span, y_span = float(np.max(x) - x_lo), float(np.max(y) - y_lo)
@@ -288,11 +280,7 @@ def box_counting_dimension(x, y, scales=None) -> DimensionReport:
     # normalized x and raw y, one block at a time
     blocks = (((x[i : i + _BOX_BLOCK] - x_lo) / x_span, y[i : i + _BOX_BLOCK])
               for i in range(0, x.size, _BOX_BLOCK))
-    if all(i & (i - 1) == 0 for i in invs):
-        counts = _dyadic_counts(blocks, invs, y_lo, y_span)
-    else:
-        extremes = _column_extremes(blocks, invs, y_lo, y_span)
-        counts = [_boxes_spanned(lo, hi, i) for i, (lo, hi) in zip(invs, extremes)]
+    counts = _dyadic_counts(blocks, invs, y_lo, y_span)
     if len(set(counts)) < 2:
         raise InvalidConfig("degenerate point set: box counts do not vary")
     logx = np.log(1.0 / np.asarray(scales))

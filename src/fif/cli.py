@@ -17,6 +17,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -121,6 +122,8 @@ def _config_from_args(args) -> RunConfig:
         raise InvalidConfig("interval ends must be finite")
     if not cfg.interval[1] > cfg.interval[0]:
         raise InvalidConfig("interval must satisfy a < b")
+    if not math.isfinite(hi - lo):
+        raise InvalidConfig("interval length b - a overflows")
     if cfg.grid_exp < 4:
         raise InvalidConfig("grid exponent must be at least 4")
     if cfg.subintervals < 2:
@@ -368,9 +371,7 @@ def cmd_dimension(cfg: RunConfig, out: Path) -> int:
     if report.collinear_data:
         report.notes.append("knot data collinear: closed-form dimension not applicable")
     elif problem.scaling.is_constant and problem.partition.is_uniform:
-        report.theoretical_dimension = theoretical_box_dimension(
-            problem.scaling, problem.partition.size
-        )
+        report.theoretical_dimension = theoretical_box_dimension(problem.scaling)
         report.kappa = problem.scaling.kappa
     else:
         report.notes.append(
@@ -585,6 +586,10 @@ def _make_parser() -> argparse.ArgumentParser:
         "sigmoidal quasi-interpolation heights.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse (3.11) takes an argument for a negative number only when it
+    # matches ^-\d+$|^-\d*\.\d+$, so "--interval -1e3 1e3" would read -1e3 as
+    # an option name; this pattern adds the exponent form
+    negative = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
     for name, help_text in [
         ("build", "render one interpolant to fif.csv + meta.json"),
         ("converge", "node-count ladder with error bounds to converge.csv"),
@@ -593,7 +598,8 @@ def _make_parser() -> argparse.ArgumentParser:
         ("holder", "variable-scaling ladder with roughness norms"),
         ("bounds", "print error-bound tables without solving"),
     ]:
-        sub.add_parser(name, help=help_text, parents=[shared])
+        command = sub.add_parser(name, help=help_text, parents=[shared])
+        command._negative_number_matcher = negative
     return parser
 
 

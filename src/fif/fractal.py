@@ -308,20 +308,6 @@ class _GridPlan:
                      "coarse_cells": coarse, "fill_levels": levels}
 
 
-def _validate_cells(problem, cells):
-    n_sub = problem.partition.size
-    if cells is None:
-        return n_sub * 1024
-    cells = int(cells)
-    q, rem = divmod(cells, n_sub)
-    if rem != 0 or q < 16 or q & (q - 1):
-        raise InvalidConfig(
-            "grid cells must be a power-of-two multiple of the subinterval "
-            "count, at least 16 per subinterval"
-        )
-    return cells
-
-
 def _build_plan(problem, cells):
     """The level-0 update on the render grid: ``(plan, grid, base(a))``;
     height and base are freed once the plan holds its offset.
@@ -396,7 +382,7 @@ def _knot_checks(problem, values, plan, base_a, y_min, y_max):
     return cont_max, knot_max, inner.size
 
 
-def solve_fif(problem: FifProblem, cells=None, tol=DEFAULT_TOL,
+def solve_fif(problem: FifProblem, cells, tol=DEFAULT_TOL,
               max_sweeps=DEFAULT_MAX_SWEEPS):
     """Render the fixed point of ``problem`` on a dense grid, for any variant.
 
@@ -410,7 +396,13 @@ def solve_fif(problem: FifProblem, cells=None, tol=DEFAULT_TOL,
     mismatch above ``MATCHING_TOL`` signals a kernel-smoothness or
     derivative-data defect and raises ``MatchingConditionError``.
     """
-    cells = _validate_cells(problem, cells)
+    cells = int(cells)
+    q, rem = divmod(cells, problem.partition.size)
+    if rem != 0 or q < 16 or q & (q - 1):
+        raise InvalidConfig(
+            "grid cells must be a power-of-two multiple of the subinterval "
+            "count, at least 16 per subinterval"
+        )
     if not tol > 0:
         raise InvalidConfig("tolerance must be positive")
     if not max_sweeps >= 1:

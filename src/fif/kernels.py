@@ -1,7 +1,8 @@
 """Saturating sigmoid families and the window functions built from them.
 
 A kernel here is a nondecreasing function ``sigma`` that is exactly 0 for
-``x <= -m`` and exactly 1 for ``x >= m``, together with the window
+``x <= -m`` and exactly 1 for ``x >= m``, with the fixed half-width
+``m = 1/2``, together with the window
 
     xi(x) = sigma(x + m) - sigma(x - m)
 
@@ -23,7 +24,7 @@ Three families are shipped:
     ============  ==========  =======================================
 
 Every family is one transition profile ``P`` on [0, 1], rising from 0 to 1,
-with ``sigma(x) = P((x + m) / 2m)``; :func:`transition` evaluates ``P`` and
+with ``sigma(x) = P(x + 1/2)``; :func:`transition` evaluates ``P`` and
 its derivatives with exact saturation.  The polynomial families differentiate
 their coefficients.  The bump profile is the logistic of a rational function,
 ``P(t) = L(1/(1-t) - 1/t)`` with ``L(z) = 1 / (1 + exp(-z))``, and its
@@ -60,12 +61,14 @@ class SigmoidalKernel:
     """A saturating sigmoid with exact flat tails beyond ``[-m, m]``.
 
     ``order`` is the polynomial smoothness index for the smoothstep family
-    and must be 0 for the other families.
+    and must be 0 for the other families.  The half-width ``m`` is fixed at
+    1/2: the operators blend two neighbouring nodes through ``P``, so no
+    output depends on it.
     """
 
     family: str
     order: int = 0
-    m: float = 0.5
+    m = 0.5  # unannotated: a class constant, not a dataclass field
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -74,8 +77,6 @@ class SigmoidalKernel:
             raise InvalidConfig("order applies to the smoothstep family only")
         if self.order < 0:
             raise InvalidConfig("order must be nonnegative")
-        if not (math.isfinite(self.m) and self.m > 0):
-            raise InvalidConfig("half-width m must be positive and finite")
 
     @property
     def smoothness(self) -> int:
@@ -87,27 +88,27 @@ class SigmoidalKernel:
         return 0
 
 
-def ramp(m: float = 0.5) -> SigmoidalKernel:
+def ramp() -> SigmoidalKernel:
     """Piecewise-linear sigmoid; continuous but not differentiable."""
-    return SigmoidalKernel("ramp", 0, m)
+    return SigmoidalKernel("ramp")
 
 
-def smoothstep(order: int, m: float = 0.5) -> SigmoidalKernel:
+def smoothstep(order: int) -> SigmoidalKernel:
     """Polynomial sigmoid with ``order`` vanishing derivatives at both ends."""
-    return SigmoidalKernel("smoothstep", order, m)
+    return SigmoidalKernel("smoothstep", order)
 
 
-def smooth_bump(m: float = 0.5) -> SigmoidalKernel:
+def smooth_bump() -> SigmoidalKernel:
     """Infinitely differentiable sigmoid built from exp(-1/t) glue."""
-    return SigmoidalKernel("bump", 0, m)
+    return SigmoidalKernel("bump")
 
 
-def kernel_from_name(name: str, m: float = 0.5) -> SigmoidalKernel:
+def kernel_from_name(name: str) -> SigmoidalKernel:
     """Parse ``ramp``, ``smoothstep:<k>`` or ``bump`` into a kernel."""
     base, _, arg = name.partition(":")
     base = base.strip().lower()
     if base == "ramp":
-        return ramp(m)
+        return ramp()
     if base == "smoothstep":
         try:
             order = int(arg)
@@ -115,9 +116,9 @@ def kernel_from_name(name: str, m: float = 0.5) -> SigmoidalKernel:
             raise InvalidConfig(
                 f"smoothstep needs an integer order, e.g. smoothstep:1, got {name!r}"
             ) from exc
-        return smoothstep(order, m)
-    if base in ("bump", "smoothbump"):
-        return smooth_bump(m)
+        return smoothstep(order)
+    if base == "bump":
+        return smooth_bump()
     raise InvalidConfig(f"unknown kernel family: {name!r}")
 
 
@@ -175,7 +176,7 @@ def _bump_profile(d: int, t):
 def transition(kernel: SigmoidalKernel, d: int, t):
     """d-th derivative of the kernel's transition profile ``P`` on [0, 1].
 
-    ``P`` rises from 0 to 1 and ``sigma(x) = P((x + m) / 2m)``.  The value
+    ``P`` rises from 0 to 1 and ``sigma(x) = P(x + 1/2)``.  The value
     saturates exactly (0 at or below the band, 1 at or above it) and every
     derivative is exactly 0 outside the open band.  The band is (0, 1),
     narrowed for ``bump`` by ``_BUMP_TAIL`` at both ends; ``t`` wholly inside skips the mask.
@@ -204,24 +205,19 @@ def _band_profile(kernel: SigmoidalKernel, d: int, t):
     return np.polynomial.polynomial.polyval(t, _transition_poly(kernel.order, d))
 
 
-def _sigma_derivative(kernel: SigmoidalKernel, d: int, x):
-    """d-th derivative of sigma, exact zeros outside the transition band."""
-    m = kernel.m
-    return transition(kernel, d, (_as_array(x) + m) / (2.0 * m)) / (2.0 * m) ** d
-
-
 def sigma_eval(kernel: SigmoidalKernel, x):
-    """Evaluate the sigmoid.  Saturation is exact: 0 below -m, 1 above m."""
-    return _shaped(_sigma_derivative(kernel, 0, x), x)
+    """Evaluate the sigmoid ``P(x + 1/2)``.  Saturation is exact: 0 below -m,
+    1 above m."""
+    return _shaped(transition(kernel, 0, _as_array(x) + 0.5), x)
 
 
 def xi_eval(kernel: SigmoidalKernel, x):
-    """Window value sigma(x + m) - sigma(x - m); support is [-2m, 2m]."""
+    """Window value sigma(x + m) - sigma(x - m); support is [-2m, 2m] = [-1, 1]."""
     return xi_derivative(kernel, 0, x)
 
 
 def xi_derivative(kernel: SigmoidalKernel, order: int, x):
-    """Closed-form derivative of the window.
+    """Closed-form derivative of the window, ``P^(order)(x + 1) - P^(order)(x)``.
 
     Parameters
     ----------
@@ -236,8 +232,5 @@ def xi_derivative(kernel: SigmoidalKernel, order: int, x):
     if order > kernel.smoothness:
         raise ValueError("insufficient kernel smoothness")
     arr = _as_array(x)
-    m = kernel.m
-    out = _sigma_derivative(kernel, order, arr + m) - _sigma_derivative(
-        kernel, order, arr - m
-    )
+    out = transition(kernel, order, arr + 1.0) - transition(kernel, order, arr)
     return _shaped(out, x)

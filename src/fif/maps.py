@@ -39,9 +39,14 @@ class Partition:
 
     @classmethod
     def uniform(cls, a, b, count):
+        """``count`` equal pieces of ``[a, b]``, each with the slope ``1/count``:
+        the rounded spacings of the knots would set some apart in the last bit."""
         if not (isinstance(count, int) and count >= 2):
             raise InvalidConfig("need an integer subinterval count >= 2")
-        return cls(np.linspace(a, b, count + 1))
+        part = cls(np.linspace(a, b, count + 1))
+        part.slopes = np.full(count, 1.0 / count)
+        part.intercepts = part.knots[:-1] - part.slopes * part.knots[0]
+        return part
 
     @property
     def a(self) -> float:
@@ -117,8 +122,8 @@ class ScalingVector:
         return cls([float(v) for v in np.atleast_1d(values)])
 
     @classmethod
-    def broadcast(cls, value, count, domain=None):
-        return cls([value] * count, domain=domain)
+    def broadcast(cls, value, count):
+        return cls([value] * count)
 
     @property
     def size(self) -> int:

@@ -245,7 +245,7 @@ def test_10_box_dimension():
         res = solve_fif(FifProblem(part, sv, op, f, "alpha"),
                         cells=2**18, tol=1e-9)
         rep = box_counting_dimension(res.grid, res.values)
-        assert abs(theoretical_box_dimension(sv, 4) - target) <= 1e-12
+        assert abs(theoretical_box_dimension(sv) - target) <= 1e-12
         assert abs(rep.estimated_dimension - target) <= slack, rep
         assert rep.r_squared >= 0.99
         details.append(f"a={alpha}: {rep.estimated_dimension:.3f}")

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -266,17 +267,27 @@ def test_bounds_reject_expansive_scaling():
 
 
 def test_theoretical_dimension_values():
-    def dim(values, count):
-        return theoretical_box_dimension(ScalingVector.constant(values), count)
+    def dim(values):
+        return theoretical_box_dimension(ScalingVector.constant(values))
 
-    assert dim([0.5, 0.5, 0.5, 0.5], 4) == pytest.approx(1.5, abs=1e-15)
-    assert dim([0.1, 0.1, 0.1, 0.1], 4) == 1.0
-    assert dim([0.6, 0.6], 2) == pytest.approx(1.0 + np.log2(1.2), abs=1e-12)
+    assert dim([0.5, 0.5, 0.5, 0.5]) == pytest.approx(1.5, abs=1e-15)
+    assert dim([0.1, 0.1, 0.1, 0.1]) == 1.0
+    assert dim([0.6, 0.6]) == pytest.approx(1.0 + np.log2(1.2), abs=1e-12)
+
+
+@pytest.mark.parametrize("count", [2, 3, 4, 5, 6])
+def test_theoretical_dimension_takes_the_piece_count_from_the_scaling(count):
+    # N = scaling.size: 1 + log_N(N * 0.7), and 1 once kappa = N * 0.2 <= 1
+    dim = theoretical_box_dimension(ScalingVector.broadcast(0.7, count))
+    assert dim == pytest.approx(2.0 + math.log(0.7) / math.log(count), abs=1e-12)
+    expected = 1.0 if count <= 5 else 1.0 + math.log(0.2 * count) / math.log(count)
+    low = theoretical_box_dimension(ScalingVector.broadcast(0.2, count))
+    assert low == pytest.approx(expected, abs=1e-12)
 
 
 def test_theoretical_dimension_permutation_invariant():
-    a = theoretical_box_dimension(ScalingVector.constant([0.7, 0.4, 0.5, 0.6]), 4)
-    b = theoretical_box_dimension(ScalingVector.constant([0.4, 0.6, 0.7, 0.5]), 4)
+    a = theoretical_box_dimension(ScalingVector.constant([0.7, 0.4, 0.5, 0.6]))
+    b = theoretical_box_dimension(ScalingVector.constant([0.4, 0.6, 0.7, 0.5]))
     assert a == b
 
 
@@ -285,9 +296,9 @@ def test_theoretical_dimension_validation():
 
     sv = ScalingVector([lambda x: 0.1 * np.ones_like(np.asarray(x))], domain=(0, 1))
     with pytest.raises(InvalidConfig, match="constant scalings required"):
-        theoretical_box_dimension(sv, 1)
-    with pytest.raises(InvalidConfig):
-        theoretical_box_dimension(ScalingVector.constant([0.5, 0.5]), 4)  # length mismatch
+        theoretical_box_dimension(sv)
+    with pytest.raises(InvalidConfig, match="at least 2"):
+        theoretical_box_dimension(ScalingVector.constant([0.5]))
     # |alpha_i| >= 1 is refused by the vector, so no dimension above 2 is reached
     with pytest.raises(InvalidConfig, match="sup norm"):
         ScalingVector.constant([3.0, 3.0])
@@ -297,7 +308,7 @@ def test_theoretical_dimension_accepts_scaling_vector():
     from fif.maps import ScalingVector
 
     sv = ScalingVector.constant([0.5, 0.5, 0.5, 0.5])
-    assert theoretical_box_dimension(sv, 4) == pytest.approx(1.5)
+    assert theoretical_box_dimension(sv) == pytest.approx(1.5)
 
 
 def test_dimension_report_validation():
@@ -343,7 +354,7 @@ def test_box_counting_validation():
         box_counting_dimension(t, t, scales=(0.5, 0.25, 0.125))
     with pytest.raises(InvalidConfig, match="two decades"):
         box_counting_dimension(t, t, scales=(2.0**-4,) * 3 + (2.0**-5, 2.0**-6))
-    with pytest.raises(InvalidConfig, match="subdivide"):
+    with pytest.raises(InvalidConfig, match="power of two"):
         box_counting_dimension(t, t, scales=(0.3, 0.1, 0.03, 0.01, 0.003))
     with pytest.raises(InvalidConfig, match="equal length"):
         box_counting_dimension(t, t[:-1])
@@ -388,9 +399,6 @@ def _point_sets():
     }
 
 
-NON_DYADIC = (10, 20, 50, 100, 1000)
-
-
 @pytest.mark.parametrize(
     "scales", [DEFAULT_SCALES, tuple(2.0**-j for j in range(4, 12))],
     ids=["default", "4..11"],
@@ -402,15 +410,12 @@ def test_box_counting_pyramid_matches_per_scale_counts(scales):
         assert list(box_counting_dimension(x, y, scales).counts) == brute, name
 
 
-def test_box_counting_non_dyadic_scales_count_per_scale(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("non-dyadic scales must not use the pyramid")
-
-    monkeypatch.setattr(fif.analysis, "_dyadic_counts", refuse)
+@pytest.mark.parametrize("invs", [(10, 20, 50, 100, 1000), (3, 9, 27, 81, 243, 729)])
+def test_box_counting_refuses_non_dyadic_sizes(invs):
+    # box sizes 1/10 and 1/3 subdivide the square but are not 2^-j
     t = np.linspace(0.0, 1.0, 10**5 + 1)
-    y = np.sin(5 * t)
-    report = box_counting_dimension(t, y, scales=[1.0 / i for i in NON_DYADIC])
-    assert list(report.counts) == brute_counts(t, y, NON_DYADIC)
+    with pytest.raises(InvalidConfig, match="power of two"):
+        box_counting_dimension(t, np.sin(5 * t), scales=[1.0 / i for i in invs])
 
 
 @pytest.mark.parametrize("size", [_BOX_BLOCK - 1, _BOX_BLOCK, _BOX_BLOCK + 1, 10**5 + 1])
@@ -421,16 +426,13 @@ def test_box_counting_blocks_match_whole_array_counts(size):
     for name, (x, y) in _point_sets().items():
         x, y = x[:size], y[:size]
         assert list(box_counting_dimension(x, y).counts) == brute_counts(x, y, invs), name
-        report = box_counting_dimension(x, y, scales=[1.0 / i for i in NON_DYADIC])
-        assert list(report.counts) == brute_counts(x, y, NON_DYADIC), name
 
 
 def test_box_counting_ignores_point_order():
     x, y = _point_sets()["grid"]
     order = np.random.default_rng(5).permutation(x.size)
-    for scales in (DEFAULT_SCALES, [1.0 / i for i in NON_DYADIC]):
-        counts = box_counting_dimension(x, y, scales).counts
-        assert box_counting_dimension(x[order], y[order], scales).counts == counts
+    counts = box_counting_dimension(x, y).counts
+    assert box_counting_dimension(x[order], y[order]).counts == counts
 
 
 def test_box_counting_memory_beyond_its_inputs_is_fixed():
@@ -456,7 +458,6 @@ def test_box_counting_bins_raw_y():
     # still those of the whole normalized set
     x, y = _point_sets()["grid"]
     tiny = 0.5 + 1e-9 * (y - y.min()) / (y.max() - y.min())
+    invs = [round(1 / s) for s in DEFAULT_SCALES]
     for ys in (y + 1e8, tiny):
-        for scales in (DEFAULT_SCALES, [1.0 / i for i in NON_DYADIC]):
-            invs = [round(1 / s) for s in scales]
-            assert list(box_counting_dimension(x, ys, scales).counts) == brute_counts(x, ys, invs)
+        assert list(box_counting_dimension(x, ys).counts) == brute_counts(x, ys, invs)

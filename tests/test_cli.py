@@ -808,6 +808,31 @@ def test_non_finite_interval_end_prints_only_the_error(tmp_path, capsys, command
     assert capsys.readouterr().err == "error: interval ends must be finite\n"
 
 
+@pytest.mark.parametrize(
+    "command", ["build", "converge", "dimension", "smooth", "holder", "bounds"]
+)
+def test_overflowing_interval_length_prints_only_the_error(tmp_path, capsys, command):
+    # both ends are finite, but b - a is not: rejected with the config, before
+    # numpy could warn about the grid or a later check misname the fault
+    config = tmp_path / "wide.json"
+    config.write_text(json.dumps({"interval": [-1e308, 1e308]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: interval length b - a overflows\n"
+
+
+@pytest.mark.parametrize(
+    "ends", [("-1e3", "1e3"), ("-2.5e-1", "0.5"), ("-1", "-.5")],
+    ids=["exponent", "negative-exponent", "both-negative"],
+)
+def test_negative_interval_ends_may_carry_an_exponent(tmp_path, ends):
+    argv = ["build", "--function", "sin", "--interval", *ends, "--grid-exp", "4"]
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    assert meta["config"]["interval"] == [float(v) for v in ends]
+
+
 def test_csv_cells_carry_full_precision(tmp_path):
     assert run(
         [

@@ -915,7 +915,9 @@ def test_smooth_junctions_are_checked_before_any_level_is_solved(monkeypatch):
     prob = FifProblem(part, sv, op, make_function("sin"), "smooth")
     with pytest.raises(NonConvergence):
         solve_fif(prob, cells=5 * 2**8, max_sweeps=1)
-    monkeypatch.setattr(fractal, "MATCHING_TOL", 0.0)
+    # the junction data agree exactly (every slope is 1/5), so a negative
+    # tolerance makes each junction a mismatch
+    monkeypatch.setattr(fractal, "MATCHING_TOL", -1.0)
     with pytest.raises(MatchingConditionError):
         solve_fif(prob, cells=5 * 2**8, max_sweeps=1)
 
@@ -1249,6 +1251,20 @@ def test_chaos_constant_scaling_holds_no_per_step_coefficients():
     prob = sine_problem(alpha=0.55, n=1, count=4, b=1.0)
     render = lambda p: chaos_game_render(prob, p, seed=7)
     assert traced_peak(render, points, 1000) <= 40 * points
+
+
+def test_chaos_uniform_slopes_take_no_per_step_array(monkeypatch):
+    # N = 5: every slope is 1/5, so the x-orbit scans one float as the
+    # constant alpha does, within the N = 4 render's memory
+    kinds = []
+    scan = fractal._affine_scan
+    monkeypatch.setattr(fractal, "_affine_scan",
+                        lambda coeff, offset: kinds.append(np.ndim(coeff)) or scan(coeff, offset))
+    points = 2**18
+    prob = sine_problem(alpha=0.55, n=1, count=5, b=1.0)
+    render = lambda p: chaos_game_render(prob, p, seed=7)
+    assert traced_peak(render, points, 1000) <= 40 * points
+    assert kinds == [0] * 4  # x and y of both renders
 
 
 def test_affine_scan_stops_at_roundoff():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from fif.kernels import (
     UNBOUNDED_ORDER,
+    SigmoidalKernel,
     _transition_poly,
     kernel_from_name,
     ramp,
@@ -44,7 +47,7 @@ def test_sigma_monotone_and_half_at_center(kernel):
 
 
 def test_ramp_sigma_is_clipped_line():
-    kernel = ramp(0.5)
+    kernel = ramp()
     x = np.linspace(-2, 2, 4001)
     oracle = np.clip((x + 0.5) / 1.0, 0.0, 1.0)
     assert np.max(np.abs(sigma_eval(kernel, x) - oracle)) == 0.0
@@ -52,7 +55,7 @@ def test_ramp_sigma_is_clipped_line():
 
 def test_smoothstep1_frozen_values():
     # cubic 3t^2 - 2t^3 at t = 0.75, hand-evaluated
-    kernel = smoothstep(1, m=0.5)
+    kernel = smoothstep(1)
     assert sigma_eval(kernel, 0.25) == pytest.approx(0.84375, abs=1e-15)
     assert sigma_eval(kernel, -0.25) == pytest.approx(0.15625, abs=1e-15)
 
@@ -89,16 +92,12 @@ def test_window_shifts_sum_to_one(kernel):
     assert np.max(np.abs(total - 1.0)) <= 1e-12
 
 
-@given(
-    m=st.floats(0.05, 4.0),
-    t=st.floats(0.0, 1.0),
-    order=st.integers(0, 3),
-)
+@given(t=st.floats(0.0, 1.0), order=st.integers(0, 3))
 @settings(max_examples=60, deadline=None)
-def test_window_shift_sum_property(m, t, order):
-    kernel = smoothstep(order, m=m) if order else ramp(m=m)
-    x = t * 2 * m
-    assert abs(xi_eval(kernel, x) + xi_eval(kernel, x - 2 * m) - 1.0) <= 1e-12
+def test_window_shift_sum_property(t, order):
+    kernel = smoothstep(order) if order else ramp()
+    x = t * 2 * kernel.m
+    assert abs(xi_eval(kernel, x) + xi_eval(kernel, x - 2 * kernel.m) - 1.0) <= 1e-12
 
 
 def test_order_zero_derivative_is_window():
@@ -109,7 +108,7 @@ def test_order_zero_derivative_is_window():
 
 @pytest.mark.parametrize("profile_order", [1, 2, 3])
 def test_smoothstep_window_derivative_matches_fd(profile_order):
-    kernel = smoothstep(profile_order, m=0.5)
+    kernel = smoothstep(profile_order)
     x = np.linspace(-0.95, 0.95, 401)
     s = 1e-6
     for j in range(1, profile_order + 1):
@@ -121,7 +120,7 @@ def test_smoothstep_window_derivative_matches_fd(profile_order):
 
 
 def test_bump_window_derivative_matches_fd():
-    kernel = smooth_bump(m=0.5)
+    kernel = smooth_bump()
     # stay clear of the flat tails so the difference quotient sees the
     # analytic branch on both sides
     x = np.linspace(-0.9, 0.9, 181)
@@ -197,16 +196,27 @@ def test_kernel_from_name():
     assert kernel_from_name("ramp").family == "ramp"
     assert kernel_from_name("smoothstep:3").order == 3
     assert kernel_from_name("bump").family == "bump"
-    assert kernel_from_name("smoothbump").family == "bump"
-    assert kernel_from_name("ramp", m=0.25).m == 0.25
-    with pytest.raises(ValueError):
-        kernel_from_name("gaussian")
+    for name in ("gaussian", "smoothbump"):
+        with pytest.raises(ValueError, match="unknown kernel family"):
+            kernel_from_name(name)
     with pytest.raises(ValueError):
         kernel_from_name("smoothstep:-1")
 
 
-def test_half_width_must_be_positive():
-    with pytest.raises(ValueError):
-        ramp(m=0.0)
-    with pytest.raises(ValueError):
-        smoothstep(1, m=-2.0)
+@pytest.mark.parametrize("kernel", ALL_FAMILIES, ids=ids(ALL_FAMILIES))
+def test_half_width_is_a_fixed_half(kernel):
+    # no output depends on the half-width, so it is a constant, not a field
+    assert kernel.m == SigmoidalKernel.m == 0.5
+    assert [f.name for f in dataclasses.fields(kernel)] == ["family", "order"]
+    with pytest.raises(TypeError):
+        SigmoidalKernel(kernel.family, kernel.order, 0.25)
+    for factory, args in ((ramp, ()), (smoothstep, (1,)), (smooth_bump, ()),
+                          (kernel_from_name, ("ramp",))):
+        with pytest.raises(TypeError):
+            factory(*args, m=0.5)
+    # sigma is P(x + 1/2) and the window P(x + 1) - P(x), bit for bit
+    x = np.linspace(-1.5, 1.5, 3001)
+    assert np.array_equal(sigma_eval(kernel, x), transition(kernel, 0, x + 0.5))
+    for d in range(min(kernel.smoothness, 2) + 1):
+        window = transition(kernel, d, x + 1.0) - transition(kernel, d, x)
+        assert np.array_equal(xi_derivative(kernel, d, x), window)

@@ -11,6 +11,18 @@ def test_uniform_two_piece_maps():
     assert part.intercepts.tolist() == [0.0, 0.5]
 
 
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.5, 2.0)])
+def test_uniform_pieces_share_one_slope(a, b):
+    # the knots' rounded spacings differ in the last bit for most N, the
+    # slopes may not: each is 1/N, and L_i still sends a, b to x_{i-1}, x_i
+    for count in range(2, 11):
+        part = Partition.uniform(a, b, count)
+        assert set(part.slopes.tolist()) == {1.0 / count}
+        ulp = np.spacing(max(abs(a), abs(b)))
+        assert np.max(np.abs(part.slopes * a + part.intercepts - part.knots[:-1])) <= 2 * ulp
+        assert np.max(np.abs(part.slopes * b + part.intercepts - part.knots[1:])) <= 4 * ulp
+
+
 def test_nonuniform_slopes_and_intercepts():
     part = Partition(np.array([0.0, 0.25, 1.0]))
     assert part.slopes == pytest.approx([0.25, 0.75], abs=0)
