@@ -10,6 +10,10 @@ import numpy as np
 from .errors import InvalidConfig
 from .sampled import SampledFunction
 
+# 2^MAX_SIZE_EXP caps a run's grid cells, orbit and box count points and node
+# count, 2^-MAX_SIZE_EXP its box sizes: a 2^24 float64 array is 128 MiB
+MAX_SIZE_EXP = 24
+
 # Default dyadic box sizes for dimension estimation.
 DEFAULT_SCALES = tuple(2.0**-j for j in range(4, 13))
 
@@ -198,14 +202,30 @@ def knot_data_collinear(x, y) -> bool:
 def _column_extremes(blocks, inv, y_lo, y_span):
     """``(lo, hi)``: the lowest and highest normalized ``y`` in each of ``inv``
     columns (inf/-inf if empty), merged over blocks of normalized ``x`` and raw
-    ``y``.  Min and max are exact, so any split gives the same bits, as does
-    normalizing only the extremes (it is nondecreasing)."""
+    ``y``.  A sorted block of 16 or more points per column is reduced by
+    column runs (each costs what about 8-16 scattered points do), any other
+    (an orbit's, found out on its first points) scattered.  Min and max are
+    exact, so any split gives the same bits, as does normalizing only the
+    extremes (it is nondecreasing)."""
     lo, hi = np.full(inv, np.inf), np.full(inv, -np.inf)
+    run = np.empty(min(inv, _BOX_BLOCK // 16))
     for xn, y in blocks:
-        ix = np.minimum((xn * inv).astype(np.int64), inv - 1)
-        np.minimum.at(lo, ix, y)
-        np.maximum.at(hi, ix, y)
-        del xn, y, ix  # each block's arrays go before the next ones are made
+        c0, c1 = (min(int(v * inv), inv - 1) for v in (xn[0], xn[-1]))
+        k = c1 + 1 - c0  # columns from the first point's to the last one's
+        head = xn[:64]  # an orbit's block fails on these points
+        if 1 <= k <= xn.size // 16 and (head[1:] >= head[:-1]).all() and (xn[1:] >= xn[:-1]).all():
+            # inv = 2^j, so column j's run starts at the first xn >= j / inv (the
+            # last column also takes xn = 1); an empty run's reduceat is skipped
+            idx = np.searchsorted(xn, np.arange(c0, c1 + 2) / inv)
+            idx[-1] = xn.size
+            for ext, op in ((lo, np.minimum), (hi, np.maximum)):
+                op.reduceat(y, idx[:-1], out=run[:k])
+                op(ext[c0 : c1 + 1], run[:k], out=ext[c0 : c1 + 1], where=idx[1:] > idx[:-1])
+        else:
+            idx = np.minimum((xn * inv).astype(np.int64), inv - 1)  # columns
+            np.minimum.at(lo, idx, y)
+            np.maximum.at(hi, idx, y)
+        del xn, y, idx, head  # each block's arrays go before the next ones are made
     return (lo - y_lo) / y_span, (hi - y_lo) / y_span
 
 
@@ -241,30 +261,26 @@ def box_counting_dimension(x, y, scales=None) -> DimensionReport:
     x, y : arrays of equal length (>= 1e5 points)
         The point cloud; it is normalized to the unit square first.
     scales : sequence of box sizes, optional
-        Each must be a power of two ``2^-j``.  Defaults to 2^-4 ... 2^-12.
+        Each must be a power of two ``2^-j``, ``0 <= j <= MAX_SIZE_EXP``,
+        checked before any array is made.  Defaults to 2^-4 ... 2^-12.
         At least 5 scales spanning a factor >= 100.  The point set is
         binned into columns once, at the finest size, and the coarser
         counts come from a pairwise min/max pyramid.
         Points are binned ``_BOX_BLOCK`` at a time, ``y`` raw and only the
         columns' extremes normalized, so beyond its inputs the count holds a
-        fixed amount of memory.
+        fixed amount of memory; a block sorted in ``x`` is reduced one run
+        of points per column, any other scattered point by point.
 
     Returns
     -------
     DimensionReport with the fitted slope of log(count) against
     log(1/scale) and the r-squared of the fit.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.size != y.size:
-        raise InvalidConfig("x and y must have equal length")
-    if x.size < 10**5:
-        raise InvalidConfig("need at least 1e5 points for a stable estimate")
-    if scales is None:
-        scales = DEFAULT_SCALES
-    scales = tuple(float(s) for s in scales)
+    scales = DEFAULT_SCALES if scales is None else tuple(float(s) for s in scales)
     if len(scales) < 5:
         raise InvalidConfig("need at least 5 scales")
+    if not all(2.0**-MAX_SIZE_EXP <= s <= 1.0 for s in scales):
+        raise InvalidConfig(f"box sizes must lie in [2^-{MAX_SIZE_EXP}, 1]")
     if max(scales) / min(scales) < 100:
         raise InvalidConfig("scales must span at least two decades")
     invs = []
@@ -273,10 +289,16 @@ def box_counting_dimension(x, y, scales=None) -> DimensionReport:
         if inv & (inv - 1) or abs(inv * s - 1.0) > 1e-9:
             raise InvalidConfig("each scale must be a power of two 2^-j")
         invs.append(inv)
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if x.size != y.size:
+        raise InvalidConfig("x and y must have equal length")
+    if x.size < 10**5:
+        raise InvalidConfig("need at least 1e5 points for a stable estimate")
     x_lo, y_lo = np.min(x), np.min(y)
     x_span, y_span = float(np.max(x) - x_lo), float(np.max(y) - y_lo)
-    if x_span <= 0 or y_span <= 0:
-        raise InvalidConfig("degenerate point set")
+    if not (0 < x_span < math.inf and 0 < y_span < math.inf):  # NaN fails too
+        raise InvalidConfig("degenerate or non-finite point set")
     # normalized x and raw y, one block at a time
     blocks = (((x[i : i + _BOX_BLOCK] - x_lo) / x_span, y[i : i + _BOX_BLOCK])
               for i in range(0, x.size, _BOX_BLOCK))

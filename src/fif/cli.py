@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    MAX_SIZE_EXP,
     box_counting_dimension,
     error_bound_alpha,
     error_bound_discrete,
@@ -51,11 +52,6 @@ from .sampled import SampledFunction
 # not called here: the benchmark's tracer (bench/spans.py) looks these two up
 # by name as attributes of this module
 solve_fif_discrete = solve_fif_smooth = solve_fif
-
-# the largest render grid, orbit, box count and operator node count a run may
-# ask for: at 2^24 each float64 array is 128 MiB, and a solve or orbit holds
-# several
-MAX_SIZE_EXP = 24
 
 # samples of the curve `converge` and `bounds` read every modulus from; with
 # 16 samples per node spacing, a ladder may reach MODULUS_SAMPLES / 16 nodes

@@ -25,8 +25,9 @@ a few MiB however many points are asked for.  On the render grid
 ``linspace(a, b, n M + 1)`` every node cell holds the same offsets
 ``s = j / M``, so ``P^(i)(s)`` and the Taylor steps are computed once per
 tile of offsets and broadcast against the node cells of the table; any
-other input is bracketed point by point, one tile at a time.  Each point
-goes through the same arithmetic whatever the tiling.
+other input is bracketed point by point, one tile at a time, into scratch
+allocated once per call and the output tile.  Each point goes through the
+same arithmetic whatever the tiling.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from .kernels import xi_derivative, xi_eval  # noqa: F401
 
 # Relative step used when a derivative has to be approximated from values.
 FD_STEP_SCALE = 1e-3
-# Points an evaluation blends at a time, so that its temporaries (about a
-# dozen arrays) take a few MiB whatever the input size.
+# Points an evaluation blends at a time, so that its temporaries and its
+# per-call scratch take a few MiB whatever the input size.
 _TILE = 2**15
 
 
@@ -210,14 +211,19 @@ def _check_points(cfg: OperatorConfig, arr):
             raise ValueError("outside domain")
 
 
-def _bracket(cfg: OperatorConfig, arr):
-    """Offset ``s`` in [0, 1] of each point in its node cell, and the cell ``klo``."""
-    u = (np.clip(arr, cfg.a, cfg.b) - cfg.a) / cfg.h
-    near = np.round(u)
-    u = np.where(np.abs(u - near) <= 1e-12 * max(1.0, cfg.n), near, u)
-    u = np.clip(u, 0.0, float(cfg.n))
-    klo = np.minimum(np.floor(u).astype(np.int64), cfg.n - 1)
-    return u - klo, klo
+def _bracket(cfg: OperatorConfig, arr, s, klo, near, mask):
+    """Write into ``s`` the offset in [0, 1] of each point in its node cell and
+    into ``klo`` the cell; ``near``, ``mask`` and, until then, ``klo`` are scratch."""
+    u = np.clip(arr, cfg.a, cfg.b, out=s)
+    np.divide(np.subtract(u, cfg.a, out=u), cfg.h, out=u)
+    np.round(u, out=near)
+    gap = klo.view(float)  # klo's memory, unused until the cells are written
+    np.abs(np.subtract(u, near, out=gap), out=gap)
+    np.copyto(u, near, where=np.less_equal(gap, 1e-12 * max(1.0, cfg.n), out=mask))
+    np.clip(u, 0.0, float(cfg.n), out=u)
+    klo[...] = np.floor(u, out=near)
+    np.minimum(klo, cfg.n - 1, out=klo)
+    np.subtract(u, klo, out=s)
 
 
 def _linspace_part(a, b, num, lo, hi):
@@ -268,16 +274,19 @@ def _steps(cfg, s, order, upto):
     return profile, (cfg.h * s, cfg.h * (s - 1.0)) if upto else (None, None)
 
 
-def _blend(table, klo, steps, order, out):
+def _blend(table, klo, steps, order, out, spare=None):
     """Write into ``out`` the ``order``-th derivative of ``T_k (1 - P(s)) +
     T_{k+1} P(s)`` at offset ``s`` in node cell ``k = klo`` (Leibniz rule),
     with ``steps = _steps(cfg, s, order, len(table) - 1)``; ``klo`` and ``s``
     broadcast to the shape of ``out``.  Node values alone blend directly, plus
-    the ``0.0`` the sum starts from, so that a ``-0.0`` blend reads ``+0.0``."""
+    the ``0.0`` the sum starts from, so that a ``-0.0`` blend reads ``+0.0``.
+    Scratch ``spare``, shaped as ``out``, takes the node values (``take`` clips:
+    its default mode copies) and ``out`` ``1 - P``, else profile-shaped."""
     profile, (dx_left, dx_right) = steps
     if dx_left is None:
-        np.multiply(table[0, klo], 1.0 - profile[0], out=out)
-        out += table[0, klo + 1] * profile[0]
+        weight = np.subtract(1.0, profile[0], out=None if spare is None else out)
+        np.multiply(table[0].take(klo, out=spare, mode="clip"), weight, out=out)
+        out += np.multiply(table[0, 1:].take(klo, out=spare, mode="clip"), profile[0], out=spare)
         out += 0.0
         return
     left, right = table[:, klo], table[:, klo + 1]
@@ -314,10 +323,12 @@ def _evaluate(cfg, f, upto, order, x):
     else:
         _check_points(cfg, arr)
         points, into = arr.reshape(-1), out.reshape(-1)  # a view of out
+        scratch = [np.empty(min(arr.size, _TILE), t) for t in (float, np.int64, bool)]
         for lo in range(0, arr.size, _TILE):
-            tile = slice(lo, lo + _TILE)
-            s, klo = _bracket(cfg, points[tile])
-            _blend(table, klo, _steps(cfg, s, order, upto), order, into[tile])
+            tile = into[lo : lo + _TILE]  # near points' nodes, then the blend
+            s, klo, mask = (a[: tile.size] for a in scratch)
+            _bracket(cfg, points[lo : lo + _TILE], s, klo, tile, mask)
+            _blend(table, klo, _steps(cfg, s, order, upto), order, tile, s)
     return _shaped(out, x)
 
 

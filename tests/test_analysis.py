@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fif.analysis
+import fif.cli
 from fif.analysis import (
     _BOX_BLOCK,
     DEFAULT_SCALES,
@@ -360,10 +361,36 @@ def test_box_counting_validation():
         box_counting_dimension(t, t[:-1])
 
 
+class _NoArray:
+    """A point set that fails the test if it is ever turned into an array."""
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("an array was made before the box sizes were checked")
+
+
+@pytest.mark.parametrize("size", [0.0, -2.0**-4, 2.0**-30, math.inf, math.nan, 2.0])
+def test_box_counting_refuses_sizes_outside_the_cap_before_any_array(size):
+    # a zero size once divided by zero, 2^-30 asked for 2^30 columns, and an
+    # infinite one binned 0 columns without end
+    scales = (size, 2.0**-4, 2.0**-8, 2.0**-10, 2.0**-12)
+    with pytest.raises(InvalidConfig, match=r"box sizes must lie in \[2\^-24, 1\]"):
+        box_counting_dimension(_NoArray(), _NoArray(), scales)
+    assert fif.analysis.MAX_SIZE_EXP == 24 and fif.cli.MAX_SIZE_EXP == 24
+    # both ends of the range are sizes: the points are read next
+    with pytest.raises(AssertionError, match="array was made"):
+        box_counting_dimension(_NoArray(), _NoArray(), (1.0, 2.0**-4, 2.0**-12, 2.0**-24) * 2)
+
+
 def test_box_counting_degenerate():
     t = np.linspace(0.0, 1.0, 10**5 + 1)
     with pytest.raises(InvalidConfig, match="degenerate"):
         box_counting_dimension(t, np.zeros_like(t))  # flat: no y extent
+    # a NaN or an infinity has no extent to normalize by
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidConfig, match="non-finite"):
+            box_counting_dimension(np.r_[t[:-1], bad], t)
+        with pytest.raises(InvalidConfig, match="non-finite"):
+            box_counting_dimension(t, np.r_[t[:-1], bad])
 
 
 def brute_counts(x, y, invs):
@@ -384,17 +411,18 @@ def brute_counts(x, y, invs):
     return counts
 
 
-def _point_sets():
-    # each set holds one point more than a block of the counting pass
+def _point_sets(cells=_BOX_BLOCK):
+    # each set holds one point more than ``cells``, by default a block of the
+    # counting pass
     part = Partition.uniform(0.0, 1.0, 4)
     op = OperatorConfig(ramp(), 0.0, 1.0, 1)
     prob = FifProblem(part, ScalingVector.broadcast(0.55, 4), op,
                       make_function("poly:0,1,-1"))
-    res = solve_fif(prob, cells=_BOX_BLOCK)
-    t = np.linspace(0.0, 1.0, _BOX_BLOCK + 1)
+    res = solve_fif(prob, cells=cells)
+    t = np.linspace(0.0, 1.0, cells + 1)
     return {
         "grid": (res.grid, res.values),
-        "orbit": chaos_game_render(prob, _BOX_BLOCK + 1, seed=3),
+        "orbit": chaos_game_render(prob, cells + 1, seed=3),
         "sine": (t, np.sin(5 * t)),
     }
 
@@ -418,14 +446,47 @@ def test_box_counting_refuses_non_dyadic_sizes(invs):
         box_counting_dimension(t, np.sin(5 * t), scales=[1.0 / i for i in invs])
 
 
-@pytest.mark.parametrize("size", [_BOX_BLOCK - 1, _BOX_BLOCK, _BOX_BLOCK + 1, 10**5 + 1])
+@pytest.mark.parametrize("size", [_BOX_BLOCK - 1, _BOX_BLOCK, _BOX_BLOCK + 1, 10**5 + 1,
+                                  _BOX_BLOCK + 3, _BOX_BLOCK + 40, _BOX_BLOCK + 63])
 def test_box_counting_blocks_match_whole_array_counts(size):
-    # a partial last block, an exact block, one point over, and a set of
-    # fewer points than a block: the counts never see the blocks
+    # a partial last block, an exact block, one point over, a set of fewer
+    # points than a block, and last blocks shorter than the sortedness
+    # prefix test (cut from twice as many points): the counts never see
+    # the blocks
     invs = [round(1 / s) for s in DEFAULT_SCALES]
-    for name, (x, y) in _point_sets().items():
+    sets = _point_sets(_BOX_BLOCK if size <= _BOX_BLOCK + 1 else 2 * _BOX_BLOCK)
+    for name, (x, y) in sets.items():
         x, y = x[:size], y[:size]
         assert list(box_counting_dimension(x, y).counts) == brute_counts(x, y, invs), name
+
+
+@pytest.mark.parametrize("finest", [12, 18, 20])
+def test_box_counting_runs_keep_every_block_end(finest):
+    # sorted sets whose every block starts and ends on a spike: one spans
+    # the unit interval densely; in the other each block's first and last
+    # points sit alone in their columns, with empty columns before, between
+    # and after the block's two runs.  Both equal the whole-array counts and
+    # those of a shuffled copy, which is scattered point by point.  At 2^18
+    # columns only the narrow blocks of the second set have the points per
+    # column to be reduced by runs; at 2^20 every sorted block is scattered.
+    scales = tuple(2.0**-j for j in range(finest - 12, finest + 1, 3))
+    invs = [round(1 / s) for s in scales]
+    size = 3 * _BOX_BLOCK + 20001
+    ends = [(lo, min(lo + _BOX_BLOCK, size) - 1) for lo in range(0, size, _BOX_BLOCK)]
+    blocks = []
+    for b, (lo, hi) in enumerate(ends):
+        body = b + 0.01 + np.linspace(0.0, 0.01, hi - lo - 1)
+        body[body.size // 2 :] += 0.02
+        blocks.append(np.r_[b, body, b + 0.05])
+    order = np.random.default_rng(11).permutation(size)
+    for x in (np.linspace(0.0, 1.0, size), np.concatenate(blocks)):
+        assert np.all(np.diff(x) >= 0)
+        y = np.sin(40 * x)
+        for lo, hi in ends:
+            y[lo], y[hi] = 3.0, -3.0
+        counts = list(box_counting_dimension(x, y, scales).counts)
+        assert counts == brute_counts(x, y, invs)
+        assert counts == list(box_counting_dimension(x[order], y[order], scales).counts)
 
 
 def test_box_counting_ignores_point_order():

@@ -1244,13 +1244,20 @@ def test_chaos_constant_scaling_is_bitwise_the_per_step_arrays(monkeypatch):
     assert render(ScalingVector.broadcast(0.55, 4)) == const
 
 
-def test_chaos_constant_scaling_holds_no_per_step_coefficients():
+def test_chaos_constant_scaling_holds_no_per_step_coefficients(monkeypatch):
     # the x-orbit, the y-recurrence, their shift, then the scan's scratch,
-    # plus the operator's fixed-size tiles
+    # plus the operator's fixed-size tiles; the x-scan's array is freed
+    # before the y-recurrence sets the peak, so the bound alone cannot see
+    # a per-step coefficient array, and every scan's coefficient is recorded
+    kinds = []
+    scan = fractal._affine_scan
+    monkeypatch.setattr(fractal, "_affine_scan",
+                        lambda coeff, offset: kinds.append(np.ndim(coeff)) or scan(coeff, offset))
     points = 2**18
     prob = sine_problem(alpha=0.55, n=1, count=4, b=1.0)
     render = lambda p: chaos_game_render(prob, p, seed=7)
     assert traced_peak(render, points, 1000) <= 40 * points
+    assert kinds == [0] * 4  # x and y of both renders
 
 
 def test_chaos_uniform_slopes_take_no_per_step_array(monkeypatch):

@@ -20,6 +20,7 @@ from fif.operators import (
     operator_fd_fallback,
 )
 from fif.registry import make_function
+from reference import pointwise_operator
 
 FAMILIES = [ramp(), smoothstep(1), smooth_bump()]
 
@@ -382,6 +383,35 @@ def test_tiled_evaluation_is_bitwise_one_tile(monkeypatch, name):
                 whole = evaluate(x)
                 assert np.shape(tiled) == np.shape(x)
                 assert np.asarray(tiled).tobytes() == np.asarray(whole).tobytes(), (r, q, n)
+
+
+@pytest.mark.parametrize("name", ["ramp", "smoothstep:2", "bump"])
+def test_pointwise_path_is_bitwise_the_reference(name):
+    # random points over a ragged last tile, plus both ends, every node,
+    # points just inside and just outside the snap to a node, and points
+    # past the ends within the domain's slack; then one point and a 0-d array
+    kernel = kernel_from_name(name)
+    f = FunctionInput.analytic(np.sin, (np.cos, lambda t: -np.sin(t)))
+    rng = np.random.default_rng(9)
+    for n in (1, 7, 64):
+        for r in range(min(2, kernel.smoothness) + 1):
+            cfg = OperatorConfig(kernel, -0.5, 2.0, n, r)
+            nodes = cfg.nodes
+            snap = 1e-12 * n * cfg.h  # in node units, the snap's 1e-12 n
+            x = np.concatenate([
+                rng.uniform(cfg.a, cfg.b, 2 * TILE - 3 * nodes.size - 7),
+                nodes, nodes + 0.5 * snap, nodes - 2.0 * snap,
+                [cfg.a, cfg.b, cfg.a - 1e-12, cfg.b + 1e-12, np.nextafter(cfg.b, 0.0)],
+            ])
+            rng.shuffle(x)
+            ladder = [(0, 0, lambda x: nn_eval(cfg, f, x))] + [
+                (r, q, evaluate) for q, evaluate in enumerate(_operator_and_derivatives(cfg, f))]
+            for upto, order, evaluate in ladder:
+                for points in (x, x[-1:], np.array(x[-1])):
+                    got = np.asarray(evaluate(points)).reshape(-1)
+                    want = pointwise_operator(cfg, f, upto, order, points)
+                    assert got.tobytes() == want.tobytes(), (n, r, order, np.size(points))
+                assert isinstance(evaluate(float(x[0])), float)
 
 
 def test_render_grid_is_found_one_tile_at_a_time():
