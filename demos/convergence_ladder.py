@@ -19,14 +19,13 @@ from fif.kernels import ramp
 from fif.maps import Partition, ScalingVector
 from fif.operators import FunctionInput, OperatorConfig
 from fif.registry import make_function
-from fif.sampled import SampledFunction
 
 ALPHA = 0.5
 
 
 def main():
     f = make_function("sin")
-    dense = SampledFunction.from_callable(f, 0.0, 1.0, 2**17)
+    dense = f(np.linspace(0.0, 1.0, 2**17 + 1))
     part = Partition.uniform(0.0, 1.0, 4)
     sv = ScalingVector.broadcast(ALPHA, 4)
 
@@ -37,7 +36,7 @@ def main():
         res = solve_fif(FifProblem(part, sv, op, f, "alpha"),
                         cells=4 * 2**10, tol=1e-10)
         err = np.max(np.abs(res.values - f(res.grid)))
-        bound = error_bound_alpha(ALPHA, modulus_of_continuity(dense, 1.0 / n))
+        bound = error_bound_alpha(ALPHA, modulus_of_continuity(dense, 1.0, 1.0 / n))
         print(f"{n:6d} {err:12.3e} {bound:12.3e}")
 
     print("\nnode-table ladder (knots and nodes refine together)")
@@ -49,7 +48,7 @@ def main():
                           FunctionInput.tabulated(np.sin(knots)), "discrete")
         res = solve_fif(prob, cells=m * 2**7, tol=1e-10)
         err = np.max(np.abs(res.values - f(res.grid)))
-        om = modulus_of_continuity(dense, 1.0 / m)
+        om = modulus_of_continuity(dense, 1.0, 1.0 / m)
         print(f"{m:6d} {err:12.3e} {error_bound_discrete(ALPHA, om, om):12.3e}")
 
 

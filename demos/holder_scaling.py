@@ -9,13 +9,12 @@ perturbation shrinking as the base operator refines.
 
 import numpy as np
 
-from fif.analysis import HolderParams, holder_seminorm
+from fif.analysis import holder_seminorm
 from fif.fractal import FifProblem, solve_fif
 from fif.kernels import ramp
 from fif.maps import Partition, ScalingVector
 from fif.operators import OperatorConfig
 from fif.registry import make_function
-from fif.sampled import SampledFunction
 
 MU = 0.5
 
@@ -30,15 +29,14 @@ def main():
 
     f = make_function("abspow:0,0.5")
     sv = ScalingVector.broadcast(0.4, 4)
-    params = HolderParams(MU)
     print(f"\ncombined {MU}-Hoelder norm of (fif - seed), alpha = 0.4")
     print(f"{'n':>6s} {'norm':>10s}")
     for n in (8, 16, 32, 64, 128):
         op = OperatorConfig(ramp(), 0.0, 1.0, n)
         res = solve_fif(FifProblem(part, sv, op, f, "alpha"),
                         cells=4 * 2**12, tol=1e-9)
-        diff = SampledFunction(0.0, 1.0, res.values - f(res.grid))
-        norm = max(float(np.max(np.abs(diff.values))), holder_seminorm(diff, params))
+        diff = res.values - f(res.grid)
+        norm = max(float(np.max(np.abs(diff))), holder_seminorm(diff, 1.0, MU))
         print(f"{n:6d} {norm:10.4f}")
 
 

@@ -16,19 +16,18 @@ from fif.analysis import modulus_of_continuity
 from fif.kernels import kernel_from_name
 from fif.operators import OperatorConfig, nn_eval
 from fif.registry import make_function
-from fif.sampled import SampledFunction
 
 
 def table(fname, kernel, ns, probe):
     f = make_function(fname)
-    dense = SampledFunction.from_callable(f, 0.0, 1.0, 2**17)
+    dense = f(np.linspace(0.0, 1.0, 2**17 + 1))
     truth = f(probe)
     print(f"\n{fname}  (kernel {kernel.family})")
     print(f"{'n':>6s} {'sup error':>12s} {'omega(f,1/n)':>13s} {'ratio':>7s}")
     for n in ns:
         cfg = OperatorConfig(kernel, 0.0, 1.0, n)
         err = float(np.max(np.abs(truth - nn_eval(cfg, f, probe))))
-        om = modulus_of_continuity(dense, 1.0 / n)
+        om = modulus_of_continuity(dense, 1.0, 1.0 / n)
         print(f"{n:6d} {err:12.3e} {om:13.3e} {err / om:7.3f}")
 
 

@@ -2,7 +2,6 @@
 
 from .analysis import (
     DimensionReport,
-    HolderParams,
     box_counting_dimension,
     error_bound_alpha,
     error_bound_discrete,
@@ -43,7 +42,6 @@ from .operators import (
     nn_eval_four_layer,
 )
 from .registry import make_function
-from .sampled import SampledFunction
 
 __version__ = "0.1.0"
 
@@ -54,13 +52,11 @@ __all__ = [
     "FifProblem",
     "FifResult",
     "FunctionInput",
-    "HolderParams",
     "InvalidConfig",
     "MatchingConditionError",
     "NonConvergence",
     "OperatorConfig",
     "Partition",
-    "SampledFunction",
     "ScalingVector",
     "SigmoidalKernel",
     "box_counting_dimension",

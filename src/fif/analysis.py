@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfig
-from .sampled import SampledFunction
 
 # 2^MAX_SIZE_EXP caps a run's grid cells, orbit and box count points and node
 # count, 2^-MAX_SIZE_EXP its box sizes: a 2^24 float64 array is 128 MiB
@@ -62,9 +61,27 @@ class _WindowRange:
         return best
 
 
-def modulus_of_continuity(phi: SampledFunction, delta):
+def _samples(values, span):
+    """``(values, step)`` of finite samples at evenly spaced points, ends included,
+    of an interval of length ``span``; a float array is checked, not copied."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size < 2:
+        raise InvalidConfig("need a 1-d array of at least two samples")
+    if not (math.isfinite(values.min()) and math.isfinite(values.max())):
+        raise InvalidConfig("non-finite sample values")  # a NaN fails too
+    if not 0 < float(span) < math.inf:
+        raise InvalidConfig("interval length must be positive and finite")
+    step = float(span) / (values.size - 1)
+    if step == 0:  # a subnormal span over many samples
+        raise InvalidConfig("sample step underflows to 0: interval too short")
+    return values, step
+
+
+def modulus_of_continuity(values, span, delta):
     """Largest |phi(x) - phi(y)| over grid pairs with |x - y| <= delta.
 
+    ``values`` samples ``phi`` at ``values.size`` evenly spaced points of an
+    interval of length ``span``, both ends included.
     ``delta`` may also be a sequence of spacings: their moduli come back as a
     list, in the order given, from one climb of the min/max table (the
     windows are queried smallest first), so a ladder of spacings costs about
@@ -75,32 +92,22 @@ def modulus_of_continuity(phi: SampledFunction, delta):
     """
     scalar = np.ndim(delta) == 0
     deltas = [delta] if scalar else list(delta)
-    step = phi.step
+    values, step = _samples(values, span)
     for d in deltas:
-        if not 0 < d <= (phi.b - phi.a) * (1 + 1e-12):
+        if not 0 < d <= span * (1 + 1e-12):
             raise InvalidConfig("delta must lie in (0, b - a]")
         if step > d / 16 * (1 + 1e-12):
             raise InvalidConfig("refine grid: need step <= delta / 16")
     # pairs at most k <= cells steps apart all lie in a window of k + 1 samples
     ks = [int(math.floor(d / step + 1e-9)) for d in deltas]
-    omega = _WindowRange(phi.values)
+    omega = _WindowRange(values)
     moduli = {k: omega(k) for k in sorted(set(ks))}
     return moduli[ks[0]] if scalar else [moduli[k] for k in ks]
 
 
-@dataclass(frozen=True)
-class HolderParams:
-    """Exponent mu in (0, 1] of the discrete seminorm ``holder_seminorm``."""
-
-    mu: float
-
-    def __post_init__(self):
-        if not 0 < self.mu <= 1:
-            raise InvalidConfig("exponent mu must lie in (0, 1]")
-
-
-def holder_seminorm(phi: SampledFunction, params: HolderParams) -> float:
-    """sup of |phi(x) - phi(y)| / |x - y|^mu over all pairs of grid points.
+def holder_seminorm(values, span, mu) -> float:
+    """sup of |phi(x) - phi(y)| / |x - y|^mu, mu in (0, 1], over all pairs of grid
+    points, with ``values`` and ``span`` as in ``modulus_of_continuity``.
 
     The exact value on the sampled grid, bit for bit the maximum over every
     spacing ``d`` of ``gap(d) / (d * step) ** mu``, and a lower bound of the
@@ -112,9 +119,12 @@ def holder_seminorm(phi: SampledFunction, params: HolderParams) -> float:
     spacings (samples of ``|x|^mu`` itself) prunes nothing and costs the
     pair scan's O(n^2).
     """
-    step, mu = phi.step, params.mu
-    omega = _WindowRange(phi.values)
-    ends = [min(2**j, phi.cells) for j in range((phi.cells - 1).bit_length() + 1)]
+    if not 0 < mu <= 1:
+        raise InvalidConfig("exponent mu must lie in (0, 1]")
+    values, step = _samples(values, span)
+    cells = values.size - 1
+    omega = _WindowRange(values)
+    ends = [min(2**j, cells) for j in range((cells - 1).bit_length() + 1)]
     ranges = [omega(k) for k in ends]
     best = max(w / (k * step) ** mu for k, w in zip(ends, ranges))
     # each dyadic band is finished before the next: the spacings inside

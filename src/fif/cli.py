@@ -30,7 +30,6 @@ from .analysis import (
     error_bound_alpha,
     error_bound_discrete,
     holder_seminorm,
-    HolderParams,
     knot_data_collinear,
     modulus_of_continuity,
     theoretical_box_dimension,
@@ -47,7 +46,6 @@ from .kernels import kernel_from_name
 from .maps import Partition, ScalingVector
 from .operators import FunctionInput, OperatorConfig, nn_eval
 from .registry import make_function
-from .sampled import SampledFunction
 
 # not called here: the benchmark's tracer (bench/spans.py) looks these two up
 # by name as attributes of this module
@@ -125,13 +123,12 @@ def _config_from_args(args) -> RunConfig:
     if cfg.subintervals < 2:
         raise InvalidConfig("need at least 2 subintervals")
     # checked before any array exists; the exponent first, so that no huge
-    # integer is formed either
+    # integer is formed either.  Not left to solve_fif's own cap: N also
+    # sizes the partition and the scalings, built before any solve
     if cfg.grid_exp > MAX_SIZE_EXP or cfg.cells() > 2**MAX_SIZE_EXP:
         raise InvalidConfig(f"render grid above 2^{MAX_SIZE_EXP} cells")
     if cfg.seed < 0:
         raise InvalidConfig("seed must be non-negative")
-    if cfg.points > 2**MAX_SIZE_EXP:
-        raise InvalidConfig(f"orbit above 2^{MAX_SIZE_EXP} points")
     if cfg.nodes > 2**MAX_SIZE_EXP:
         raise InvalidConfig(f"operator above 2^{MAX_SIZE_EXP} nodes")
     return cfg
@@ -291,11 +288,9 @@ def cmd_build(cfg: RunConfig, out: Path) -> int:
         "scaling_sup": sup,
     }
     if problem.variant == "discrete":
-        height_fn = SampledFunction(res.grid[0], res.grid[-1], height)
-        a, b = cfg.interval
-        om_nodes, om_knots = modulus_of_continuity(
-            height_fn, [(b - a) / cfg.nodes, (b - a) / cfg.subintervals]
-        )
+        span = cfg.interval[1] - cfg.interval[0]
+        deltas = [span / cfg.nodes, span / cfg.subintervals]
+        om_nodes, om_knots = modulus_of_continuity(height, span, deltas)
         results["bound_discrete"] = error_bound_discrete(sup, om_nodes, om_knots)
     _write_json(out / "meta.json", _meta(cfg, results, res.diagnostics))
     print(
@@ -419,14 +414,14 @@ def cmd_smooth(cfg: RunConfig, out: Path) -> int:
 
 def cmd_holder(cfg: RunConfig, out: Path) -> int:
     ladder = _parse_ladder(cfg.n_ladder)
-    params = HolderParams(cfg.mu)
-    slopes = Partition.uniform(*cfg.interval, cfg.subintervals).slopes
-    gate_terms = _parse_alpha(cfg).sup_norms / slopes**params.mu
-    worst = int(np.argmax(gate_terms))
-    if gate_terms[worst] >= 1.0:
+    part = Partition.uniform(*cfg.interval, cfg.subintervals)
+    scaling = _parse_alpha(cfg)
+    gate = scaling.holder_contraction(part, cfg.mu)
+    if gate >= 1.0:
+        worst = int(np.argmax(scaling.sup_norms / part.slopes**cfg.mu))
         raise InvalidConfig(
             f"variable-scaling contraction gate failed at subinterval "
-            f"{worst + 1}: {gate_terms[worst]:.6f} >= 1"
+            f"{worst + 1}: {gate:.6f} >= 1"
         )
     f = make_function(cfg.function)
     rows, sups, semis, norms = [], [], [], []
@@ -436,9 +431,9 @@ def cmd_holder(cfg: RunConfig, out: Path) -> int:
         res = solve_fif(_build_problem(step_cfg), cfg.cells(), cfg.tol, cfg.max_iters)
         if truth is None:  # every rung renders the same grid
             truth = f(res.grid)
-        diff = SampledFunction(res.grid[0], res.grid[-1], res.values - truth)
-        semi = holder_seminorm(diff, params)
-        sup = float(np.max(np.abs(diff.values)))
+        diff = res.values - truth
+        semi = holder_seminorm(diff, part.b - part.a, cfg.mu)
+        sup = float(np.max(np.abs(diff)))
         rows.append(n)
         sups.append(sup)
         semis.append(semi)
@@ -454,7 +449,7 @@ def cmd_holder(cfg: RunConfig, out: Path) -> int:
         _meta(
             cfg,
             {"n": rows, "sup": sups, "seminorm": semis, "combined": norms},
-            {"gate_worst_term": float(gate_terms[worst]), "cells": cfg.cells()},
+            {"gate_worst_term": gate, "cells": cfg.cells()},
         ),
     )
     return 0
@@ -514,12 +509,12 @@ def _ladder_moduli(f, a, b, ladder, knots):
     # every rung is checked before the first one is computed
     if 16 * max(ladder) > MODULUS_SAMPLES:
         raise InvalidConfig(f"ladder entry above {MODULUS_SAMPLES // 16} nodes")
-    dense = SampledFunction.from_callable(f, a, b, MODULUS_SAMPLES)
+    dense = f(np.linspace(a, b, MODULUS_SAMPLES + 1))
     two_knots = [knots and n < 2 for n in ladder]
     deltas = []
     for n, extra in zip(ladder, two_knots):
         deltas += [(b - a) / n, (b - a) / 2] if extra else [(b - a) / n]
-    moduli = iter(modulus_of_continuity(dense, deltas))
+    moduli = iter(modulus_of_continuity(dense, b - a, deltas))
     pairs = []
     for extra in two_knots:
         om = next(moduli)

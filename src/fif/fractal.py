@@ -55,6 +55,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .analysis import MAX_SIZE_EXP
 from .errors import (
     CrossCheckError,
     InvalidConfig,
@@ -217,6 +218,8 @@ def _render_grid(part, cells):
         return np.linspace(part.a, part.b, cells + 1)
     x = np.array([part.a, part.b])
     while x.size - 1 < cells:
+        if (x.size - 1) * part.size > 2**MAX_SIZE_EXP:  # the next level's cells
+            raise InvalidConfig(f"render grid above 2^{MAX_SIZE_EXP} cells")
         inner = part.slopes[:, None] * x[1:] + part.intercepts[:, None]
         x = np.concatenate(([part.a], inner.ravel()))
         x[:: inner.shape[1]] = part.knots
@@ -397,6 +400,8 @@ def solve_fif(problem: FifProblem, cells, tol=DEFAULT_TOL,
     derivative-data defect and raises ``MatchingConditionError``.
     """
     cells = int(cells)
+    if cells > 2**MAX_SIZE_EXP:
+        raise InvalidConfig(f"render grid above 2^{MAX_SIZE_EXP} cells")
     q, rem = divmod(cells, problem.partition.size)
     if rem != 0 or q < 16 or q & (q - 1):
         raise InvalidConfig(
@@ -512,6 +517,8 @@ def chaos_game_render(problem: FifProblem, point_count: int, seed: int):
     """
     if point_count < 1000:
         raise InvalidConfig("need at least 1000 points")
+    if point_count > 2**MAX_SIZE_EXP:
+        raise InvalidConfig(f"orbit above 2^{MAX_SIZE_EXP} points")
     part = problem.partition
     pieces = problem.pieces()
     total = BURN_IN + int(point_count)

@@ -12,7 +12,6 @@ import time
 import numpy as np
 
 from fif.analysis import (
-    HolderParams,
     box_counting_dimension,
     error_bound_alpha,
     error_bound_discrete,
@@ -30,7 +29,6 @@ from fif.kernels import ramp, smooth_bump, smoothstep, xi_eval
 from fif.maps import Partition, ScalingVector
 from fif.operators import FunctionInput, OperatorConfig, nn_eval
 from fif.registry import make_function
-from fif.sampled import SampledFunction
 from reference import rb_apply
 
 CORPUS = ("sin", "exp", "abspow:0.3,0.5")
@@ -81,10 +79,10 @@ def test_03_operator_error_within_modulus():
     probe = np.linspace(0.0, 1.0, 10**4)
     for name in CORPUS:
         f = make_function(name)
-        dense = SampledFunction.from_callable(f, 0.0, 1.0, 2**17)
+        dense = f(np.linspace(0.0, 1.0, 2**17 + 1))
         truth = f(probe)
         for n in (8, 64):
-            omega = modulus_of_continuity(dense, 1.0 / n)
+            omega = modulus_of_continuity(dense, 1.0, 1.0 / n)
             for kernel in FAMILIES:
                 cfg = OperatorConfig(kernel, 0.0, 1.0, n)
                 gap = float(np.max(np.abs(truth - nn_eval(cfg, f, probe))))
@@ -176,7 +174,7 @@ def test_07_sup_error_bound():
 def test_08_convergence_ladders():
     t0 = time.perf_counter()
     f = make_function("sin")
-    dense = SampledFunction.from_callable(f, 0.0, 1.0, 2**17)
+    dense = f(np.linspace(0.0, 1.0, 2**17 + 1))
     part = Partition.uniform(0.0, 1.0, 4)
     sv = ScalingVector.broadcast(0.5, 4)
 
@@ -186,7 +184,7 @@ def test_08_convergence_ladders():
         res = solve_fif(FifProblem(part, sv, op, f, "alpha"),
                         cells=4 * 2**10, tol=1e-10)
         err = float(np.max(np.abs(res.values - f(res.grid))))
-        bound = error_bound_alpha(0.5, modulus_of_continuity(dense, 1.0 / n))
+        bound = error_bound_alpha(0.5, modulus_of_continuity(dense, 1.0, 1.0 / n))
         assert err <= bound + 1e-12
         errs.append(err)
     assert all(b < a for a, b in zip(errs, errs[1:]))
@@ -199,7 +197,7 @@ def test_08_convergence_ladders():
                           FunctionInput.tabulated(np.sin(knots)), "discrete")
         res = solve_fif(prob, cells=m * 2**8, tol=1e-10)
         err = float(np.max(np.abs(res.values - f(res.grid))))
-        om = modulus_of_continuity(dense, 1.0 / m)
+        om = modulus_of_continuity(dense, 1.0, 1.0 / m)
         assert err <= error_bound_discrete(0.5, om, om) + 1e-12
         errs2.append(err)
     assert all(b < a for a, b in zip(errs2, errs2[1:]))
@@ -273,9 +271,9 @@ def test_11_roughness_gate_and_convergence():
         res = solve_fif(FifProblem(part, good, op, f, "alpha"),
                         cells=4 * 2**12, tol=tol)
         assert res.iterations <= predicted + 5
-        diff = SampledFunction(0.0, 1.0, res.values - f(res.grid))
-        sup = float(np.max(np.abs(diff.values)))
-        norms.append(max(sup, holder_seminorm(diff, HolderParams(mu))))
+        diff = res.values - f(res.grid)
+        sup = float(np.max(np.abs(diff)))
+        norms.append(max(sup, holder_seminorm(diff, 1.0, mu)))
     assert norms[0] > norms[1] > norms[2]
     _finish("[11] roughness gate and convergence", t0, 120.0,
             " > ".join(f"{v:.3f}" for v in norms))

@@ -10,7 +10,6 @@ from fif.analysis import (
     _BOX_BLOCK,
     DEFAULT_SCALES,
     DimensionReport,
-    HolderParams,
     box_counting_dimension,
     error_bound_alpha,
     error_bound_discrete,
@@ -25,23 +24,13 @@ from fif.kernels import ramp
 from fif.maps import Partition, ScalingVector
 from fif.operators import OperatorConfig
 from fif.registry import make_function
-from fif.sampled import SampledFunction
-
-
-# ---------------------------------------------------------------- sampling
-
-
-def test_sampled_function_grid_and_interp():
-    sf = SampledFunction.from_callable(np.sin, 0.0, np.pi, 128)
-    assert sf.cells == 128
-    assert sf.step == pytest.approx(np.pi / 128)
 
 
 # ------------------------------------------------------ modulus of continuity
 
 
-def brute_modulus(sf, delta):
-    v, g = sf.values, np.linspace(sf.a, sf.b, sf.values.size)
+def brute_modulus(v, span, delta):
+    g = np.linspace(0.0, span, v.size)
     best = 0.0
     for i in range(v.size):
         for j in range(i + 1, v.size):
@@ -51,36 +40,34 @@ def brute_modulus(sf, delta):
 
 
 def test_modulus_identity():
-    sf = SampledFunction.from_callable(lambda x: x, 0.0, 1.0, 256)
-    assert modulus_of_continuity(sf, 0.25) == pytest.approx(0.25, abs=1e-15)
+    x = np.linspace(0.0, 1.0, 257)
+    assert modulus_of_continuity(x, 1.0, 0.25) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_modulus_constant():
-    sf = SampledFunction(0.0, 1.0, np.full(257, 3.3))
-    assert modulus_of_continuity(sf, 0.5) == 0.0
+    assert modulus_of_continuity(np.full(257, 3.3), 1.0, 0.5) == 0.0
 
 
 def test_modulus_sine_small_delta():
-    sf = SampledFunction.from_callable(np.sin, 0.0, np.pi, 2**12)
-    got = modulus_of_continuity(sf, 0.1)
+    got = modulus_of_continuity(np.sin(np.linspace(0.0, np.pi, 2**12 + 1)), np.pi, 0.1)
     assert got == pytest.approx(2 * np.sin(0.05), rel=0.01)
 
 
 def test_modulus_matches_pair_scan():
     rng = np.random.default_rng(9)
-    noise = SampledFunction(0.0, 1.0, rng.standard_normal(257))
-    walk = SampledFunction(0.0, 1.0, np.cumsum(np.random.default_rng(10).standard_normal(257)))
+    noise = rng.standard_normal(257)
+    walk = np.cumsum(np.random.default_rng(10).standard_normal(257))
     # windows of 17, 32 (a power of two), 101 and all 257 samples besides
-    for sf in (noise, walk):
+    for v in (noise, walk):
         for delta in (0.0625, 0.125, 0.25, 16 / 256, 31 / 256, 100 / 256, 1.0):
-            assert modulus_of_continuity(sf, delta) == brute_modulus(sf, delta)
+            assert modulus_of_continuity(v, 1.0, delta) == brute_modulus(v, 1.0, delta)
 
 
 @pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
 def test_modulus_sequence_matches_pair_scan(order):
     rng = np.random.default_rng(9)
-    noise = SampledFunction(0.0, 1.0, rng.standard_normal(257))
-    walk = SampledFunction(0.0, 1.0, np.cumsum(np.random.default_rng(10).standard_normal(257)))
+    noise = rng.standard_normal(257)
+    walk = np.cumsum(np.random.default_rng(10).standard_normal(257))
     # a repeated spacing and two spacings that share a window are included
     deltas = [0.0625, 0.125, 0.25, 16 / 256, 31 / 256, 100 / 256, 1.0, 0.125, 100.5 / 256]
     if order == "increasing":
@@ -89,14 +76,14 @@ def test_modulus_sequence_matches_pair_scan(order):
         deltas.sort(reverse=True)
     else:
         np.random.default_rng(11).shuffle(deltas)
-    for sf in (noise, walk):
-        got = modulus_of_continuity(sf, deltas)
+    for v in (noise, walk):
+        got = modulus_of_continuity(v, 1.0, deltas)
         assert isinstance(got, list)
-        assert got == [brute_modulus(sf, d) for d in deltas]
+        assert got == [brute_modulus(v, 1.0, d) for d in deltas]
 
 
 def test_modulus_sequence_checks_every_delta_before_any_work(monkeypatch):
-    sf = SampledFunction.from_callable(np.sin, 0.0, 1.0, 64)
+    v = np.sin(np.linspace(0.0, 1.0, 65))
     built = []
     table = fif.analysis._WindowRange
 
@@ -112,47 +99,77 @@ def test_modulus_sequence_checks_every_delta_before_any_work(monkeypatch):
         ([0.5, float("nan")], "delta"),
     ):
         with pytest.raises(InvalidConfig, match=match):
-            modulus_of_continuity(sf, deltas)
+            modulus_of_continuity(v, 1.0, deltas)
     assert built == []
-    assert modulus_of_continuity(sf, []) == []
+    assert modulus_of_continuity(v, 1.0, []) == []
 
 
 def test_modulus_scalar_delta_returns_a_float():
-    sf = SampledFunction.from_callable(np.sin, 0.0, 1.0, 256)
+    v = np.sin(np.linspace(0.0, 1.0, 257))
     for delta in (0.25, np.float64(0.25), 1, np.array(0.25)):
-        got = modulus_of_continuity(sf, delta)
+        got = modulus_of_continuity(v, 1.0, delta)
         assert type(got) is float
-        assert got == modulus_of_continuity(sf, [float(delta)])[0]
+        assert got == modulus_of_continuity(v, 1.0, [float(delta)])[0]
 
 
 def test_modulus_monotone_in_delta():
-    sf = SampledFunction.from_callable(lambda x: np.sin(7 * x) + 0.3 * x, 0.0, 2.0, 2**12)
-    ladder = [modulus_of_continuity(sf, d) for d in (0.05, 0.1, 0.2, 0.4, 0.8)]
+    x = np.linspace(0.0, 2.0, 2**12 + 1)
+    v = np.sin(7 * x) + 0.3 * x
+    ladder = [modulus_of_continuity(v, 2.0, d) for d in (0.05, 0.1, 0.2, 0.4, 0.8)]
     assert all(a <= b for a, b in zip(ladder, ladder[1:]))
 
 
 def test_modulus_subadditive_within_slack():
-    sf = SampledFunction.from_callable(np.sin, 0.0, np.pi, 2**13)
-    w1 = modulus_of_continuity(sf, 0.2)
-    w2 = modulus_of_continuity(sf, 0.4)
-    assert w2 <= 2 * w1 + 2 * sf.step
+    v = np.sin(np.linspace(0.0, np.pi, 2**13 + 1))
+    w1 = modulus_of_continuity(v, np.pi, 0.2)
+    w2 = modulus_of_continuity(v, np.pi, 0.4)
+    assert w2 <= 2 * w1 + 2 * np.pi / 2**13
 
 
 def test_modulus_preconditions():
-    sf = SampledFunction.from_callable(np.sin, 0.0, 1.0, 64)
+    v = np.sin(np.linspace(0.0, 1.0, 65))
     with pytest.raises(InvalidConfig, match="refine grid"):
-        modulus_of_continuity(sf, 0.05)  # step 1/64 > delta/16
+        modulus_of_continuity(v, 1.0, 0.05)  # step 1/64 > delta/16
     with pytest.raises(InvalidConfig, match="delta"):
-        modulus_of_continuity(sf, 0.0)
+        modulus_of_continuity(v, 1.0, 0.0)
     with pytest.raises(InvalidConfig, match="delta"):
-        modulus_of_continuity(sf, 2.0)
+        modulus_of_continuity(v, 1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "values, span, mu, match",
+    [
+        (np.array(1.0), 1.0, 0.5, "1-d"),
+        (np.zeros((2, 3)), 1.0, 0.5, "1-d"),
+        (np.array([1.0]), 1.0, 0.5, "two samples"),
+        (np.array([0.0, np.nan, 1.0]), 1.0, 0.5, "non-finite"),
+        (np.array([0.0, -np.inf, 1.0]), 1.0, 0.5, "non-finite"),
+        (np.zeros(3), 0.0, 0.5, "interval length"),
+        (np.zeros(3), -1.0, 0.5, "interval length"),
+        (np.zeros(3), np.inf, 0.5, "interval length"),
+        (np.zeros(3), np.nan, 0.5, "interval length"),
+        (np.zeros(2**12 + 1), 1e-320, 0.5, "underflows"),  # the step rounds to 0
+        (np.zeros(3), 1.0, 0.0, r"exponent mu must lie in \(0, 1\]"),
+        (np.zeros(3), 1.0, 1.5, r"exponent mu must lie in \(0, 1\]"),
+        (np.zeros(3), 1.0, np.nan, r"exponent mu must lie in \(0, 1\]"),
+    ],
+    ids=["0-d", "2-d", "1-sample", "nan", "inf", "span-0", "span-neg", "span-inf",
+         "span-nan", "step-0", "mu-0", "mu-1.5", "mu-nan"],
+)
+def test_moduli_refuse_bad_inputs(values, span, mu, match):
+    calls = [lambda: holder_seminorm(values, span, mu)]
+    if not match.startswith("exponent"):  # the modulus takes no exponent
+        calls.append(lambda: modulus_of_continuity(values, span, [span]))
+    for call in calls:
+        with pytest.raises(InvalidConfig, match=match):
+            call()
 
 
 # ------------------------------------------------------------ Holder measures
 
 
-def brute_seminorm(sf, mu):
-    v, g = sf.values, np.linspace(sf.a, sf.b, sf.values.size)
+def brute_seminorm(v, span, mu):
+    g = np.linspace(0.0, span, v.size)
     best = 0.0
     for i in range(v.size):
         for j in range(i + 1, v.size):
@@ -161,31 +178,30 @@ def brute_seminorm(sf, mu):
 
 
 def test_seminorm_identity_lipschitz():
-    sf = SampledFunction.from_callable(lambda x: x, 0.0, 1.0, 100)
-    assert holder_seminorm(sf, HolderParams(1.0)) == pytest.approx(1.0, abs=1e-12)
+    x = np.linspace(0.0, 1.0, 101)
+    assert holder_seminorm(x, 1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_seminorm_constant_is_zero():
-    sf = SampledFunction(0.0, 1.0, np.full(101, 2.5))
-    assert holder_seminorm(sf, HolderParams(0.5)) == 0.0
+    assert holder_seminorm(np.full(101, 2.5), 1.0, 0.5) == 0.0
 
 
 def test_seminorm_sqrt_equals_one():
-    sf = SampledFunction.from_callable(np.sqrt, 0.0, 1.0, 400)
-    assert holder_seminorm(sf, HolderParams(0.5)) == pytest.approx(1.0, rel=0.02)
+    v = np.sqrt(np.linspace(0.0, 1.0, 401))
+    assert holder_seminorm(v, 1.0, 0.5) == pytest.approx(1.0, rel=0.02)
 
 
 def test_seminorm_matches_pair_scan():
     rng = np.random.default_rng(12)
-    sf = SampledFunction(0.0, 1.0, rng.standard_normal(101))
+    v = rng.standard_normal(101)
     for mu in (0.3, 0.5, 1.0):
-        got = holder_seminorm(sf, HolderParams(mu))
-        assert got == pytest.approx(brute_seminorm(sf, mu), rel=1e-12)
+        got = holder_seminorm(v, 1.0, mu)
+        assert got == pytest.approx(brute_seminorm(v, 1.0, mu), rel=1e-12)
 
 
-def spacing_scan(sf, mu):
+def spacing_scan(v, span, mu):
     # every spacing d, with the same float expression as holder_seminorm
-    v, step = sf.values, sf.step
+    step = span / (v.size - 1)
     best = 0.0
     for d in range(1, v.size):
         gap = float(np.max(np.abs(v[d:] - v[:-d])))
@@ -201,35 +217,28 @@ def test_seminorm_is_bitwise_the_spacing_scan():
                                ScalingVector.broadcast(0.4, 4), op, f, "alpha"),
                     cells=4 * 2**10, tol=1e-9)
     inputs = [
-        SampledFunction(0.0, 1.0, res.values - f(res.grid)),  # the README cusp
-        SampledFunction(0.0, 1.0, np.full(301, 2.5)),
-        SampledFunction(0.0, 1.0, np.array([0.0, 1.0])),
-        SampledFunction(-1.0, 2.0, np.array([0.3, -0.2, 0.9])),
+        (res.values - f(res.grid), 1.0),  # the README cusp
+        (np.full(301, 2.5), 1.0),
+        (np.array([0.0, 1.0]), 1.0),
+        (np.array([0.3, -0.2, 0.9]), 3.0),
     ]
     # sizes beyond 4,001 samples, and a power of two plus one
     for size in (101, 5001, 2**13 + 1):
-        inputs.append(SampledFunction(0.0, 1.0, rng.standard_normal(size)))
-        inputs.append(SampledFunction(-1.0, 2.0, np.cumsum(rng.standard_normal(size))))
-    for sf in inputs:
+        inputs.append((rng.standard_normal(size), 1.0))
+        inputs.append((np.cumsum(rng.standard_normal(size)), 3.0))
+    for v, span in inputs:
         for mu in (0.1, 0.3, 0.5, 0.7, 1.0):
-            assert holder_seminorm(sf, HolderParams(mu)) == spacing_scan(sf, mu)
+            assert holder_seminorm(v, span, mu) == spacing_scan(v, span, mu)
 
 
 def test_blocked_window_ranges_match_the_scans(monkeypatch):
     # blocks of 7 samples put block seams inside every window-range query
     monkeypatch.setattr(fif.analysis, "_BLOCK", 7)
-    walk = SampledFunction(0.0, 1.0, np.cumsum(np.random.default_rng(14).standard_normal(257)))
+    walk = np.cumsum(np.random.default_rng(14).standard_normal(257))
     for delta in (0.0625, 31 / 256, 100 / 256, 1.0):
-        assert modulus_of_continuity(walk, delta) == brute_modulus(walk, delta)
+        assert modulus_of_continuity(walk, 1.0, delta) == brute_modulus(walk, 1.0, delta)
     for mu in (0.1, 0.5, 1.0):
-        assert holder_seminorm(walk, HolderParams(mu)) == spacing_scan(walk, mu)
-
-
-def test_holder_params_validation():
-    with pytest.raises(InvalidConfig):
-        HolderParams(0.0)
-    with pytest.raises(InvalidConfig):
-        HolderParams(1.5)
+        assert holder_seminorm(walk, 1.0, mu) == spacing_scan(walk, 1.0, mu)
 
 
 # ------------------------------------------------------------- error bounds

@@ -21,7 +21,6 @@ from fif.cli import _write_csv, main
 from fif.g17 import BLOCK_ROWS
 from fif.maps import ScalingVector
 from fif.registry import make_function
-from fif.sampled import SampledFunction
 
 
 def run(args):
@@ -147,9 +146,15 @@ def test_discrete_build_checks_the_bound_grid_before_solving(tmp_path, capsys, f
         ["converge", "--n-ladder", "8,1000000000000000"],
         ["converge", "--function", "sin", "--alpha", "0.5", "--n-ladder", "8,16384"],
         ["bounds", "--function", "sin", "--alpha", "0.5", "--n-ladder", "8,16384"],
+        # one step above each cap: 2^25 cells, 3 * 2^23 cells, 2^24 + 1 points and nodes
+        ["build", "--grid-exp", "25"],
+        ["build", "--N", "3", "--grid-exp", "23"],
+        ["dimension", "--chaos", "--points", str(2**24 + 1)],
+        ["build", "--n", str(2**24 + 1)],
     ],
     ids=["grid-exp", "cells", "points", "scales", "nodes", "ladder",
-         "converge-rung", "bounds-rung"],
+         "converge-rung", "bounds-rung", "grid-exp-25", "cells-3x2^23",
+         "points-2^24+1", "nodes-2^24+1"],
 )
 def test_size_caps_exit_2_before_allocating(tmp_path, flags):
     tracemalloc.start()
@@ -160,6 +165,21 @@ def test_size_caps_exit_2_before_allocating(tmp_path, flags):
         tracemalloc.stop()
     assert code == 2
     assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "command", ["converge --n-ladder 8", "bounds --n-ladder 8", "holder --n-ladder 8",
+                "build --discrete"],
+)
+def test_subnormal_interval_exits_2(tmp_path, capsys, command):
+    # 0..1e-320 is a valid interval, but its sample step rounds to 0
+    argv = command.split() + ["--function", "sin", "--interval", "0", "1e-320"]
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: sample step underflows to 0: interval too short"]
+    # build writes its curve before it reads the bound's moduli off it
+    written = ["fif.csv"] if command.startswith("build") else []
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
 
 
 @settings(max_examples=40, deadline=None)
@@ -502,9 +522,9 @@ def test_discrete_ladder_scans_each_modulus_once(tmp_path, monkeypatch, command)
     calls = []
     modulus = fif.cli.modulus_of_continuity
 
-    def counted(phi, delta):
+    def counted(values, span, delta):
         calls.append(list(delta))
-        return modulus(phi, delta)
+        return modulus(values, span, delta)
 
     monkeypatch.setattr(fif.cli, "modulus_of_continuity", counted)
     code = run(
@@ -521,8 +541,8 @@ def _rung_moduli(function, ladder):
     # the ladder's moduli one rung at a time, each from a fresh scalar call
     from fif.cli import MODULUS_SAMPLES
 
-    dense = SampledFunction.from_callable(make_function(function), 0.0, 1.0, MODULUS_SAMPLES)
-    return [modulus_of_continuity(dense, 1.0 / n) for n in ladder], dense
+    dense = make_function(function)(np.linspace(0.0, 1.0, MODULUS_SAMPLES + 1))
+    return [modulus_of_continuity(dense, 1.0, 1.0 / n) for n in ladder], dense
 
 
 @pytest.mark.parametrize("ladder, code", [([8, 16, 32], 0), ([32, 8], 4)])
@@ -547,7 +567,7 @@ def test_discrete_bounds_match_rung_by_rung_moduli(capsys):
     rows = np.array([[float(v) for v in line.split("  ")] for line in lines[1:]])
     cols = dict(zip(header, rows.T))
     moduli, dense = _rung_moduli("exp", [1, 8, 16])
-    knots = [modulus_of_continuity(dense, 0.5), moduli[1], moduli[2]]
+    knots = [modulus_of_continuity(dense, 1.0, 0.5), moduli[1], moduli[2]]
     sup = ScalingVector.constant([0.3] * 4).sup_norm
     assert cols["modulus"].tolist() == moduli
     assert cols["bound_modulus"].tolist() == [error_bound_alpha(sup, om) for om in moduli]

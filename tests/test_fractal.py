@@ -1098,6 +1098,39 @@ def test_cells_validation():
         solve_fif(prob, cells=4 * 8)  # below 16 cells per piece
 
 
+class _Reached(Exception):
+    pass
+
+
+def _fail(*args, **kwargs):
+    raise _Reached
+
+
+def test_solve_refuses_a_grid_above_the_cap_before_building_it(monkeypatch):
+    # the monkeypatched grid fails if reached, so no test allocates at the cap
+    monkeypatch.setattr(fractal, "_render_grid", _fail)
+    with pytest.raises(InvalidConfig, match=r"render grid above 2\^24 cells"):
+        solve_fif(sine_problem(), cells=4 * 2**23)
+    with pytest.raises(_Reached):  # the cap itself is allowed
+        solve_fif(sine_problem(), cells=2**24)
+
+
+def test_solve_refuses_a_closed_grid_above_the_cap():
+    # 4097 non-uniform pieces: 4097 * 2^11 cells are under the cap, but G_K
+    # needs 4097^2 > 2^24 cells, refused before that level is built
+    knots = np.linspace(0.0, 1.0, 4098) ** 1.5
+    prob = FifProblem(Partition(knots), ScalingVector.broadcast(0.3, 4097),
+                      OperatorConfig(ramp(), 0.0, 1.0, 8), make_function("sin"), "alpha")
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidConfig, match=r"render grid above 2\^24 cells"):
+            solve_fif(prob, cells=4097 * 2**11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_variant_validation():
     part = Partition.uniform(0.0, 1.0, 4)
     sv = ScalingVector.broadcast(0.3, 4)
@@ -1296,6 +1329,15 @@ def test_affine_scan_stops_at_roundoff():
 def test_orbit_point_budget_checked():
     with pytest.raises(InvalidConfig, match="1000"):
         chaos_game_render(sine_problem(), 10, seed=0)
+
+
+def test_orbit_above_the_cap_is_refused_before_any_array(monkeypatch):
+    # the generator fails if reached, so no test allocates at the cap
+    monkeypatch.setattr(np.random, "default_rng", _fail)
+    with pytest.raises(InvalidConfig, match=r"orbit above 2\^24 points"):
+        chaos_game_render(sine_problem(), 2**24 + 1, seed=0)
+    with pytest.raises(_Reached):  # the cap itself is allowed
+        chaos_game_render(sine_problem(), 2**24, seed=0)
 
 
 TILE = fif.operators._TILE
