@@ -20,7 +20,9 @@ from .errors import (
 from .fractal import (
     FifProblem,
     FifResult,
+    Render,
     chaos_game_render,
+    render,
     solve_fif,
 )
 from .kernels import (
@@ -57,6 +59,7 @@ __all__ = [
     "NonConvergence",
     "OperatorConfig",
     "Partition",
+    "Render",
     "ScalingVector",
     "SigmoidalKernel",
     "box_counting_dimension",
@@ -72,6 +75,7 @@ __all__ = [
     "nn_eval_derivative",
     "nn_eval_four_layer",
     "ramp",
+    "render",
     "sigma_eval",
     "smooth_bump",
     "smoothstep",

@@ -72,7 +72,9 @@ def _samples(values, span):
     if not 0 < float(span) < math.inf:
         raise InvalidConfig("interval length must be positive and finite")
     step = float(span) / (values.size - 1)
-    if step == 0:  # a subnormal span over many samples
+    # a subnormal step is rounded to a few bits, so the windows it places
+    # would read the wrong sample counts; 0 is the extreme case
+    if step < np.finfo(float).tiny:
         raise InvalidConfig("sample step underflows to 0: interval too short")
     return values, step
 

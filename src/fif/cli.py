@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -40,7 +41,7 @@ from .errors import (
     MatchingConditionError,
     NonConvergence,
 )
-from .fractal import FifProblem, chaos_game_render, solve_fif
+from .fractal import FifProblem, chaos_game_render, render, solve_fif
 from .g17 import write_rows
 from .kernels import kernel_from_name
 from .maps import Partition, ScalingVector
@@ -309,23 +310,14 @@ def cmd_converge(cfg: RunConfig, out: Path) -> int:
     f = make_function(cfg.function)
     moduli = _ladder_moduli(f, a, b, ladder, cfg.discrete)
     rows_n, rows_sub, errs, bounds = [], [], [], []
-    truth = None
-    for n, (om, om_knots) in zip(ladder, moduli):
-        step_cfg = dataclasses.replace(cfg, nodes=n)
-        if cfg.discrete:
-            step_cfg = dataclasses.replace(step_cfg, subintervals=max(n, 2))
-        problem = _build_problem(step_cfg)
-        res = solve_fif(problem, step_cfg.cells(), cfg.tol, cfg.max_iters)
-        # every rung renders the same grid, unless --discrete changes N
-        if truth is None or cfg.discrete:
-            truth = f(res.grid)
+    for n, (om, om_knots), (res, truth) in zip(ladder, moduli, _converge_solves(cfg, ladder, f)):
         err = float(np.max(np.abs(res.values - truth)))
         if cfg.discrete:
             bound = error_bound_discrete(sup_alpha, om, om_knots)
         else:
             bound = error_bound_alpha(sup_alpha, om)
         rows_n.append(n)
-        rows_sub.append(step_cfg.subintervals)
+        rows_sub.append(max(n, 2) if cfg.discrete else cfg.subintervals)
         errs.append(err)
         bounds.append(bound)
         print(f"n={n:5d}  sup_error={err:.6e}  bound={bound:.6e}")
@@ -425,12 +417,7 @@ def cmd_holder(cfg: RunConfig, out: Path) -> int:
         )
     f = make_function(cfg.function)
     rows, sups, semis, norms = [], [], [], []
-    truth = None
-    for n in ladder:
-        step_cfg = dataclasses.replace(cfg, nodes=n)
-        res = solve_fif(_build_problem(step_cfg), cfg.cells(), cfg.tol, cfg.max_iters)
-        if truth is None:  # every rung renders the same grid
-            truth = f(res.grid)
+    for n, (res, truth) in zip(ladder, _ladder_solves(cfg, ladder, f)):
         diff = res.values - truth
         semi = holder_seminorm(diff, part.b - part.a, cfg.mu)
         sup = float(np.max(np.abs(diff)))
@@ -497,6 +484,33 @@ def _parse_ladder(spec: str):
     return ladder
 
 
+def _ladder_solves(cfg: RunConfig, ladder, f):
+    """``(result, truth)`` per rung ``n`` of ``ladder``: the rungs' problems
+    differ only in their operator's node count, so they share one render of
+    ``cfg.cells()`` cells, and ``truth`` is ``f`` on its grid.  That is the
+    render's height itself unless the height is the discrete one."""
+    problem = _build_problem(dataclasses.replace(cfg, nodes=ladder[0]))
+    shared = render(problem, cfg.cells())
+    truth = shared.height if problem.variant == "alpha" else f(shared.grid)
+    for n in ladder:
+        rung = FifProblem(problem.partition, problem.scaling,
+                          dataclasses.replace(problem.operator, n=n), problem.f,
+                          problem.variant)
+        yield solve_fif(rung, cfg.cells(), cfg.tol, cfg.max_iters, rendered=shared), truth
+
+
+def _converge_solves(cfg: RunConfig, ladder, f):
+    """``_ladder_solves``, but a ``--discrete`` rung sets ``N = max(n, 2)``,
+    which changes the render grid, so it renders its own."""
+    if not cfg.discrete:
+        yield from _ladder_solves(cfg, ladder, f)
+        return
+    for n in ladder:
+        step_cfg = dataclasses.replace(cfg, nodes=n, subintervals=max(n, 2))
+        res = solve_fif(_build_problem(step_cfg), step_cfg.cells(), cfg.tol, cfg.max_iters)
+        yield res, f(res.grid)
+
+
 def _ladder_moduli(f, a, b, ladder, knots):
     """Per rung ``n``, the moduli of ``f`` at the node spacing ``(b - a) / n``
     and at the knot spacing ``(b - a) / max(n, 2)``, from one curve of
@@ -532,6 +546,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process: building it takes about a millisecond
 def _make_parser() -> argparse.ArgumentParser:
     # the options every subcommand shares, built once and taken by each
     shared = argparse.ArgumentParser(add_help=False)

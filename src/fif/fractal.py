@@ -311,21 +311,58 @@ class _GridPlan:
                      "coarse_cells": coarse, "fill_levels": levels}
 
 
-def _build_plan(problem, cells):
-    """The level-0 update on the render grid: ``(plan, grid, base(a))``;
-    height and base are freed once the plan holds its offset.
+class Render(NamedTuple):
+    """What a solve renders before the operator's node count enters: the
+    render grid, the height on it and the scaling rows at ``grid[::N]``
+    (``N`` rows, or one column when every scaling is a constant).  Solves
+    that differ only in the operator's ``n`` (and ``r``) share one through
+    ``solve_fif(..., rendered=...)``; ``key`` records what it was made of."""
 
-    Every piece reads its pre-images from the strided view ``x[N::N]``, so
-    no value is interpolated; each distinct scaling entry is evaluated once
-    on ``x[::N]``, which adds point 0, its own pre-image under ``L_1``.
-    """
+    grid: np.ndarray
+    height: np.ndarray
+    alpha: np.ndarray
+    key: tuple
+
+
+def _render_key(problem, cells):
+    # everything a render reads: the knots, the scaling and f objects, the
+    # variant, the kernel and interval of a discrete height's operator, and
+    # the cell count
+    op = problem.operator
+    return (cells, problem.partition.knots.tobytes(), problem.scaling, problem.f,
+            problem.variant, op.kernel, op.a, op.b)
+
+
+def _render(problem, cells, height_eval):
+    """The ``Render`` of ``problem`` on ``cells`` cells; each distinct scaling
+    entry is evaluated once on ``x[::N]``, which adds point 0, its own
+    pre-image under ``L_1``."""
     part = problem.partition
-    pieces = problem.pieces()
     x = _render_grid(part, cells)
-    height = pieces.height_eval(x)
-    base = pieces.base_eval(x)
-    alpha = problem.scaling.rows_at(x[:: part.size])
-    return _GridPlan(alpha, height, base), x, base[0]
+    return Render(x, height_eval(x), problem.scaling.rows_at(x[:: part.size]),
+                  _render_key(problem, cells))
+
+
+def render(problem: FifProblem, cells) -> Render:
+    """The render grid of ``problem`` on ``cells`` cells with the height on it
+    and the scaling rows, all read-only, for a ladder of ``solve_fif`` calls
+    whose problems differ only in the operator's node count and order."""
+    shared = _render(problem, _checked_cells(problem, cells), problem.pieces().height_eval)
+    for arr in shared[:3]:
+        arr.flags.writeable = False
+    return shared
+
+
+def _build_plan(problem, cells, rendered=None):
+    """The level-0 update on the render grid: ``(plan, grid, base(a))``.  A
+    render made here goes with its height, and base goes, once the plan
+    holds its offset.  Every piece reads its pre-images from the strided
+    view ``x[N::N]``, so no value is interpolated."""
+    pieces = problem.pieces()
+    if rendered is None:
+        rendered = _render(problem, cells, pieces.height_eval)
+    base = pieces.base_eval(rendered.grid)
+    return _GridPlan(rendered.alpha, rendered.height, base), rendered.grid, base[0]
 
 
 def _derivative_levels(problem, x):
@@ -385,8 +422,21 @@ def _knot_checks(problem, values, plan, base_a, y_min, y_max):
     return cont_max, knot_max, inner.size
 
 
+def _checked_cells(problem, cells):
+    cells = int(cells)
+    if cells > 2**MAX_SIZE_EXP:
+        raise InvalidConfig(f"render grid above 2^{MAX_SIZE_EXP} cells")
+    q, rem = divmod(cells, problem.partition.size)
+    if rem != 0 or q < 16 or q & (q - 1):
+        raise InvalidConfig(
+            "grid cells must be a power-of-two multiple of the subinterval "
+            "count, at least 16 per subinterval"
+        )
+    return cells
+
+
 def solve_fif(problem: FifProblem, cells, tol=DEFAULT_TOL,
-              max_sweeps=DEFAULT_MAX_SWEEPS):
+              max_sweeps=DEFAULT_MAX_SWEEPS, *, rendered: Render | None = None):
     """Render the fixed point of ``problem`` on a dense grid, for any variant.
 
     The variant is read off the problem.  A discrete problem touches ``f``
@@ -398,21 +448,21 @@ def solve_fif(problem: FifProblem, cells, tol=DEFAULT_TOL,
     every order (the Barnsley-Harrington compatibility conditions); a
     mismatch above ``MATCHING_TOL`` signals a kernel-smoothness or
     derivative-data defect and raises ``MatchingConditionError``.
+
+    ``rendered``, from ``render(p, cells)`` of a problem ``p`` with the same
+    partition knots, the same scaling and ``f`` objects, variant, kernel
+    and interval, supplies the grid, the height and the scaling rows, so a
+    ladder over the node count renders once; the result's ``grid`` is then
+    the render's read-only grid.  Any other render raises ``InvalidConfig``.
     """
-    cells = int(cells)
-    if cells > 2**MAX_SIZE_EXP:
-        raise InvalidConfig(f"render grid above 2^{MAX_SIZE_EXP} cells")
-    q, rem = divmod(cells, problem.partition.size)
-    if rem != 0 or q < 16 or q & (q - 1):
-        raise InvalidConfig(
-            "grid cells must be a power-of-two multiple of the subinterval "
-            "count, at least 16 per subinterval"
-        )
+    cells = _checked_cells(problem, cells)
     if not tol > 0:
         raise InvalidConfig("tolerance must be positive")
     if not max_sweeps >= 1:
         raise InvalidConfig("doubling budget must be at least 1")
-    plan, x, base_a = _build_plan(problem, cells)
+    if rendered is not None and rendered.key != _render_key(problem, cells):
+        raise InvalidConfig("the render was made for another problem or cell count")
+    plan, x, base_a = _build_plan(problem, cells, rendered)
     smooth = problem.variant == "smooth"
     levels = _derivative_levels(problem, x) if smooth else {}
     values, stats = plan.solve(tol, max_sweeps)

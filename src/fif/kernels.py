@@ -202,7 +202,21 @@ def _band_profile(kernel: SigmoidalKernel, d: int, t):
         if d == 0:
             return np.where(flip, 1.0 - vals, vals)
         return np.where(flip, -vals, vals) if d % 2 == 0 else vals
-    return np.polynomial.polynomial.polyval(t, _transition_poly(kernel.order, d))
+    return _polyval(t, _transition_poly(kernel.order, d))
+
+
+def _polyval(x, c):
+    """``np.polynomial.polynomial.polyval(x, c)`` for a 1-d ``c``, bit for bit:
+    the same steps, ``c[-1] + x*0`` and then ``c[-i] + c0*x``, but written
+    into one new array instead of a fresh one per step."""
+    x = np.asarray(x, dtype=float)
+    c = np.asarray(c, dtype=float)
+    out = np.multiply(x, 0.0, out=np.empty_like(x))
+    np.add(c[-1], out, out=out)
+    for coef in c[-2::-1]:
+        np.multiply(out, x, out=out)
+        np.add(coef, out, out=out)
+    return out if out.ndim else out[()]
 
 
 def sigma_eval(kernel: SigmoidalKernel, x):

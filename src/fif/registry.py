@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidConfig
+from .kernels import _polyval
 from .operators import FunctionInput
 
 _SIN_CYCLE = (np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x), np.sin)
@@ -17,10 +18,9 @@ def _horner(coef):
     ``0.0 + 1.0 * x``: two passes over the points whose only effect is
     ``-0.0 -> +0.0``, which can reach the value only through a ``-0.0``
     coefficient."""
-    polyval = np.polynomial.polynomial.polyval
     if np.any(np.signbit(coef[coef == 0])):
-        return lambda x: polyval(np.asarray(x, dtype=float) + 0.0, coef)
-    return lambda x: polyval(np.asarray(x, dtype=float), coef)
+        return lambda x: _polyval(np.asarray(x, dtype=float) + 0.0, coef)
+    return lambda x: _polyval(x, coef)
 
 
 def _poly_input(coeffs, max_derivative):

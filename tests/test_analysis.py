@@ -149,12 +149,13 @@ def test_modulus_preconditions():
         (np.zeros(3), np.inf, 0.5, "interval length"),
         (np.zeros(3), np.nan, 0.5, "interval length"),
         (np.zeros(2**12 + 1), 1e-320, 0.5, "underflows"),  # the step rounds to 0
+        (np.zeros(2**12 + 1), 1e-318, 0.5, "underflows"),  # a subnormal step
         (np.zeros(3), 1.0, 0.0, r"exponent mu must lie in \(0, 1\]"),
         (np.zeros(3), 1.0, 1.5, r"exponent mu must lie in \(0, 1\]"),
         (np.zeros(3), 1.0, np.nan, r"exponent mu must lie in \(0, 1\]"),
     ],
     ids=["0-d", "2-d", "1-sample", "nan", "inf", "span-0", "span-neg", "span-inf",
-         "span-nan", "step-0", "mu-0", "mu-1.5", "mu-nan"],
+         "span-nan", "step-0", "step-subnormal", "mu-0", "mu-1.5", "mu-nan"],
 )
 def test_moduli_refuse_bad_inputs(values, span, mu, match):
     calls = [lambda: holder_seminorm(values, span, mu)]

@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 
 import fif
 from fif.analysis import error_bound_alpha, error_bound_discrete, modulus_of_continuity
+from fif import cli
 from fif.cli import _write_csv, main
 from fif.g17 import BLOCK_ROWS
 from fif.maps import ScalingVector
+from fif.operators import FunctionInput
 from fif.registry import make_function
 
 
@@ -180,6 +182,40 @@ def test_subnormal_interval_exits_2(tmp_path, capsys, command):
     # build writes its curve before it reads the bound's moduli off it
     written = ["fif.csv"] if command.startswith("build") else []
     assert sorted(p.name for p in tmp_path.iterdir()) == written
+
+
+@pytest.mark.parametrize("command", ["converge", "bounds", "holder"])
+def test_subnormal_sample_step_exits_2(tmp_path, capsys, command):
+    # the step of 1e-318 over 2^17 samples is subnormal, not 0: it rounds from
+    # 7.6e-324 to 1e-323, which would place the modulus windows 12,650
+    # samples apart instead of 16,384
+    argv = [command, "--n-ladder", "8", "--function", "sin", "--interval", "0", "1e-318"]
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: sample step underflows to 0: interval too short"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    assert cli._make_parser() is cli._make_parser()
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "build", lambda cfg, out: seen.append(cfg.discrete) or 0)
+    assert run(["build", "--discrete", "--out", str(tmp_path)]) == 0
+    assert run(["build", "--out", str(tmp_path)]) == 0
+    assert seen == [True, False]
+    capsys.readouterr()
+    errors = []
+    for parser in (cli._make_parser(), cli._make_parser.__wrapped__()):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["build", "--N", "x"])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].endswith("fif build: error: argument --N: invalid int value: 'x'\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "--help"])
+    assert exc.value.code == 0
+    assert "--n-ladder" in capsys.readouterr().out
 
 
 @settings(max_examples=40, deadline=None)
@@ -464,6 +500,29 @@ def test_holder_sup_error_is_the_build_sup_over_the_render_grid(tmp_path):
     _, curve = read_csv(tmp_path / "build" / "fif.csv")
     assert holder["n"][0] == 16
     assert holder["sup_error"][0] == np.max(np.abs(curve["fif"] - curve["f"]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--function", "sin", "--alpha", "0.5", "--n-ladder", "8,16,32,64,128"],
+    README_HOLDER,
+], ids=["converge", "holder"])
+def test_ladder_evaluates_f_once_on_the_render_grid(tmp_path, monkeypatch, argv):
+    # every rung's height and the truth the errors are measured against
+    sizes = []
+    real = cli.make_function
+
+    def counting(name, *args, **kwargs):
+        fi = real(name, *args, **kwargs)
+
+        def func(x):
+            sizes.append(np.size(x))
+            return fi.func(x)
+
+        return FunctionInput.analytic(func, fi.derivatives)
+
+    monkeypatch.setattr(cli, "make_function", counting)
+    assert run(argv + ["--grid-exp", "10", "--out", str(tmp_path)]) == 0
+    assert sizes.count(4 * 2**10 + 1) == 1
 
 
 def test_bounds_prints_table(tmp_path, capsys):

@@ -639,6 +639,80 @@ def test_callable_scaling_solve_adds_only_its_coefficient_rows():
     assert solve_slope(sv) <= 40
 
 
+def sine_scaling(count, amp=0.4):
+    # the CLI's sine:amp family, one shared callable
+    fn = lambda x: amp * (0.55 + 0.45 * np.sin(2 * np.pi * np.asarray(x)))
+    return ScalingVector([fn] * count, domain=(0.0, 1.0))
+
+
+@pytest.mark.parametrize("count, scaling", [
+    (4, ScalingVector.broadcast(0.95, 4)),
+    (5, ScalingVector.broadcast(0.95, 5)),  # C = 2^10 coarse cells: doubling passes
+    (4, sine_scaling(4)),                   # callable rows
+], ids=["N4", "N5", "sine"])
+def test_ladder_on_one_render_is_bitwise_the_standalone_solves(count, scaling):
+    part = Partition.uniform(0.0, 1.0, count)
+    f, cells = make_function("sin"), count * 2**10
+
+    def problem(n):
+        return FifProblem(part, scaling, OperatorConfig(ramp(), 0.0, 1.0, n), f)
+
+    shared = fractal.render(problem(8), cells)
+    for n in (8, 16, 32, 64, 128):
+        rung = solve_fif(problem(n), cells, rendered=shared)
+        alone = solve_fif(problem(n), cells)
+        assert rung.grid is shared.grid
+        assert rung.grid.tobytes() == alone.grid.tobytes()
+        assert rung.values.tobytes() == alone.values.tobytes()
+        assert np.float64(rung.residual).tobytes() == np.float64(alone.residual).tobytes()
+        assert rung.iterations == alone.iterations
+        assert rung.diagnostics == alone.diagnostics
+    # the height of an alpha problem is f itself, the ladder's truth
+    assert shared.height.tobytes() == np.sin(shared.grid).tobytes()
+
+
+def test_render_must_belong_to_the_problem():
+    part, cells = Partition.uniform(0.0, 1.0, 4), 4 * 2**6
+    sv, f = ScalingVector.broadcast(0.3, 4), make_function("sin")
+    op = OperatorConfig(ramp(), 0.0, 1.0, 8)
+    shared = fractal.render(FifProblem(part, sv, op, f), cells)
+    # the operator's node count and order may differ
+    solve_fif(FifProblem(part, sv, OperatorConfig(ramp(), 0.0, 1.0, 16), f), cells,
+              rendered=shared)
+    others = {
+        "knots": (FifProblem(Partition.uniform(0.0, 2.0, 4), sv,
+                             OperatorConfig(ramp(), 0.0, 2.0, 8), f), cells),
+        "scaling": (FifProblem(part, ScalingVector.broadcast(0.3, 4), op, f), cells),
+        "f": (FifProblem(part, sv, op, make_function("sin")), cells),
+        "variant": (FifProblem(part, sv, op, f, "discrete"), cells),
+        "kernel": (FifProblem(part, sv, OperatorConfig(smoothstep(1), 0.0, 1.0, 8), f),
+                   cells),
+        "cells": (FifProblem(part, sv, op, f), 2 * cells),
+    }
+    for name, (prob, c) in others.items():
+        with pytest.raises(InvalidConfig, match="render was made for another"):
+            solve_fif(prob, c, rendered=shared)
+    for arr in (shared.grid, shared.height, shared.alpha):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    # a render checks its cell count as a solve does
+    with pytest.raises(InvalidConfig, match="power-of-two multiple"):
+        fractal.render(FifProblem(part, sv, op, f), 4 * 24)
+
+
+def test_ladder_holds_less_per_cell_than_a_render_per_rung(tmp_path):
+    # the shared grid and height (f on the grid: also the truth), the last
+    # rung's values and the solving rung's offset and iterates; a render per
+    # rung beside a truth of its own held 49 B/cell
+    def run(cells):
+        exp = (cells // 4).bit_length() - 1
+        cli.main(["converge", "--function", "sin", "--alpha", "0.5", "--n-ladder",
+                  "8,16,32", "--grid-exp", str(exp), "--out", str(tmp_path)])
+
+    assert traced_slope(run, 2**16, 2**18) <= 41
+
+
 def test_constant_scaling_smooth_solve_holds_no_per_cell_coefficients():
     # level 0 as above, then each derivative level keeps only its offset,
     # built from f^(k) and (Lf)^(k): 64 bytes per cell at r = 2

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fif.kernels import (
     UNBOUNDED_ORDER,
     SigmoidalKernel,
+    _polyval,
     _transition_poly,
     kernel_from_name,
     ramp,
@@ -155,6 +156,22 @@ def test_polynomial_profiles_equal_the_polynomial_call(order):
     for kernel in kernels:
         for d in range(order + 1):
             assert np.array_equal(transition(kernel, d, t), poly.deriv(d)(t)), d
+
+
+@pytest.mark.parametrize("coef", [
+    [-0.0], [1.0, -0.0], [3.0, 0.0, -0.0],
+    np.random.default_rng(7).standard_normal(8),  # degree 7
+], ids=["neg-zero", "1,-0", "3,0,-0", "degree-7"])
+def test_in_place_horner_is_bitwise_polyval(coef):
+    # the same steps as numpy's, c[-1] + x*0 first, so signed zeros agree
+    coef = np.asarray(coef)
+    x = np.concatenate([[0.0, -0.0, -1.0, -1e-300, -3.5, 2.0],
+                        np.random.default_rng(8).uniform(-4.0, 4.0, 1000)])
+    ref = np.polynomial.polynomial.polyval
+    assert _polyval(x, coef).tobytes() == ref(x, coef).tobytes()
+    for t in (0.0, -0.0, -2.0, np.float64(-0.5)):
+        got, want = _polyval(t, coef), ref(t, coef)
+        assert type(got) is type(want) and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kernel", ALL_FAMILIES, ids=ids(ALL_FAMILIES))

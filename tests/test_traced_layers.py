@@ -31,3 +31,14 @@ def test_traced_layers_are_reached(tmp_path):
     layers = ["fractal.solve.s", "operators.nn_eval.s", "operators.four_layer.s",
               "operators.derivative.s", "maps.s"]
     assert [name for name in layers if not metrics[name] > 0] == []
+
+
+def test_ladder_traces_one_solve_per_rung(tmp_path):
+    # the rungs share one render but each still solves through cli.solve_fif
+    spans = load_spans()
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        assert cli.main(["converge", "--function", "sin", "--alpha", "0.5",
+                         "--n-ladder", "8,16,32", "--grid-exp", "6",
+                         "--out", str(tmp_path)]) == 0
+    assert [s.name for s in tracer.spans].count("fractal.solve") == 3
