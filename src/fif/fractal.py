@@ -31,14 +31,17 @@ is ``max|c|`` over every grid point, which must be below 1.  With ``N^K`` the
 largest power of ``N`` dividing the cell count, the stride-``N^K`` points
 form a closed coarse grid.  There the update composed with itself has the
 same form over an explicit pre-image index, so pointer jumping (Wyllie
-1979) squares every coefficient per array pass until none exceeds the unit
-roundoff: the coarse values are then the fixed point up to rounding, at
-once when the coarse grid is the two ends (always on ``G_K``).  A point of
-stride ``t < N^K`` has its pre-image at stride ``N t``, so the same sweep
-on every ``t``-th point fills each level from the one above.  One further
-sweep certifies the result: it moves it by the residual, which must be at
-most ``tol * (1 - contraction)``, so the result is within ``tol`` of the
-fixed point.
+1979) squares every composed coefficient per pass until none exceeds the
+unit roundoff: the coarse values are then the fixed point up to rounding,
+at once when the coarse grid is the two ends (always on ``G_K``).  When
+every interior coarse point has the same coefficient and its pre-image
+chain never reaches an end (``gcd(N, C) = 1`` for ``C`` coarse cells), the
+passes run on the interior alone and square one float, with the same bits
+as an array of it.  A point of stride ``t < N^K`` has its pre-image at
+stride ``N t``, so the same sweep on every ``t``-th point fills each level
+from the one above.  One further sweep certifies the result: it moves it
+by the residual, which must be at most ``tol * (1 - contraction)``, so the
+result is within ``tol`` of the fixed point.
 
 The random-orbit render (chaos game) follows one seeded orbit of the
 iterated function system instead.  Its x-orbit and its y-recurrence are
@@ -194,6 +197,11 @@ def _contraction(coeff, first=0.0):
     return c
 
 
+def _magnitude(coeff):
+    """``max|coeff|`` of one float, or of an array without a temporary."""
+    return abs(coeff) if np.ndim(coeff) == 0 else max(coeff.max(), -coeff.min())
+
+
 def _grid_index(n_sub, cells):
     """Subinterval ``i`` of every grid point and the grid index of its pre-image.
 
@@ -276,22 +284,40 @@ class _GridPlan:
         per level to fill strides ``N^(K-1), ..., 1``, then a certifying
         sweep whose move is ``residual``.  Returns ``(values, stats)``, or
         raises ``NonConvergence`` if ``residual > tol * (1 - contraction)``.
+
+        The composed coefficients are an array of the ``C + 1`` coarse
+        points, 0 at the two ends, unless ``rows`` is a constant column of
+        equal entries, ``C > 1`` and no interior point's pre-image is an end
+        (``gcd(N, C) = 1``, as for every odd ``N``): then the interior points
+        jump alone, their shared coefficient is one float squared per pass,
+        and the ends keep ``0 * height + offset``.  Each product, the pass
+        count and every value are the array path's bits.
         """
         levels, s = self.levels, self.n_sub**self.levels
         coarse = self.coarse_height.size - 1
-        coeff, offset = np.zeros(coarse + 1), self.offset[::s].copy()
-        inner = np.arange(s, self.offset.size - 1, s) - 1  # rows' flat index
-        coeff[1:-1] = self.rows[np.unravel_index(inner, self.rows.shape)]
-        k = _grid_index(self.n_sub, coarse)[1]
-        passes = 0
-        while passes < max_sweeps and np.max(np.abs(coeff)) > ROUNDOFF:
-            offset += coeff * offset[k]
-            coeff *= coeff[k]
+        offset, k = self.offset[::s].copy(), _grid_index(self.n_sub, coarse)[1]
+        # a broadcast column of equal entries is one float, if every interior
+        # point's pre-image is interior (k[g] lies in (0, C] for g > 0)
+        coeff = None
+        if self.rows.strides[1] == 0 and coarse > 1 and k[1:-1].max() < coarse:
+            coeff = _shared(self.rows[:, 0])
+        if coeff is None:  # one coefficient per coarse point, 0 at the ends
+            coeff, view = np.zeros(coarse + 1), slice(None)
+            inner = np.arange(s, self.offset.size - 1, s) - 1  # rows' flat index
+            coeff[1:-1] = self.rows[np.unravel_index(inner, self.rows.shape)]
+        else:  # the interior points' chains never leave the interior
+            view, k = slice(1, -1), k[1:-1] - 1
+        jump, passes = offset[view], 0
+        while passes < max_sweeps and _magnitude(coeff) > ROUNDOFF:
+            jump += coeff * jump[k]
+            coeff *= coeff[k] if np.ndim(coeff) else coeff
             k = k[k]
             passes += 1
         phi = np.empty_like(self.offset)
-        phi[::s] = coeff * self.coarse_height[k] + offset
-        del coeff, offset, k  # the fill and the certifying sweep need only the plan
+        ends, coarse_phi = [0, -1], phi[::s]
+        coarse_phi[ends] = 0.0 * self.coarse_height[ends] + offset[ends]
+        coarse_phi[view] = coeff * self.coarse_height[view][k] + jump
+        del coeff, offset, jump, k  # the fill and the certifying sweep need only the plan
         while s > 1:
             s //= self.n_sub
             self.apply(phi, out=phi, s=s)
@@ -533,7 +559,7 @@ def _doubling(coeff, offset, scratch):
     """``_affine_scan``'s passes over the whole of ``offset``, into ``scratch``."""
     c = coeff if np.ndim(coeff) == 0 else coeff[1:]  # the steps' coefficients
     w, passes = 1, 0
-    while w < offset.size and max(np.max(c), -np.min(c)) > ROUNDOFF:
+    while w < offset.size and _magnitude(c) > ROUNDOFF:
         tmp = scratch[: offset.size - w]
         np.multiply(c, offset[:-w], out=tmp)
         offset[w:] += tmp

@@ -62,8 +62,9 @@ class Partition:
 
     @property
     def is_uniform(self) -> bool:
-        w = np.diff(self.knots)
-        return bool(np.all(np.abs(w - w[0]) <= 1e-12 * (self.b - self.a)))
+        # floored at the least normal float: subnormal spacings round apart
+        w, tol = np.diff(self.knots), max(1e-12 * (self.b - self.a), np.finfo(float).tiny)
+        return bool(np.all(np.abs(w - w[0]) <= tol))
 
     def locate(self, x):
         """Subinterval index in 1..N for each x; internal knots go left."""

@@ -591,26 +591,80 @@ def traced_peak(run, size, small):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("variant", ["alpha", "discrete"])
-@pytest.mark.parametrize("count", [4, 5])
-def test_constant_scaling_solve_is_bitwise_the_per_cell_rows(variant, count):
+def same_solve(a, b):
+    assert a.values.tobytes() == b.values.tobytes()
+    assert np.float64(a.residual).tobytes() == np.float64(b.residual).tobytes()
+    assert a.iterations == b.iterations
+    assert a.diagnostics["coarse_cells"] == b.diagnostics["coarse_cells"]
+
+
+SHARED_CASES = [
+    # one alpha for every piece: odd N has gcd(N, C) = 1, so the coarse solve
+    # jumps one float over the interior; 0.999 makes the longest pass count
+    pytest.param(count, [alpha] * count, variant, id=f"shared-N{count}-{alpha}-{variant}")
+    for count in (3, 5, 7, 9) for alpha in (0.95, -0.95, 0.999)
+    for variant in ("alpha", "discrete")
+] + [
+    # N = 6 has C = 2^9 and gcd 2: an interior chain reaches an end, so the
+    # shared alpha keeps the array path
+    pytest.param(6, [0.95] * 6, "alpha", id="shared-N6-array-path"),
+    # r = 1: levels 0 and 1 share alpha and alpha / s
+    pytest.param(5, [0.15] * 5, "smooth", id="shared-N5-smooth-r1"),
+]
+
+
+@pytest.mark.parametrize("count, consts, variant", [
+    pytest.param(count, [0.55, -0.3, 0.2, 0.45, -0.1][:count], variant, id=f"{count}-{variant}")
+    for count in (4, 5) for variant in ("alpha", "discrete")
+] + SHARED_CASES)
+def test_constant_scaling_solve_is_bitwise_the_per_cell_rows(count, consts, variant, monkeypatch):
     # constants stay one coefficient column; the same values as callables
     # fill a coefficient per cell, and the solve must not tell them apart
-    # (N = 5 also takes the coarse solve's gather over C = 2^10 cells)
-    consts = [0.55, -0.3, 0.2, 0.45, -0.1][:count]
-    funcs = [lambda x, c=c: np.full_like(x, c) for c in consts]
+    # (N = 5 also takes the coarse solve's gather over C = 2^10 cells).  A
+    # smooth problem needs constants, so its reference solve is the same
+    # problem with every table read as unshared: the coarse arrays' path
     part = Partition.uniform(0.0, 1.0, count)
-    op = OperatorConfig(ramp(), 0.0, 1.0, 8)
+    smooth = variant == "smooth"
+    op = OperatorConfig(smoothstep(1), 0.0, 1.0, 64, r=1) if smooth else OperatorConfig(
+        ramp(), 0.0, 1.0, 8)
+
+    # alpha = 0.999 certifies at the default tol: its threshold
+    # tol * (1 - 0.999) is then 1e-12
+    tol = 1e-9 if abs(consts[0]) > 0.99 else 1e-12
 
     def solve(sv):
         prob = FifProblem(part, sv, op, make_function("sin"), variant)
-        return solve_fif(prob, cells=count * 2**10, tol=1e-12)
+        return solve_fif(prob, cells=count * 2**10, tol=tol)
 
     const = solve(ScalingVector.constant(consts))
-    rows = solve(ScalingVector(funcs, domain=(0.0, 1.0)))
-    assert const.values.tobytes() == rows.values.tobytes()
-    assert np.float64(const.residual).tobytes() == np.float64(rows.residual).tobytes()
-    assert const.iterations == rows.iterations
+    if smooth:
+        monkeypatch.setattr(fractal, "_shared", lambda table: None)
+        rows = solve(ScalingVector.constant(consts))
+        assert const.derivatives[1].tobytes() == rows.derivatives[1].tobytes()
+        assert const.diagnostics["derivative_levels"] == rows.diagnostics["derivative_levels"]
+        assert const.diagnostics["derivative_levels"][1]["coarse_cells"] == 2**10
+    else:
+        funcs = [lambda x, c=c: np.full_like(x, c) for c in consts]
+        rows = solve(ScalingVector(funcs, domain=(0.0, 1.0)))
+    same_solve(const, rows)
+
+
+def test_shared_scaling_coarse_solve_forms_no_coefficient_array(monkeypatch):
+    # the coarse coefficient array is gathered from the scaling rows through
+    # np.unravel_index; a shared alpha at N = 5 (C = 2^10) jumps one float
+    def gather(*args, **kwargs):
+        raise AssertionError("the coarse coefficient array was formed")
+
+    def solve(count):
+        prob = FifProblem(Partition.uniform(0.0, 1.0, count), ScalingVector.broadcast(0.95, count),
+                          OperatorConfig(ramp(), 0.0, 1.0, 8), make_function("sin"))
+        return solve_fif(prob, cells=count * 2**10)
+
+    monkeypatch.setattr(np, "unravel_index", gather)
+    res = solve(5)
+    assert res.diagnostics["coarse_cells"] == 2**10 and res.iterations > 2
+    with pytest.raises(AssertionError, match="formed"):  # N = 6 keeps the array
+        solve(6)
 
 
 def traced_slope(run, small, big):

@@ -31,6 +31,17 @@ def test_nonuniform_slopes_and_intercepts():
     assert Partition.uniform(0.0, 1.0, 4).is_uniform
 
 
+@pytest.mark.parametrize("b", [1e-318, 1e-300])
+def test_uniform_knots_stay_uniform_on_tiny_intervals(b):
+    # the knots' subnormal spacings round apart by more than 1e-12 (b - a);
+    # the tolerance stops at the least normal float, so below it no two
+    # spacings are told apart
+    assert Partition.uniform(0.0, b, 4).is_uniform
+    assert Partition.uniform(0.0, b, 5).is_uniform
+    tiny = np.finfo(float).tiny
+    assert Partition(np.array([0.0, 0.25, 1.0]) * b).is_uniform == (b < tiny)
+
+
 @pytest.mark.parametrize("a, b", [(0.0, 1e300), (1e200, 3e200), (-1e300, 5e299)])
 def test_intercepts_stay_finite_on_huge_intervals(a, b):
     # a product of two knots overflows here; the maps need none
