@@ -488,27 +488,28 @@ def _ladder_solves(cfg: RunConfig, ladder, f):
     """``(result, truth)`` per rung ``n`` of ``ladder``: the rungs' problems
     differ only in their operator's node count, so they share one render of
     ``cfg.cells()`` cells, and ``truth`` is ``f`` on its grid.  That is the
-    render's height itself unless the height is the discrete one."""
+    render's height itself unless the height is the discrete one; then it is
+    made after the first rung's solve, so that solve does not hold it."""
     problem = _build_problem(dataclasses.replace(cfg, nodes=ladder[0]))
     shared = render(problem, cfg.cells())
-    truth = shared.height if problem.variant == "alpha" else f(shared.grid)
+    truth = shared.height if problem.variant == "alpha" else None
     for n in ladder:
         rung = FifProblem(problem.partition, problem.scaling,
                           dataclasses.replace(problem.operator, n=n), problem.f,
                           problem.variant)
-        yield solve_fif(rung, cfg.cells(), cfg.tol, cfg.max_iters, rendered=shared), truth
+        res = solve_fif(rung, cfg.cells(), cfg.tol, cfg.max_iters, rendered=shared)
+        truth = f(shared.grid) if truth is None else truth
+        yield res, truth
 
 
 def _converge_solves(cfg: RunConfig, ladder, f):
     """``_ladder_solves``, but a ``--discrete`` rung sets ``N = max(n, 2)``,
-    which changes the render grid, so it renders its own."""
+    which changes the render grid, so each rung is a ladder of its own."""
     if not cfg.discrete:
         yield from _ladder_solves(cfg, ladder, f)
         return
     for n in ladder:
-        step_cfg = dataclasses.replace(cfg, nodes=n, subintervals=max(n, 2))
-        res = solve_fif(_build_problem(step_cfg), step_cfg.cells(), cfg.tol, cfg.max_iters)
-        yield res, f(res.grid)
+        yield from _ladder_solves(dataclasses.replace(cfg, subintervals=max(n, 2)), [n], f)
 
 
 def _ladder_moduli(f, a, b, ladder, knots):

@@ -164,8 +164,8 @@ class FifProblem:
 class FifResult:
     """Converged render plus the evidence that it converged.
 
-    On a non-uniform partition ``grid`` is the closed grid ``G_K`` of
-    ``N^K`` cells, which is not evenly spaced: its largest gap is
+    ``grid`` is the solve's read-only render grid; on a non-uniform
+    partition that is ``G_K``, ``N^K`` cells whose largest gap is
     ``(max slope)^K`` times the interval length.  Height and base are not
     kept: ``problem.pieces()`` evaluates them on ``grid``.
     """
@@ -359,21 +359,16 @@ def _render_key(problem, cells):
             problem.variant, op.kernel, op.a, op.b)
 
 
-def _render(problem, cells, height_eval):
-    """The ``Render`` of ``problem`` on ``cells`` cells; each distinct scaling
-    entry is evaluated once on ``x[::N]``, which adds point 0, its own
-    pre-image under ``L_1``."""
-    part = problem.partition
-    x = _render_grid(part, cells)
-    return Render(x, height_eval(x), problem.scaling.rows_at(x[:: part.size]),
-                  _render_key(problem, cells))
-
-
 def render(problem: FifProblem, cells) -> Render:
     """The render grid of ``problem`` on ``cells`` cells with the height on it
-    and the scaling rows, all read-only, for a ladder of ``solve_fif`` calls
-    whose problems differ only in the operator's node count and order."""
-    shared = _render(problem, _checked_cells(problem, cells), problem.pieces().height_eval)
+    and the scaling rows, all read-only.  Each distinct scaling entry is
+    evaluated once on ``x[::N]``, which adds point 0, its own pre-image under
+    ``L_1``.  A ladder of ``solve_fif`` calls whose problems differ only in
+    the operator's node count and order shares one."""
+    part, cells = problem.partition, _checked_cells(problem, cells)
+    x = _render_grid(part, cells)
+    shared = Render(x, problem.pieces().height_eval(x), problem.scaling.rows_at(x[:: part.size]),
+                    _render_key(problem, cells))
     for arr in shared[:3]:
         arr.flags.writeable = False
     return shared
@@ -384,10 +379,9 @@ def _build_plan(problem, cells, rendered=None):
     render made here goes with its height, and base goes, once the plan
     holds its offset.  Every piece reads its pre-images from the strided
     view ``x[N::N]``, so no value is interpolated."""
-    pieces = problem.pieces()
     if rendered is None:
-        rendered = _render(problem, cells, pieces.height_eval)
-    base = pieces.base_eval(rendered.grid)
+        rendered = render(problem, cells)
+    base = problem.pieces().base_eval(rendered.grid)
     return _GridPlan(rendered.alpha, rendered.height, base), rendered.grid, base[0]
 
 
@@ -475,11 +469,11 @@ def solve_fif(problem: FifProblem, cells, tol=DEFAULT_TOL,
     mismatch above ``MATCHING_TOL`` signals a kernel-smoothness or
     derivative-data defect and raises ``MatchingConditionError``.
 
-    ``rendered``, from ``render(p, cells)`` of a problem ``p`` with the same
-    partition knots, the same scaling and ``f`` objects, variant, kernel
-    and interval, supplies the grid, the height and the scaling rows, so a
-    ladder over the node count renders once; the result's ``grid`` is then
-    the render's read-only grid.  Any other render raises ``InvalidConfig``.
+    Every solve renders through ``render``, so the result's ``grid`` is the
+    render's read-only grid.  ``rendered``, from ``render(p, cells)`` of a
+    problem ``p`` with the same partition knots, the same scaling and ``f``
+    objects, variant, kernel and interval, supplies it, so a ladder over the
+    node count renders once.  Any other render raises ``InvalidConfig``.
     """
     cells = _checked_cells(problem, cells)
     if not tol > 0:

@@ -17,10 +17,14 @@ class Partition:
     Subinterval ``i`` (1-based) is ``[x_{i-1}, x_i]`` and carries the affine
     contraction of ``[x_0, x_N]`` onto it that fixes the orientation:
     slope ``(x_i - x_{i-1}) / (x_N - x_0)`` and the intercept making
-    ``x_0 -> x_{i-1}``, ``x_N -> x_i``.
+    ``x_0 -> x_{i-1}``, ``x_N -> x_i``.  The partition is uniform when its
+    spacings agree up to ``max(1e-12 (b - a), 2 ulp(max(|a|, |b|)))``: the
+    knots of ``np.linspace`` are ``a + j step`` rounded once each, so two of
+    its spacings differ by at most two ulps of the knots' size, plus ulps of
+    ``b - a`` from the step.  Every uniform partition has the slope ``1/N``.
     """
 
-    __slots__ = ("knots", "slopes", "intercepts")
+    __slots__ = ("knots", "slopes", "intercepts", "is_uniform")
 
     def __init__(self, knots):
         # a private read-only copy keeps knots in step with slopes and intercepts
@@ -30,23 +34,22 @@ class Partition:
             raise InvalidConfig("need at least 3 knots (2 subintervals)")
         if not np.all(np.isfinite(knots)):
             raise InvalidConfig("non-finite knots")
-        if not np.all(np.diff(knots) > 0):
+        w = np.diff(knots)
+        if not np.all(w > 0):
             raise InvalidConfig("knots must be strictly increasing")
         self.knots = knots
         span = knots[-1] - knots[0]
-        self.slopes = np.diff(knots) / span
+        tol = max(1e-12 * span, 2 * np.spacing(max(abs(knots[0]), abs(knots[-1]))))
+        self.is_uniform = bool(np.all(np.abs(w - w[0]) <= tol))
+        self.slopes = np.full(w.size, 1.0 / w.size) if self.is_uniform else w / span
         self.intercepts = knots[:-1] - self.slopes * knots[0]
 
     @classmethod
     def uniform(cls, a, b, count):
-        """``count`` equal pieces of ``[a, b]``, each with the slope ``1/count``:
-        the rounded spacings of the knots would set some apart in the last bit."""
+        """``count`` equal pieces of ``[a, b]``."""
         if not (isinstance(count, int) and count >= 2):
             raise InvalidConfig("need an integer subinterval count >= 2")
-        part = cls(np.linspace(a, b, count + 1))
-        part.slopes = np.full(count, 1.0 / count)
-        part.intercepts = part.knots[:-1] - part.slopes * part.knots[0]
-        return part
+        return cls(np.linspace(a, b, count + 1))
 
     @property
     def a(self) -> float:
@@ -59,12 +62,6 @@ class Partition:
     @property
     def size(self) -> int:
         return self.knots.size - 1
-
-    @property
-    def is_uniform(self) -> bool:
-        # floored at the least normal float: subnormal spacings round apart
-        w, tol = np.diff(self.knots), max(1e-12 * (self.b - self.a), np.finfo(float).tiny)
-        return bool(np.all(np.abs(w - w[0]) <= tol))
 
     def locate(self, x):
         """Subinterval index in 1..N for each x; internal knots go left."""

@@ -915,6 +915,17 @@ def test_negative_interval_ends_may_carry_an_exponent(tmp_path, ends):
     assert meta["config"]["interval"] == [float(v) for v in ends]
 
 
+def test_narrow_interval_far_from_zero_is_uniform(tmp_path):
+    # the knots of [1000, 1000.001] round apart by an ulp of 1000, above
+    # 1e-12 of the span: the partition is still uniform, so the discrete
+    # variant runs and the alpha variant renders the uniform grid
+    argv = ["--function", "sin", "--interval", "1000", "1000.001"]
+    assert run(["build", "--discrete", *argv, "--out", str(tmp_path / "discrete")]) == 0
+    assert run(["build", *argv, "--out", str(tmp_path / "alpha")]) == 0
+    _, cols = read_csv(tmp_path / "alpha" / "fif.csv")
+    assert cols["x"].tobytes() == np.linspace(1000, 1000.001, 4097).tobytes()
+
+
 def test_csv_cells_carry_full_precision(tmp_path):
     assert run(
         [

@@ -17,9 +17,11 @@ from fif import cli, fractal
 from fif.fractal import (
     ROUNDOFF,
     FifProblem,
+    _GridPlan,
     _affine_scan,
     _build_plan,
     _derivative_levels,
+    _render_grid,
     chaos_game_render,
     solve_fif,
 )
@@ -725,6 +727,40 @@ def test_ladder_on_one_render_is_bitwise_the_standalone_solves(count, scaling):
     assert shared.height.tobytes() == np.sin(shared.grid).tobytes()
 
 
+@pytest.mark.parametrize("variant", ["alpha", "discrete", "smooth"])
+def test_standalone_solve_is_a_rendered_solve(variant):
+    # a solve without a render makes one through render(): the same bits
+    part, cells = Partition.uniform(0.0, 1.0, 4), 4 * 2**8
+    sv = ScalingVector.broadcast(0.05, 4) if variant == "smooth" else sine_scaling(4)
+    op = OperatorConfig(smooth_bump(), 0.0, 1.0, 64, r=int(variant == "smooth"))
+    prob = FifProblem(part, sv, op, make_function("sin"), variant)
+    alone = solve_fif(prob, cells)
+    rendered = solve_fif(prob, cells, rendered=fractal.render(prob, cells))
+    for res in (alone, rendered):
+        assert not res.grid.flags.writeable
+    assert alone.grid.tobytes() == rendered.grid.tobytes()
+    assert alone.values.tobytes() == rendered.values.tobytes()
+    assert np.float64(alone.residual).tobytes() == np.float64(rendered.residual).tobytes()
+    assert alone.iterations == rendered.iterations
+    assert alone.diagnostics == rendered.diagnostics
+    assert alone.derivatives.keys() == rendered.derivatives.keys()
+    for k in alone.derivatives:
+        assert alone.derivatives[k].tobytes() == rendered.derivatives[k].tobytes()
+
+
+def test_hand_built_uniform_knots_render_as_partition_uniform():
+    # N = 3 linspace knots round to unequal spacings; built by hand they are
+    # still uniform, with the slope 1/3, so the chaos orbit is the same bits
+    sv, op = ScalingVector.broadcast(0.6, 3), OperatorConfig(ramp(), 0.0, 1.0, 1)
+    f = make_function("poly:0,1,-1")
+    by_hand, uniform = (
+        chaos_game_render(FifProblem(part, sv, op, f), 5000, seed=7)
+        for part in (Partition(np.linspace(0.0, 1.0, 4)), Partition.uniform(0.0, 1.0, 3))
+    )
+    assert by_hand[0].tobytes() == uniform[0].tobytes()
+    assert by_hand[1].tobytes() == uniform[1].tobytes()
+
+
 def test_render_must_belong_to_the_problem():
     part, cells = Partition.uniform(0.0, 1.0, 4), 4 * 2**6
     sv, f = ScalingVector.broadcast(0.3, 4), make_function("sin")
@@ -872,8 +908,11 @@ def test_strided_sweep_is_bitwise_the_reference_gather(count, scaling):
         "linear": linear_scaling(count, 0.9, 0.1),
     }[scaling]
     prob = FifProblem(part, sv, OperatorConfig(ramp(), 0.0, 1.0, 16), make_function("exp"))
+    # N^2 2^5 cells lie outside render's contract: the plan is built by hand
     cells = count**2 * 2**5
-    plan, x, _ = _build_plan(prob, cells)
+    x = _render_grid(part, cells)
+    pieces = prob.pieces()
+    plan = _GridPlan(sv.rows_at(x[::count]), pieces.height_eval(x), pieces.base_eval(x))
     phi = np.exp(x) + x * (1.0 - x) * np.cos(7.0 * x)
     want = rb_apply(prob, phi)
     assert plan.apply(phi).tobytes() == want.tobytes()

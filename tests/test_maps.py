@@ -34,12 +34,24 @@ def test_nonuniform_slopes_and_intercepts():
 @pytest.mark.parametrize("b", [1e-318, 1e-300])
 def test_uniform_knots_stay_uniform_on_tiny_intervals(b):
     # the knots' subnormal spacings round apart by more than 1e-12 (b - a);
-    # the tolerance stops at the least normal float, so below it no two
-    # spacings are told apart
+    # the tolerance also covers two ulps of the knots, no more, so spacings
+    # a quarter and three quarters of b are still told apart
     assert Partition.uniform(0.0, b, 4).is_uniform
     assert Partition.uniform(0.0, b, 5).is_uniform
-    tiny = np.finfo(float).tiny
-    assert Partition(np.array([0.0, 0.25, 1.0]) * b).is_uniform == (b < tiny)
+    assert not Partition(np.array([0.0, 0.25, 1.0]) * b).is_uniform
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.5, 2.0), (1000.0, 1000.001), (0.0, 1e-318)])
+def test_linspace_knots_are_the_uniform_partition(a, b):
+    # one construction path: knots built by hand give Partition.uniform's maps
+    for count in range(2, 11):
+        by_hand, uniform = Partition(np.linspace(a, b, count + 1)), Partition.uniform(a, b, count)
+        for name in ("knots", "slopes", "intercepts"):
+            assert getattr(by_hand, name).tobytes() == getattr(uniform, name).tobytes()
+        assert by_hand.is_uniform == uniform.is_uniform
+        # spacings an ulp of 1000 apart are uniform; subnormal ones may not be
+        if b > 1e-300:
+            assert uniform.is_uniform and set(uniform.slopes.tolist()) == {1.0 / count}
 
 
 @pytest.mark.parametrize("a, b", [(0.0, 1e300), (1e200, 3e200), (-1e300, 5e299)])
