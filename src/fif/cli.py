@@ -489,16 +489,19 @@ def _ladder_solves(cfg: RunConfig, ladder, f):
     differ only in their operator's node count, so they share one render of
     ``cfg.cells()`` cells, and ``truth`` is ``f`` on its grid.  That is the
     render's height itself unless the height is the discrete one; then it is
-    made after the first rung's solve, so that solve does not hold it."""
+    made after the first rung's solve, so that solve does not hold it.  The
+    last rung hands the render over, so its solve drops a discrete height
+    before the plan solves."""
     problem = _build_problem(dataclasses.replace(cfg, nodes=ladder[0]))
-    shared = render(problem, cfg.cells())
-    truth = shared.height if problem.variant == "alpha" else None
-    for n in ladder:
+    shared = [render(problem, cfg.cells())]
+    truth = shared[0].height if problem.variant == "alpha" else None
+    for k, n in enumerate(ladder):
         rung = FifProblem(problem.partition, problem.scaling,
                           dataclasses.replace(problem.operator, n=n), problem.f,
                           problem.variant)
-        res = solve_fif(rung, cfg.cells(), cfg.tol, cfg.max_iters, rendered=shared)
-        truth = f(shared.grid) if truth is None else truth
+        res = solve_fif(rung, cfg.cells(), cfg.tol, cfg.max_iters,
+                        rendered=shared[0] if k + 1 < len(ladder) else shared.pop())
+        truth = f(res.grid) if truth is None else truth
         yield res, truth
 
 

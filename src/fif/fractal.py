@@ -74,7 +74,6 @@ from .operators import (
     nn_eval,
     nn_eval_derivative,
     nn_eval_four_layer,
-    operator_fd_fallback,
 )
 
 VARIANTS = ("alpha", "discrete", "smooth")
@@ -125,6 +124,8 @@ class FifProblem:
                 raise InvalidConfig("uniform partition required")
             if f.mode != "analytic":
                 raise InvalidConfig("this variant needs an analytic function input")
+            if len(f.derivatives) < operator.r:
+                raise InvalidConfig("derivatives unavailable")
             consts = np.abs(scaling.constants())
             if not np.all(consts < partition.slopes**operator.r):
                 raise InvalidConfig(
@@ -396,7 +397,7 @@ def _derivative_levels(problem, x):
     knots = np.arange(part.size + 1) * ((x.size - 1) // part.size)
     levels = {}
     for j in range(1, cfg.r + 1):
-        fj = input_derivative(problem.f, j, x, cfg.h)
+        fj = input_derivative(problem.f, j, x)
         dbase = nn_eval_derivative(cfg, problem.f, j, x)
         sj = part.slopes**j
         q_at_a = sj * fj[knots[:-1]] - alphas * dbase[0]
@@ -483,6 +484,7 @@ def solve_fif(problem: FifProblem, cells, tol=DEFAULT_TOL,
     if rendered is not None and rendered.key != _render_key(problem, cells):
         raise InvalidConfig("the render was made for another problem or cell count")
     plan, x, base_a = _build_plan(problem, cells, rendered)
+    del rendered  # a render handed over goes with its height
     smooth = problem.variant == "smooth"
     levels = _derivative_levels(problem, x) if smooth else {}
     values, stats = plan.solve(tol, max_sweeps)
@@ -497,7 +499,6 @@ def solve_fif(problem: FifProblem, cells, tol=DEFAULT_TOL,
         "junction_mismatch": cont_max,
         "knots_checked": checked,
         "knot_deviation": knot_max,
-        "fd_fallback": smooth and operator_fd_fallback(problem.operator, problem.f),
     }
     if problem.variant == "discrete":
         diagnostics["height_nodes"] = problem.partition.size

@@ -33,7 +33,6 @@ same arithmetic whatever the tiling.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +43,6 @@ from .kernels import SigmoidalKernel, _shaped, transition
 # name as attributes of this module
 from .kernels import xi_derivative, xi_eval  # noqa: F401
 
-# Relative step used when a derivative has to be approximated from values.
-FD_STEP_SCALE = 1e-3
 # Points an evaluation blends at a time, so that its temporaries and its
 # per-call scratch take a few MiB whatever the input size.
 _TILE = 2**15
@@ -83,12 +80,11 @@ class OperatorConfig:
 class FunctionInput:
     """Target function data: a callable or a table of node values.
 
-    Analytic mode may carry derivative callables ``(f', f'', ...)``.  If it
-    carries none and derivatives are needed, central finite differences with
-    step ``h * FD_STEP_SCALE`` fill in (see :func:`operator_fd_fallback`); if
-    it carries some but not enough, the input is rejected outright.  The
-    callables must be elementwise: a 1-D input of more than ``_TILE``
-    points reaches them one ``_TILE``-point slice at a time.
+    Analytic mode may carry derivative callables ``(f', f'', ...)``, the only
+    source of derivative values: an input carrying fewer than an operator's
+    derivative channels need is rejected.  The callables must be elementwise:
+    a 1-D input of more than ``_TILE`` points reaches them one ``_TILE``-point
+    slice at a time.
     """
 
     __slots__ = ("mode", "func", "derivatives", "values")
@@ -143,48 +139,24 @@ def _call_vectorized(func, x):
     return out
 
 
-def input_derivative(f: FunctionInput, order: int, x, h: float):
-    """Evaluate the ``order``-th derivative of the input at ``x``.
-
-    Uses the supplied callables when present, otherwise a central difference
-    stencil of width ``order`` and step ``h * FD_STEP_SCALE``, where ``h`` is
-    the operator's node spacing.
-    """
-    if f.mode != "analytic":
+def input_derivative(f: FunctionInput, order: int, x):
+    """Evaluate the ``order``-th derivative of the input at ``x``: ``f`` itself
+    at order 0, else its ``order``-th derivative callable."""
+    if f.mode != "analytic" or len(f.derivatives) < order:
         raise InvalidConfig("derivatives unavailable")
-    arr = np.asarray(x, dtype=float)
-    if order == 0:
-        return _call_tiled(f.func, arr)
-    if f.derivatives:
-        if len(f.derivatives) < order:
-            raise InvalidConfig("derivatives unavailable")
-        return _call_tiled(f.derivatives[order - 1], arr)
-    s = h * FD_STEP_SCALE
-    out = np.zeros_like(arr)
-    for i in range(order + 1):
-        shift = (order / 2.0 - i) * s
-        out += ((-1) ** i * math.comb(order, i)) * _call_tiled(f.func, arr + shift)
-    return out / s**order
+    return _call_tiled(f.derivatives[order - 1] if order else f.func, x)
 
 
 def _weight_table(cfg: OperatorConfig, f: FunctionInput, upto: int):
     """Node derivatives ``f^(j)(a_k)``, shape (upto+1, n+1), read off ``f`` at
-    every call.  Warns when finite differences fill in the derivative rows."""
-    if f.mode == "tabulated":
-        if upto >= 1:
-            raise InvalidConfig("derivatives unavailable")
+    every call."""
+    if f.mode == "tabulated" and not upto:
         if f.values.size != cfg.n + 1:
             raise InvalidConfig(
                 f"table has {f.values.size} values, operator needs {cfg.n + 1}"
             )
         return f.values[np.newaxis, :]
-    nodes = cfg.nodes
-    rows = np.stack([input_derivative(f, j, nodes, cfg.h) for j in range(upto + 1)])
-    if upto and operator_fd_fallback(cfg, f):
-        # attributed to this line, so the default filter prints it once however
-        # many operator calls of a solve substitute differences
-        warnings.warn("derivative callables missing; central differences substituted")
-    return rows
+    return np.stack([input_derivative(f, j, cfg.nodes) for j in range(upto + 1)])
 
 
 def _call_tiled(func, x):
@@ -350,9 +322,3 @@ def nn_eval_derivative(cfg: OperatorConfig, f: FunctionInput, order: int, x):
         raise InvalidConfig("derivative order exceeds the layer order r")
     return _evaluate(cfg, f, cfg.r, order, x)
 
-
-def operator_fd_fallback(cfg: OperatorConfig, f: FunctionInput) -> bool:
-    """Whether the four-layer operator's derivative channels come from finite
-    differences: ``r >= 1`` on an analytic input without derivative
-    callables.  A property of the input alone; nothing is evaluated."""
-    return cfg.r >= 1 and f.mode == "analytic" and not f.derivatives

@@ -34,13 +34,20 @@ def _poly_input(coeffs, max_derivative):
     return FunctionInput.analytic(funcs[0], funcs[1:])
 
 
-def _weier_like(x):
-    # finite rough sum: geometric amplitudes against tripling frequencies
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for j in range(16):
-        out += 0.55**j * np.cos(3**j * np.pi * x)
-    return out
+def _weier(order):
+    """The ``order``-th derivative of the rough sum ``sum_j 0.55^j cos(3^j pi x)``
+    (16 terms, geometric amplitudes against tripling frequencies)."""
+    trig = _COS_CYCLE[(order - 1) % 4]  # np.cos at order 0
+
+    def term_sum(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        for j in range(16):
+            w = 3**j * np.pi
+            out += 0.55**j * w**order * trig(w * x)
+        return out
+
+    return term_sum
 
 
 def make_function(name: str, max_derivative: int = 8) -> FunctionInput:
@@ -48,7 +55,9 @@ def make_function(name: str, max_derivative: int = 8) -> FunctionInput:
 
     Known forms: ``sin``, ``cos``, ``exp``, ``poly:c0,c1,...`` (ascending
     coefficients), ``abspow:c,mu`` for |x - c|^mu, ``weier`` for a rough
-    demonstration sum.  Table files are handled by the CLI, not here.
+    demonstration sum.  Each but ``abspow``, which is not C^1, carries
+    ``max_derivative`` derivative callables.  Table files are handled by the
+    CLI, not here.
     """
     base, _, arg = name.strip().partition(":")
     base = base.lower()
@@ -82,6 +91,7 @@ def make_function(name: str, max_derivative: int = 8) -> FunctionInput:
             raise InvalidConfig("abspow exponent must lie in (0, 1]")
         return FunctionInput.analytic(lambda x: np.abs(np.asarray(x) - c) ** mu)
     if base == "weier":
-        return FunctionInput.analytic(_weier_like)
+        funcs = [_weier(k) for k in range(max_derivative + 1)]
+        return FunctionInput.analytic(funcs[0], funcs[1:])
     raise InvalidConfig(f"unknown function: {name!r}")
 

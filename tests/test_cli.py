@@ -1012,17 +1012,19 @@ def test_failed_solver_cross_check_exits_4_with_one_error_line(
     assert capsys.readouterr().err == "error: stub check failed\n"
 
 
-def test_difference_fallback_warns_once_per_run(tmp_path):
-    # weier carries no derivative callables; the four-layer operator and every
-    # derivative level substitute differences, and one warning says so
+def test_smooth_runs_read_derivatives_off_the_callables(tmp_path, capsys):
+    # weier carries closed-form derivative callables: no warning; abspow
+    # carries none, so its smooth problem is refused before any array is made
     argv = ["smooth", "--function", "weier", "--r", "3", "--kernel", "bump",
             "--n", "32", "--alpha", "0.001", "--grid-exp", "6", "--out", str(tmp_path)]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("default")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert run(argv) == 0
-    assert [str(w.message) for w in caught] == [
-        "derivative callables missing; central differences substituted"
-    ]
+    capsys.readouterr()
+    assert run(["smooth", "--function", "abspow:0.3,0.5", "--kernel", "bump",
+                "--alpha", "0.05", "--out", str(tmp_path / "abspow")]) == 2
+    assert capsys.readouterr().err == "error: derivatives unavailable\n"
+    assert not any((tmp_path / "abspow").iterdir())
 
 
 def test_end_rows_carry_the_function_values_exactly(tmp_path):

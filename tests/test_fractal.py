@@ -269,7 +269,7 @@ def orbit_oracle(problem, points, order=0):
         cfg, f = problem.operator, problem.f
         pieces = pieces._replace(
             base_eval=lambda xs: nn_eval_derivative(cfg, f, order, xs),
-            height_eval=lambda xs: input_derivative(f, order, xs, cfg.h),
+            height_eval=lambda xs: input_derivative(f, order, xs),
         )
     damp = problem.partition.slopes ** -order
     scaling = problem.scaling
@@ -801,6 +801,18 @@ def test_ladder_holds_less_per_cell_than_a_render_per_rung(tmp_path):
                   "8,16,32", "--grid-exp", str(exp), "--out", str(tmp_path)])
 
     assert traced_slope(run, 2**16, 2**18) <= 41
+
+
+def test_one_rung_discrete_ladder_drops_its_height_before_it_solves(tmp_path):
+    # a converge --discrete rung is a ladder of one: it hands its render to
+    # the solve, which drops the discrete height once the plan is built, as
+    # a standalone solve does; a rung that kept the render held 47 B/cell
+    def run(cells):
+        exp = max(4, (cells // 16).bit_length() - 1)
+        cli.main(["converge", "--function", "sin", "--discrete", "--alpha", "0.3",
+                  "--n-ladder", "16", "--grid-exp", str(exp), "--out", str(tmp_path)])
+
+    assert traced_slope(run, 16 * 2**12, 16 * 2**15) <= 40
 
 
 def test_constant_scaling_smooth_solve_holds_no_per_cell_coefficients():

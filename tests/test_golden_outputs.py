@@ -64,17 +64,17 @@ HASHES = {
     "build-alpha-N4": {
         "stdout": "bcd84243290c47accada64ee70332af5d4fedf8a3e04c1daa1729be64877df6b",
         "fif.csv": "e40fb6542eb59ff4fd96b07cd1692ff74e4e162e721959ab62a2254508cb01b8",
-        "meta.json": "34c2d83507e476bfc26b2df01b4e79e9b0443273d19ab1a13aa0b26464b3bcf8",
+        "meta.json": "fd4a55caebf323931680b225f174aef8c1616d642320e49ef7736ea4cbb903f6",
     },
     "build-alpha-N5-smoothstep": {
         "stdout": "08fb6c59c133b09b88e7c623072cbbb8c952038b218700535e19c20e5b64d3ae",
         "fif.csv": "3d47d96c72fad07ab3c6d0fbb83ee4eb5766cfadf306d9bda05a99c394a8f99b",
-        "meta.json": "fd12424853e8354b3d7bbfac1ebde0f2254d569aa3b45cea01cc22720283067f",
+        "meta.json": "7cc330ef454150a2d8ca40b48d901ec512d126a33a7d70a23cb97ecc7cc7a69f",
     },
     "build-discrete-N4": {
         "stdout": "bcd84243290c47accada64ee70332af5d4fedf8a3e04c1daa1729be64877df6b",
         "fif.csv": "f84d4ad2713e95dc99881bb804c8210543a125a59463a994b311f02a84a03907",
-        "meta.json": "5e3d424c1afd5f84e4d89cbf681c8de23c18b69b01c89473a893790a73c48ca8",
+        "meta.json": "4beaaeff35a4ea69a102f20d0c9ac3b4bea1aa60f882aa616df80ddabda7aab4",
     },
     "converge-N5": {
         "stdout": "a7ae154f5e106e431fd003534392a3f706d10ddee5452ea1599578726181a288",
@@ -89,7 +89,7 @@ HASHES = {
     },
     "smooth-r2": {
         "stdout": "68572739f52bc837d095f396db1e436d1b08e8ce1180c1c3f06d035b30c8e48c",
-        "meta.json": "02499c50cd509029062917a65881023c69f4b563431403f6fabc6d4aaae7eb89",
+        "meta.json": "f0727846de38fc00ee255be1cae9fbba3f4a173dca86f91cda34406b00bc49bd",
         "smooth.csv": "ac30f5355fdf3e289c851e6f5fe374b76e0803f367680fa73dae7d8038051a3f",
     },
 }

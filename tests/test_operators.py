@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from fif.operators import (
     nn_eval,
     nn_eval_derivative,
     nn_eval_four_layer,
-    operator_fd_fallback,
 )
 from fif.registry import make_function
 from reference import pointwise_operator
@@ -183,26 +181,28 @@ def test_partial_derivative_ladder_rejected():
         nn_eval_four_layer(cfg, f, 0.5)
 
 
-def test_difference_fallback_warns_and_is_flagged():
+def test_input_without_derivative_callables_cannot_feed_derivative_layers():
     cfg = OperatorConfig(smoothstep(1), 0.0, 1.0, 8, r=1)
     f = FunctionInput.analytic(np.sin)  # no derivative callables at all
-    with pytest.warns(UserWarning, match="central differences"):
-        got = nn_eval_four_layer(cfg, f, 0.4)
-    assert operator_fd_fallback(cfg, f)
-    exact = nn_eval_four_layer(
-        cfg, FunctionInput.analytic(np.sin, (np.cos,)), 0.4
-    )
-    assert abs(got - exact) <= 1e-6
+    for evaluate in (lambda: nn_eval_four_layer(cfg, f, 0.4),
+                     lambda: nn_eval_derivative(cfg, f, 1, 0.4)):
+        with pytest.raises(InvalidConfig, match="derivatives unavailable"):
+            evaluate()
 
 
-def test_difference_fallback_is_read_off_the_input():
+def test_smooth_problem_without_derivative_callables_is_refused_unevaluated():
     def untouchable(x):
-        raise AssertionError("the fallback must not evaluate the function")
+        raise AssertionError("the refusal must not evaluate the function")
 
-    cfg = OperatorConfig(smoothstep(2), 0.0, 1.0, 8, r=2)
-    assert operator_fd_fallback(cfg, FunctionInput.analytic(untouchable))
-    with_derivatives = FunctionInput.analytic(untouchable, (untouchable, untouchable))
-    assert not operator_fd_fallback(cfg, with_derivatives)
+    part = Partition.uniform(0.0, 1.0, 4)
+    op = OperatorConfig(smoothstep(2), 0.0, 1.0, 8, r=2)
+    for derivatives in ((), (untouchable,)):
+        f = FunctionInput.analytic(untouchable, derivatives)
+        with pytest.raises(InvalidConfig, match="derivatives unavailable"):
+            FifProblem(part, ScalingVector.broadcast(0.05, 4), op, f, "smooth")
+    # enough callables: the problem is built, and still nothing is evaluated
+    f = FunctionInput.analytic(untouchable, (untouchable, untouchable))
+    FifProblem(part, ScalingVector.broadcast(0.05, 4), op, f, "smooth")
 
 
 def test_tabulated_length_checked():
@@ -459,8 +459,8 @@ def test_target_function_sees_tiles_and_gives_one_call_bits():
     f = FunctionInput.analytic(recording, (recording,))
     x = np.random.default_rng(4).uniform(0.0, 1.0, 3 * TILE + 7)
     want = np.sin(3.0 * x) + x * x
-    for got in (f(x), fif.operators.input_derivative(f, 0, x, 0.1),
-                fif.operators.input_derivative(f, 1, x, 0.1)):
+    for got in (f(x), fif.operators.input_derivative(f, 0, x),
+                fif.operators.input_derivative(f, 1, x)):
         assert got.tobytes() == want.tobytes()
     assert sizes == [TILE, TILE, TILE, 7] * 3
     sizes.clear()
@@ -468,12 +468,6 @@ def test_target_function_sees_tiles_and_gives_one_call_bits():
     block = x[: 2 * TILE].reshape(2, TILE)
     assert f(block).tobytes() == want[: 2 * TILE].tobytes()
     assert sizes == [TILE, 2 * TILE]
-    # finite differences call f on shifted tiles of the same points
-    fd = FunctionInput.analytic(np.sin)
-    grid, h = np.linspace(0.0, 1.0, 2 * TILE + 1), 0.125
-    s = h * fif.operators.FD_STEP_SCALE
-    want = (np.sin(grid + 0.5 * s) - np.sin(grid - 0.5 * s)) / s
-    assert fif.operators.input_derivative(fd, 1, grid, h).tobytes() == want.tobytes()
 
 
 def test_tiled_target_function_keeps_the_value_checks():
