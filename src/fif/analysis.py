@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,24 +162,12 @@ def error_bound_discrete(scaling_sup: float, omega_n: float, omega_knots: float)
 
 @dataclass
 class DimensionReport:
-    """Box-counting fit plus, when available, the closed-form prediction."""
+    """Box-counting fit: the slope, the box sizes and counts, and r-squared."""
 
     estimated_dimension: float
     scales: tuple
     counts: tuple
     r_squared: float
-    theoretical_dimension: float | None = None
-    kappa: float | None = None
-    collinear_data: bool | None = None
-    notes: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.theoretical_dimension is not None and not (
-            1.0 <= self.theoretical_dimension <= 2.0
-        ):
-            raise InvalidConfig("theoretical dimension must lie in [1, 2]")
-        if self.kappa is not None and self.kappa < 0:
-            raise InvalidConfig("kappa must be nonnegative")
 
 
 def theoretical_box_dimension(scaling) -> float:

@@ -7,7 +7,10 @@ it, 17 significant digits that round-trip the float64.  One writer,
 ``_write_table``, emits every table (the CSV files and the ``bounds``
 table); ``fif.g17`` formats its rows in blocks of fixed memory.
 Exit codes: 0 success, 2 invalid configuration, 3 solver non-convergence,
-4 failed cross-check.
+4 failed cross-check.  A command returns nothing or raises; ``main`` alone
+turns the error into its code and one ``error:`` line.  Exit 2 or 3 leaves
+no output file; a failed check of a command's own results raises
+``CrossCheckError`` after all of its files are written.
 """
 
 from __future__ import annotations
@@ -265,7 +268,7 @@ def _meta(cfg: RunConfig, results: dict, diagnostics: dict | None = None) -> dic
     }
 
 
-def cmd_build(cfg: RunConfig, out: Path) -> int:
+def cmd_build(cfg: RunConfig, out: Path) -> None:
     problem = _build_problem(cfg)
     # the discrete bound reads moduli off the render grid, 16 cells per spacing
     if problem.variant == "discrete" and 16 * cfg.nodes > cfg.cells():
@@ -275,8 +278,6 @@ def cmd_build(cfg: RunConfig, out: Path) -> int:
     res = solve_fif(problem, cfg.cells(), cfg.tol, cfg.max_iters)
     pieces = problem.pieces()
     height, base = pieces.height_eval(res.grid), pieces.base_eval(res.grid)
-    _write_csv(out / "fif.csv", ["x", "f", "base", "fif"],
-               [res.grid, height, base, res.values])
     base_gap = float(np.max(np.abs(height - base)))
     sup = problem.scaling.sup_norm
     results = {
@@ -293,15 +294,16 @@ def cmd_build(cfg: RunConfig, out: Path) -> int:
         deltas = [span / cfg.nodes, span / cfg.subintervals]
         om_nodes, om_knots = modulus_of_continuity(height, span, deltas)
         results["bound_discrete"] = error_bound_discrete(sup, om_nodes, om_knots)
+    _write_csv(out / "fif.csv", ["x", "f", "base", "fif"],
+               [res.grid, height, base, res.values])
     _write_json(out / "meta.json", _meta(cfg, results, res.diagnostics))
     print(
         f"build: {res.iterations} passes, residual {res.residual:.3e}, "
         f"wrote {out / 'fif.csv'} and {out / 'meta.json'}"
     )
-    return 0
 
 
-def cmd_converge(cfg: RunConfig, out: Path) -> int:
+def cmd_converge(cfg: RunConfig, out: Path) -> None:
     if cfg.function.startswith("table:"):
         raise InvalidConfig("converge needs an analytic function to compare against")
     ladder = _parse_ladder(cfg.n_ladder)
@@ -335,12 +337,10 @@ def cmd_converge(cfg: RunConfig, out: Path) -> int:
     decreasing = all(e1 < e0 for e0, e1 in zip(errs, errs[1:]))
     bounded = all(e <= b * (1 + 1e-9) + 1e-12 for e, b in zip(errs, bounds))
     if not (decreasing and bounded):
-        print("converge: monotone decrease or bound check failed", file=sys.stderr)
-        return 4
-    return 0
+        raise CrossCheckError("converge: monotone decrease or bound check failed")
 
 
-def cmd_dimension(cfg: RunConfig, out: Path) -> int:
+def cmd_dimension(cfg: RunConfig, out: Path) -> None:
     problem = _build_problem(cfg)
     if cfg.chaos:
         xs, ys = chaos_game_render(problem, cfg.points, cfg.seed)
@@ -350,31 +350,28 @@ def cmd_dimension(cfg: RunConfig, out: Path) -> int:
     report = box_counting_dimension(xs, ys, _parse_scales(cfg.scales))
     f = problem.f
     knot_y = f.values if f.mode == "tabulated" else f(problem.partition.knots)
-    report.collinear_data = knot_data_collinear(problem.partition.knots, knot_y)
-    if report.collinear_data:
-        report.notes.append("knot data collinear: closed-form dimension not applicable")
+    collinear = knot_data_collinear(problem.partition.knots, knot_y)
+    theory = kappa = None
+    if collinear:
+        notes = ["knot data collinear: closed-form dimension not applicable"]
     elif problem.scaling.is_constant and problem.partition.is_uniform:
-        report.theoretical_dimension = theoretical_box_dimension(problem.scaling)
-        report.kappa = problem.scaling.kappa
+        theory, kappa, notes = theoretical_box_dimension(problem.scaling), problem.scaling.kappa, []
     else:
-        report.notes.append(
-            "closed-form dimension needs constant scalings on uniform knots"
-        )
-    payload = _meta(cfg, dataclasses.asdict(report), {"chaos": cfg.chaos})
-    _write_json(out / "dimension.json", payload)
+        notes = ["closed-form dimension needs constant scalings on uniform knots"]
+    results = dataclasses.asdict(report) | {
+        "theoretical_dimension": theory, "kappa": kappa,
+        "collinear_data": collinear, "notes": notes,
+    }
+    _write_json(out / "dimension.json", _meta(cfg, results, {"chaos": cfg.chaos}))
     print(
         f"dimension: estimate {report.estimated_dimension:.4f}, "
-        f"r^2 {report.r_squared:.5f}, theory "
-        f"{report.theoretical_dimension if report.theoretical_dimension is not None else 'n/a'}"
+        f"r^2 {report.r_squared:.5f}, theory {theory if theory is not None else 'n/a'}"
     )
-    if report.theoretical_dimension is not None:
-        if abs(report.estimated_dimension - report.theoretical_dimension) > 0.15:
-            print("dimension: estimate disagrees with closed form", file=sys.stderr)
-            return 4
-    return 0
+    if theory is not None and abs(report.estimated_dimension - theory) > 0.15:
+        raise CrossCheckError("dimension: estimate disagrees with closed form")
 
 
-def cmd_smooth(cfg: RunConfig, out: Path) -> int:
+def cmd_smooth(cfg: RunConfig, out: Path) -> None:
     if cfg.order < 1:
         raise InvalidConfig("smooth runs need order >= 1")
     problem = _build_problem(cfg, smooth=True)
@@ -401,10 +398,9 @@ def cmd_smooth(cfg: RunConfig, out: Path) -> int:
         f"smooth: order {cfg.order}, {res.iterations} passes, "
         f"residual {res.residual:.3e}"
     )
-    return 0
 
 
-def cmd_holder(cfg: RunConfig, out: Path) -> int:
+def cmd_holder(cfg: RunConfig, out: Path) -> None:
     ladder = _parse_ladder(cfg.n_ladder)
     part = Partition.uniform(*cfg.interval, cfg.subintervals)
     scaling = _parse_alpha(cfg)
@@ -439,10 +435,9 @@ def cmd_holder(cfg: RunConfig, out: Path) -> int:
             {"gate_worst_term": gate, "cells": cfg.cells()},
         ),
     )
-    return 0
 
 
-def cmd_bounds(cfg: RunConfig, out: Path) -> int:
+def cmd_bounds(cfg: RunConfig, out: Path) -> None:
     if cfg.function.startswith("table:"):
         raise InvalidConfig("bounds needs an analytic function")
     ladder = _parse_ladder(cfg.n_ladder)
@@ -466,7 +461,6 @@ def cmd_bounds(cfg: RunConfig, out: Path) -> int:
             row.append(error_bound_discrete(sup, om, om_knots))
         rows.append(row)
     _write_table(sys.stdout, header, list(zip(*rows)), delimiter="  ")
-    return 0
 
 
 def _parse_ladder(spec: str):
@@ -623,16 +617,11 @@ def main(argv=None) -> int:
                 out.mkdir(parents=True, exist_ok=True)
             except OSError as exc:
                 raise InvalidConfig(f"cannot use --out {out}: {exc.strerror}") from exc
-        return _COMMANDS[args.command](cfg, out)
-    except InvalidConfig as exc:
+        _COMMANDS[args.command](cfg, out)
+    except (InvalidConfig, NonConvergence, CrossCheckError, MatchingConditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NonConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (CrossCheckError, MatchingConditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return 2 if isinstance(exc, InvalidConfig) else 3 if isinstance(exc, NonConvergence) else 4
+    return 0
 
 
 if __name__ == "__main__":

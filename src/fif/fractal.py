@@ -80,6 +80,8 @@ VARIANTS = ("alpha", "discrete", "smooth")
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_SWEEPS = 1000
+# junction matching tolerance, relative to the size of the junction data
+# (at least 1): f^(k) at the knots and the end values
 MATCHING_TOL = 1e-8
 # unit roundoff of a double: a composed coefficient at or below it changes
 # no result by more than rounding, so doubling stops there
@@ -408,7 +410,8 @@ def _derivative_levels(problem, x):
             (alphas[:-1] * y1 + q_at_b[:-1]) / sj[:-1]
             - (alphas[1:] * y0 + q_at_a[1:]) / sj[1:]
         )
-        bad = np.flatnonzero(gap > MATCHING_TOL)
+        size = max(1.0, float(np.max(np.abs(fj[knots]))), abs(y0), abs(y1))
+        bad = np.flatnonzero(gap > MATCHING_TOL * size)
         if bad.size:
             raise MatchingConditionError(
                 f"junction data mismatch {gap[bad[0]]:.3e} at "
@@ -467,8 +470,10 @@ def solve_fif(problem: FifProblem, cells, tol=DEFAULT_TOL,
     ``f^(k)``, base ``(Lf)^(k)`` and scaling ``alpha_i / s_i^k``.  Before any
     level is solved, the junction data of consecutive maps must agree for
     every order (the Barnsley-Harrington compatibility conditions); a
-    mismatch above ``MATCHING_TOL`` signals a kernel-smoothness or
-    derivative-data defect and raises ``MatchingConditionError``.
+    mismatch above ``MATCHING_TOL`` times the size of that order's junction
+    data (at least 1: ``f^(k)`` at the knots and the end values) signals a
+    kernel-smoothness or derivative-data defect and raises
+    ``MatchingConditionError``.
 
     Every solve renders through ``render``, so the result's ``grid`` is the
     render's read-only grid.  ``rendered``, from ``render(p, cells)`` of a

@@ -9,7 +9,6 @@ import fif.cli
 from fif.analysis import (
     _BOX_BLOCK,
     DEFAULT_SCALES,
-    DimensionReport,
     box_counting_dimension,
     error_bound_alpha,
     error_bound_discrete,
@@ -320,13 +319,6 @@ def test_theoretical_dimension_accepts_scaling_vector():
 
     sv = ScalingVector.constant([0.5, 0.5, 0.5, 0.5])
     assert theoretical_box_dimension(sv) == pytest.approx(1.5)
-
-
-def test_dimension_report_validation():
-    with pytest.raises(InvalidConfig):
-        DimensionReport(1.2, (0.1,), (5,), 0.99, theoretical_dimension=2.5)
-    with pytest.raises(InvalidConfig):
-        DimensionReport(1.2, (0.1,), (5,), 0.99, kappa=-1.0)
 
 
 # ----------------------------------------------------------- collinearity

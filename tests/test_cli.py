@@ -179,9 +179,8 @@ def test_subnormal_interval_exits_2(tmp_path, capsys, command):
     assert run(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: sample step underflows to 0: interval too short"]
-    # build writes its curve before it reads the bound's moduli off it
-    written = ["fif.csv"] if command.startswith("build") else []
-    assert sorted(p.name for p in tmp_path.iterdir()) == written
+    # build reads the bound's moduli off its curve before it writes it
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["converge", "bounds", "holder", "build --discrete"])
@@ -196,13 +195,13 @@ def test_subnormal_sample_step_exits_2(tmp_path, capsys, command):
     assert run(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: sample step underflows to 0: interval too short"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == (["fif.csv"] if build else [])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
     assert cli._make_parser() is cli._make_parser()
     seen = []
-    monkeypatch.setitem(cli._COMMANDS, "build", lambda cfg, out: seen.append(cfg.discrete) or 0)
+    monkeypatch.setitem(cli._COMMANDS, "build", lambda cfg, out: seen.append(cfg.discrete))
     assert run(["build", "--discrete", "--out", str(tmp_path)]) == 0
     assert run(["build", "--out", str(tmp_path)]) == 0
     assert seen == [True, False]
@@ -311,6 +310,49 @@ def test_converge_unsorted_ladder_fails_cross_check(tmp_path):
     assert code == 4
 
 
+def test_failed_converge_check_raises_after_writing_both_files(tmp_path, capsys):
+    # a decreasing ladder: every rung is solved and written, then the
+    # monotone check fails
+    argv = ["converge", "--function", "sin", "--n-ladder", "16,8", "--grid-exp", "6"]
+    assert run(argv + ["--out", str(tmp_path)]) == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["converge.csv", "meta.json"]
+    err = capsys.readouterr().err
+    assert err == "error: converge: monotone decrease or bound check failed\n"
+    assert read_csv(tmp_path / "converge.csv")[1]["n"].tolist() == [16, 8]
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("build --N 5 --max-iters 1", 3),
+    ("converge --N 5 --max-iters 1", 3),
+    ("dimension --N 5 --max-iters 1", 3),
+    ("smooth --kernel bump --alpha 0.01 --N 5 --max-iters 1", 3),
+    ("holder --N 5 --max-iters 1", 3),
+    ("build --discrete --function sin --interval 0 1e-320", 2),
+], ids=["build", "converge", "dimension", "smooth", "holder", "build-subnormal"])
+def test_exit_2_or_3_leaves_out_empty(tmp_path, capsys, argv, code):
+    assert run(argv.split() + ["--out", str(tmp_path)]) == code
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+_SMALL_RUNS = {
+    "build": "--grid-exp 6",
+    "converge": "--n-ladder 8,16 --grid-exp 6",
+    "dimension": "--alpha 0.2 --grid-exp 15 --scales 4..11",
+    "smooth": "--kernel smoothstep:1 --alpha 0.2 --grid-exp 6",
+    "holder": "--n-ladder 8,16 --grid-exp 6",
+    "bounds": "--n-ladder 8",
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_command_returns_none_on_success(tmp_path, capsys, command):
+    # main alone turns an outcome into an exit code
+    argv = [command, *_SMALL_RUNS[command].split(), "--out", str(tmp_path)]
+    args = cli._make_parser().parse_args(argv)
+    assert cli._COMMANDS[command](cli._config_from_args(args), tmp_path) is None
+
+
 @pytest.mark.parametrize("command", ["converge", "bounds", "holder"])
 @pytest.mark.parametrize("ladder", ["8,8", "8,16,8"])
 def test_repeated_ladder_rung_exits_2_before_any_work(tmp_path, capsys, command, ladder):
@@ -349,6 +391,10 @@ def test_dimension_smooth_case(tmp_path):
     report = json.loads((tmp_path / "dimension.json").read_text())
     assert report["results"]["theoretical_dimension"] == 1.0
     assert abs(report["results"]["estimated_dimension"] - 1.0) <= 0.15
+    # the fit's four fields, then what the command adds
+    assert sorted(report["results"]) == sorted([
+        "estimated_dimension", "scales", "counts", "r_squared",
+        "theoretical_dimension", "kappa", "collinear_data", "notes"])
 
 
 def test_dimension_collinear_data(tmp_path):
@@ -390,10 +436,28 @@ def test_dimension_disagreement_exits_4_after_writing_the_report(tmp_path, capsy
         ]
     )
     assert code == 4
-    assert capsys.readouterr().err == "dimension: estimate disagrees with closed form\n"
+    assert capsys.readouterr().err == "error: dimension: estimate disagrees with closed form\n"
     report = json.loads((tmp_path / "dimension.json").read_text())
     assert abs(report["results"]["theoretical_dimension"] - 1.5687517618749676) <= 1e-12
     assert report["results"]["estimated_dimension"] < 1.1
+
+
+@pytest.mark.parametrize("flags", ["--function exp --interval 0 30",
+                                   "--function weier --interval 0 1e-7"],
+                         ids=["exp-wide", "weier-narrow"])
+def test_junction_check_passes_large_derivative_data(tmp_path, flags):
+    # exp' reaches 1.1e13 on [0, 30] and weier's f'' 3e11 on [0, 1e-7]: their
+    # junction data round to gaps above 1e-8, yet match to 1e-8 of their size
+    argv = ["smooth", "--r", "2", "--kernel", "bump", "--n", "64", "--alpha", "0.01"]
+    assert run(argv + flags.split() + ["--out", str(tmp_path)]) == 0
+    if "weier" in flags:
+        # 4,096 cells on [0, 1e-7] resolve every term of weier: each level
+        # away from the one-sided end rows matches its central difference
+        _, cols = read_csv(tmp_path / "smooth.csv")
+        for k, tol in ((1, 1e-6), (2, 1e-3)):
+            level = cols[f"fif_d{k}"]
+            gap = np.abs(level - cols[f"fd_check_d{k}"])[1:-1]
+            assert gap.max() <= tol * np.abs(level).max()
 
 
 def test_smooth_run(tmp_path):

@@ -1085,6 +1085,28 @@ def test_smooth_matching_check_can_fire(monkeypatch):
         solve_fif(prob, cells=4 * 2**8)
 
 
+@pytest.mark.parametrize("name, b", [("exp", 30.0), ("sin", 1.0)])
+def test_junction_limit_scales_with_the_data_yet_catches_a_defect(monkeypatch, name, b):
+    # exp' reaches e^30 = 1.1e13 on [0, 30], where rounding alone leaves
+    # junction gaps far above an absolute 1e-8; the limit scales with the
+    # junction data, so only a defect of their size fails: (Lf)^(k) whose end
+    # values are off by 1e-3 of their size
+    part = Partition.uniform(0.0, b, 4)
+    op = OperatorConfig(smooth_bump(), 0.0, b, 64, r=2)
+    prob = FifProblem(part, ScalingVector.broadcast(0.01, 4), op, make_function(name), "smooth")
+    solve_fif(prob, cells=4 * 2**10)
+    derivative = fractal.nn_eval_derivative
+
+    def off(cfg, f, order, x):
+        values = derivative(cfg, f, order, x)
+        values[[0, -1]] *= 1 + 1e-3
+        return values
+
+    monkeypatch.setattr(fractal, "nn_eval_derivative", off)
+    with pytest.raises(MatchingConditionError, match="derivative order 1"):
+        solve_fif(prob, cells=4 * 2**10)
+
+
 def test_smooth_junctions_are_checked_before_any_level_is_solved(monkeypatch):
     # one doubling pass cannot finish the 256-cell coarse grid of an N = 5
     # grid, so only a check made before the level-0 solve reports the mismatch
