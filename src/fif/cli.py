@@ -4,8 +4,8 @@ Commands: build, converge, dimension, smooth, holder, bounds.  All file
 output is deterministic for a fixed config and seed: JSON is sorted, nothing
 timestamps itself, and every table cell reads exactly as ``"%.17g"`` prints
 it, 17 significant digits that round-trip the float64.  One writer,
-``_write_table``, emits every table (the CSV files and the ``bounds``
-table); ``fif.g17`` formats its rows in blocks of fixed memory.
+``fif.g17.write_rows``, emits every table (the CSV files and the
+``bounds`` table) in blocks of fixed memory.
 Exit codes: 0 success, 2 invalid configuration, 3 solver non-convergence,
 4 failed cross-check.  A command returns nothing or raises; ``main`` alone
 turns the error into its code and one ``error:`` line.  Exit 2 or 3 leaves
@@ -228,14 +228,6 @@ def _build_problem(cfg: RunConfig, smooth=False):
     return FifProblem(partition, scaling, operator, f, variant)
 
 
-def _write_table(fh, header, columns, delimiter=","):
-    # every table the CLI emits: a header line, then one row per line with
-    # each cell as "%.17g" prints it (17 significant digits round-trip a
-    # float64 exactly)
-    fh.write(delimiter.join(header) + "\n")
-    write_rows(fh, columns, delimiter)
-
-
 @contextlib.contextmanager
 def _output(path: Path):
     # an unwritable output is a configuration error, as an unusable --out is
@@ -248,7 +240,7 @@ def _output(path: Path):
 
 def _write_csv(path: Path, header, columns):
     with _output(path) as fh:
-        _write_table(fh, header, columns)
+        write_rows(fh, header, columns)
 
 
 def _write_json(path: Path, obj):
@@ -460,7 +452,7 @@ def cmd_bounds(cfg: RunConfig, out: Path) -> None:
         if cfg.discrete:
             row.append(error_bound_discrete(sup, om, om_knots))
         rows.append(row)
-    _write_table(sys.stdout, header, list(zip(*rows)), delimiter="  ")
+    write_rows(sys.stdout, header, list(zip(*rows)), delimiter="  ")
 
 
 def _parse_ladder(spec: str):

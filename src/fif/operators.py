@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import MAX_SIZE_EXP
 from .errors import InvalidConfig
 from .kernels import SigmoidalKernel, _shaped, transition
 # not called here: the benchmark's tracer (bench/spans.py) wraps these two by
@@ -63,6 +64,8 @@ class OperatorConfig:
             raise InvalidConfig("interval must satisfy a < b and be finite")
         if not (isinstance(self.n, int) and self.n >= 1):
             raise InvalidConfig("node count n must be a positive integer")
+        if self.n > 2**MAX_SIZE_EXP:
+            raise InvalidConfig(f"operator above 2^{MAX_SIZE_EXP} nodes")
         if not (isinstance(self.r, int) and self.r >= 0):
             raise InvalidConfig("layer order r must be a nonnegative integer")
         if self.r > self.kernel.smoothness:

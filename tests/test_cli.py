@@ -19,7 +19,7 @@ import fif
 from fif.analysis import error_bound_alpha, error_bound_discrete, modulus_of_continuity
 from fif import cli
 from fif.cli import _write_csv, main
-from fif.g17 import BLOCK_ROWS
+from fif.g17 import BLOCK_ROWS, write_rows
 from fif.maps import ScalingVector
 from fif.operators import FunctionInput
 from fif.registry import make_function
@@ -875,6 +875,39 @@ def test_table_writer_matches_per_cell_formatting_on_random_doubles(tmp_path):
         ",".join(f"{v:.17g}" for v in row) + "\n" for row in cells.tolist()
     )
     assert path.read_bytes() == want.encode()
+
+
+def test_table_writer_matches_per_cell_formatting_on_short_significands(tmp_path):
+    # random bit patterns almost always print 17 digits, so they reach few of
+    # the writer's layouts.  m * 2^-j and m * 10^k print short, and the
+    # double nearest an s-digit decimal 1d...d * 10^e often prints as those s
+    # digits: together every format and count of digits, 1 to 17, is reached
+    m = np.arange(1.0, 1000.0)
+    rng = np.random.default_rng(7)
+    decimals = [
+        float(f"{n}e{e - s + 1}")
+        for e in [*range(-4, 17), -300, -100, -20, -5, 17, 20, 100, 300]
+        for s in range(1, 18)
+        for n in rng.integers(10 ** (s - 1), 2 * 10 ** (s - 1), 20).tolist()
+    ]
+    values = np.concatenate([np.ldexp(m, -j) for j in range(61)]
+                            + [m * 10.0**k for k in range(-3, 21)] + [decimals])
+    cells = np.concatenate([values, -values]).reshape(-1, 2)
+    path = tmp_path / "short.csv"
+    _write_csv(path, ["a", "b"], list(cells.T))
+    want = "a,b\n" + "".join(f"{v:.17g},{w:.17g}\n" for v, w in cells.tolist())
+    assert path.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("delimiter", ["    ", "abc", "\u00e9"])
+def test_table_writer_refuses_a_longer_delimiter_before_writing(delimiter):
+    # a cell leaves two ASCII bytes for its delimiter
+    fh = io.StringIO()
+    with pytest.raises(ValueError, match="delimiter"):
+        write_rows(fh, ["a", "b"], [[1.0], [2.0]], delimiter)
+    assert fh.getvalue() == ""
+    write_rows(fh, ["a", "b"], [[1.0], [2.0]], "; ")
+    assert fh.getvalue() == "a; b\n1; 2\n"
 
 
 def savetxt_table(header, columns, delimiter=","):

@@ -6,6 +6,7 @@ import pytest
 
 import fif.operators
 from fif.cli import main
+from fif.analysis import MAX_SIZE_EXP
 from fif.errors import InvalidConfig
 from fif.fractal import FifProblem, chaos_game_render, solve_fif
 from fif.kernels import kernel_from_name, ramp, smooth_bump, smoothstep, transition, xi_eval
@@ -156,6 +157,21 @@ def test_domain_and_input_validation():
         OperatorConfig(ramp(), 0.0, 1.0, 0)
     with pytest.raises(InvalidConfig, match="insufficient kernel smoothness"):
         OperatorConfig(ramp(), 0.0, 1.0, 8, r=2)
+
+
+def test_operator_config_refuses_nodes_above_the_cap_before_allocating():
+    # the library's own cap, as solve_fif and chaos_game_render have theirs:
+    # 2^60 nodes would reach np.linspace
+    assert OperatorConfig(ramp(), 0.0, 1.0, 2**MAX_SIZE_EXP).n == 2**MAX_SIZE_EXP
+    tracemalloc.start()
+    try:
+        for n in (2**MAX_SIZE_EXP + 1, 2**60):
+            with pytest.raises(InvalidConfig, match=f"above 2\\^{MAX_SIZE_EXP} nodes"):
+                OperatorConfig(ramp(), 0.0, 1.0, n).nodes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_derivative_order_bounds():
