@@ -268,7 +268,7 @@ def cmd_build(cfg: RunConfig, out: Path) -> None:
             f"discrete bound on {cfg.cells()} cells needs --n <= {cfg.cells() // 16}"
         )
     res = solve_fif(problem, cfg.cells(), cfg.tol, cfg.max_iters)
-    pieces = problem.pieces()
+    pieces = problem.pieces(grid=problem.partition.is_uniform)
     height, base = pieces.height_eval(res.grid), pieces.base_eval(res.grid)
     base_gap = float(np.max(np.abs(height - base)))
     sup = problem.scaling.sup_norm
@@ -447,7 +447,7 @@ def cmd_bounds(cfg: RunConfig, out: Path) -> None:
     rows = []
     for n, (om, om_knots) in zip(ladder, moduli):
         op = OperatorConfig(kernel, a, b, n)
-        gap = float(np.max(np.abs(truth - nn_eval(op, f, probe))))
+        gap = float(np.max(np.abs(truth - nn_eval(op, f, probe, grid=True))))
         row = [n, gap, om, error_bound_alpha(sup, gap), error_bound_alpha(sup, om)]
         if cfg.discrete:
             row.append(error_bound_discrete(sup, om, om_knots))

@@ -53,6 +53,7 @@ once every window's coefficient product is at most the same unit roundoff.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -139,13 +140,15 @@ class FifProblem:
         self.f = f
         self.variant = variant
 
-    def pieces(self) -> _Pieces:
-        """The variant's height and base, as evaluators on arrays of points."""
+    def pieces(self, grid=False) -> _Pieces:
+        """The variant's height and base, as evaluators on arrays of points;
+        ``grid=True`` declares each array a linspace, as a uniform render grid
+        is, and the base takes the operator's ``stride`` and ``out``."""
         part, cfg, f = self.partition, self.operator, self.f
         if self.variant == "alpha":
-            return _Pieces(lambda xs: nn_eval(cfg, f, xs), f)
+            return _Pieces(lambda xs, **at: nn_eval(cfg, f, xs, grid=grid, **at), f)
         if self.variant == "smooth":
-            return _Pieces(lambda xs: nn_eval_four_layer(cfg, f, xs), f)
+            return _Pieces(lambda xs, **at: nn_eval_four_layer(cfg, f, xs, grid=grid, **at), f)
         # discrete: both height and base are operator evaluations of node data,
         # so f is read at the knots and the operator nodes and nowhere else
         height_cfg = OperatorConfig(cfg.kernel, cfg.a, cfg.b, part.size)
@@ -158,8 +161,8 @@ class FifProblem:
         f_height = FunctionInput.tabulated(knot_vals)
         f_base = FunctionInput.tabulated(base_vals)
         return _Pieces(
-            lambda xs: nn_eval(cfg, f_base, xs),
-            lambda xs: nn_eval(height_cfg, f_height, xs),
+            lambda xs, **at: nn_eval(cfg, f_base, xs, grid=grid, **at),
+            lambda xs: nn_eval(height_cfg, f_height, xs, grid=grid),
         )
 
 
@@ -170,7 +173,7 @@ class FifResult:
     ``grid`` is the solve's read-only render grid; on a non-uniform
     partition that is ``G_K``, ``N^K`` cells whose largest gap is
     ``(max slope)^K`` times the interval length.  Height and base are not
-    kept: ``problem.pieces()`` evaluates them on ``grid``.
+    kept: ``problem.pieces`` evaluates them on ``grid``.
     """
 
     grid: np.ndarray
@@ -242,11 +245,14 @@ class _GridPlan:
     closed grid, whose ``N`` rows of ``M`` points ``1..cells`` share
     pre-images ``N::N``.  ``c`` is ``alpha`` (at ``x[::N]``: ``N`` rows of ``M + 1``,
     or a constant column) viewed as ``rows``, ``(N, M)``; ``contraction`` is
-    ``max|c|`` there and at point 0.  Owns ``offset``; of ``height`` it keeps
-    copies at the ``C + 1`` points of stride ``N^levels``, where the coarse
-    solve starts, and at the ``N + 1`` knots.  Writes no input."""
+    ``max|c|`` there and at point 0.  ``base(out=...)`` writes the base at
+    ``x[::N]`` into the last ``M + 1`` slots of ``offset``, which its last
+    row overwrites in place; ``base_ends`` keeps its two ends.  Owns
+    ``offset``; of ``height`` it keeps copies at the ``C + 1`` points of
+    stride ``N^levels``, where the coarse solve starts, and at the ``N + 1``
+    knots.  Writes no input."""
 
-    __slots__ = ("rows", "offset", "coarse_height", "knot_height", "levels",
+    __slots__ = ("rows", "offset", "base_ends", "coarse_height", "knot_height", "levels",
                  "contraction", "n_sub")
 
     def __init__(self, alpha, height, base):
@@ -255,7 +261,10 @@ class _GridPlan:
         self.contraction = _contraction(rows, alpha[0, 0])
         self.rows = np.broadcast_to(rows, (self.n_sub, m))
         self.offset = np.empty_like(height)
-        pre = base[self.n_sub :: self.n_sub]
+        pre = self.offset[-m - 1 :]
+        base(out=pre)
+        self.base_ends = float(pre[0]), float(pre[-1])
+        pre = pre[1:]  # the last row: written last, in place
         # one row of M at a time: no (N, M) temporary
         for c, h, row in zip(self.rows, height[1:].reshape(self.n_sub, -1),
                              self.offset[1:].reshape(self.n_sub, -1)):
@@ -370,7 +379,8 @@ def render(problem: FifProblem, cells) -> Render:
     the operator's node count and order shares one."""
     part, cells = problem.partition, _checked_cells(problem, cells)
     x = _render_grid(part, cells)
-    shared = Render(x, problem.pieces().height_eval(x), problem.scaling.rows_at(x[:: part.size]),
+    height = problem.pieces(grid=part.is_uniform).height_eval(x)
+    shared = Render(x, height, problem.scaling.rows_at(x[:: part.size]),
                     _render_key(problem, cells))
     for arr in shared[:3]:
         arr.flags.writeable = False
@@ -379,31 +389,37 @@ def render(problem: FifProblem, cells) -> Render:
 
 def _build_plan(problem, cells, rendered=None):
     """The level-0 update on the render grid: ``(plan, grid, base(a))``.  A
-    render made here goes with its height, and base goes, once the plan
-    holds its offset.  Every piece reads its pre-images from the strided
-    view ``x[N::N]``, so no value is interpolated."""
+    render made here goes with its height once the plan holds its offset.
+    Every piece reads its pre-images from the strided view ``x[N::N]``, so
+    no value is interpolated, and the base is evaluated at ``x[::N]`` alone."""
     if rendered is None:
         rendered = render(problem, cells)
-    base = problem.pieces().base_eval(rendered.grid)
-    return _GridPlan(rendered.alpha, rendered.height, base), rendered.grid, base[0]
+    part, x = problem.partition, rendered.grid
+    base = problem.pieces(grid=part.is_uniform).base_eval
+    plan = _GridPlan(rendered.alpha, rendered.height, functools.partial(base, x, stride=part.size))
+    return plan, x, plan.base_ends[0]
 
 
 def _derivative_levels(problem, x):
     """Plans of levels ``1..r`` of a smooth problem on the level-0 grid ``x``,
     with their diagnostics: ``{order: (plan, info)}``.  Each order's junction
-    data are read off the grid at the knots and compared at once; the end
-    values are the fixed points of the end maps, written into the ends of
-    the plan's offset and coarse start; their gap to ``f^(k)`` is recorded."""
+    data are read off the grid at the knots and compared once its plan is
+    built; the end values are the fixed points of the end maps, written into
+    the ends of the plan's offset and coarse start; their gap to ``f^(k)``
+    is recorded."""
     part, cfg = problem.partition, problem.operator
     alphas = problem.scaling.constants()
     knots = np.arange(part.size + 1) * ((x.size - 1) // part.size)
     levels = {}
     for j in range(1, cfg.r + 1):
         fj = input_derivative(problem.f, j, x)
-        dbase = nn_eval_derivative(cfg, problem.f, j, x)
         sj = part.slopes**j
-        q_at_a = sj * fj[knots[:-1]] - alphas * dbase[0]
-        q_at_b = sj * fj[knots[1:]] - alphas * dbase[-1]
+        # a smooth problem's partition is uniform, so x is its linspace
+        plan = _GridPlan((alphas / sj)[:, None], fj, functools.partial(
+            nn_eval_derivative, cfg, problem.f, j, x, grid=True, stride=part.size))
+        base_a, base_b = plan.base_ends
+        q_at_a = sj * fj[knots[:-1]] - alphas * base_a
+        q_at_b = sj * fj[knots[1:]] - alphas * base_b
         y0 = float(q_at_a[0] / (sj[0] - alphas[0]))
         y1 = float(q_at_b[-1] / (sj[-1] - alphas[-1]))
         gap = np.abs(
@@ -418,7 +434,6 @@ def _derivative_levels(problem, x):
                 f"subinterval {bad[0] + 2}, derivative order {j}"
             )
         identity_gap = (float(abs(y0 - fj[0])), float(abs(y1 - fj[-1])))
-        plan = _GridPlan((alphas / sj)[:, None], fj, dbase)
         plan.offset[[0, -1]] = plan.coarse_height[[0, -1]] = y0, y1
         levels[j] = (plan, {
             "contraction": plan.contraction,

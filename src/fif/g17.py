@@ -27,7 +27,11 @@ With ``T`` the two words of d1..d16, bytes 8-24 are
 ``(T & MI) | DOT | (T & MF) << 8``, a one-byte shift across two words, with
 masks chosen by the format, the count of significant digits and the sign.
 Rows are formatted ``BLOCK_ROWS`` at a time, so the memory a table takes
-does not grow with its length.  The lookup tables are built on first use.
+does not grow with its length.  A block reads its exponents, once the
+log10 estimate is fixed up and the 17-digit carry is taken, and skips the
+shift passes when no cell has two or more integer digits and the exponent
+passes when no cell is scientific: most tables of values below 10 in size
+need neither.  The lookup tables are built on first use.
 """
 
 from __future__ import annotations
@@ -114,15 +118,24 @@ def _format_cells(x, out):
             break
         tail[more] = 4 * (4 - j) + zeros[g[j, more]]
         more = more[g[j, more] == 0]
+    # a block decides on its final exponents whether it needs the passes that
+    # shift the point into d1..d16 (2 to 17 integer digits) and those that
+    # write the exponent (scientific notation)
+    lo_e, hi_e = int(exp10.min()), int(exp10.max())
+    sci = lo_e < -4 or hi_e > 16
+    shift = hi_e >= 1 and lo_e <= 16 and bool(np.any((exp10 >= 1) & (exp10 <= 16)))
     exp10 += _E0
     key = key_of[exp10]
     key -= 2 * tail
     key += np.signbit(x)
     np.bitwise_or(layouts[0][key], first[g[0]], out=out[:, 0])
-    spill = 0  # the top fraction digit of word 1, into word 2
+    spill = 0  # the top fraction digit of word 1, into word 2, then of 2 into 3
     for w in (1, 2):
         t = quad[g[2 * w - 1]]
         t |= quad[g[2 * w]] << 32
+        if not shift:  # MF and DOT are 0 for every key of the block
+            np.bitwise_and(t, layouts[w][key], out=out[:, w])
+            continue
         f = layouts[w + 2][key]
         f &= t
         t &= layouts[w][key]
@@ -130,8 +143,10 @@ def _format_cells(x, out):
         t |= spill
         np.bitwise_or(t, f << 8, out=out[:, w])
         spill = f >> 56
-    spill |= exp_word[exp10]
-    out[:, 3] |= spill
+    if shift:
+        out[:, 3] |= spill
+    if sci:
+        out[:, 3] |= exp_word[exp10]
     i = np.flatnonzero(slow)
     if i.size:
         text = np.array(["%.17g" % v for v in x[i].tolist()], dtype="S30")

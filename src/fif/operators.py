@@ -24,10 +24,13 @@ its output in tiles of ``_TILE`` points, so the temporaries of a blend stay
 a few MiB however many points are asked for.  On the render grid
 ``linspace(a, b, n M + 1)`` every node cell holds the same offsets
 ``s = j / M``, so ``P^(i)(s)`` and the Taylor steps are computed once per
-tile of offsets and broadcast against the node cells of the table; any
-other input is bracketed point by point, one tile at a time, into scratch
-allocated once per call and the output tile.  Each point goes through the
-same arithmetic whatever the tiling.
+tile of offsets and broadcast against the node cells of the table.  The
+caller says when its input is that grid (``grid=True``), and may ask for
+every ``stride``-th point alone, as the fractal update does for the
+pre-images it reads; nothing is inferred from the values.  Any other input
+is bracketed point by point, one tile at a time, into scratch allocated
+once per call and the output tile.  Each point goes through the same
+arithmetic whatever the tiling or the stride.
 """
 
 from __future__ import annotations
@@ -201,36 +204,6 @@ def _bracket(cfg: OperatorConfig, arr, s, klo, near, mask):
     np.subtract(u, klo, out=s)
 
 
-def _linspace_part(a, b, num, lo, hi):
-    """``np.linspace(a, b, num)[lo:hi]`` by the same arithmetic, without the
-    rest of the array."""
-    y = np.arange(lo, hi, dtype=float)
-    step = (b - a) / (num - 1)
-    if step == 0:  # NumPy's order for a subnormal step
-        y /= num - 1
-        y *= b - a
-    else:
-        y *= step
-    y += a
-    if hi == num:
-        y[-1] = b
-    return y
-
-
-def _grid_step(cfg: OperatorConfig, arr):
-    """``M`` when ``arr`` is exactly ``linspace(a, b, n M + 1)``, else 0;
-    compared one tile at a time."""
-    cells = arr.size - 1
-    if arr.ndim != 1 or cells < 1 or cells % cfg.n or arr[0] != cfg.a or arr[-1] != cfg.b:
-        return 0
-    a, b = float(cfg.a), float(cfg.b)
-    for lo in range(0, arr.size, _TILE):
-        hi = min(lo + _TILE, arr.size)
-        if not np.array_equal(arr[lo:hi], _linspace_part(a, b, arr.size, lo, hi)):
-            return 0
-    return cells // cfg.n
-
-
 def _taylor(rows, dx, q):
     """q-th derivative at ``a_k + dx`` of ``sum_j rows[j] dx^j / j!`` (Horner)."""
     top = rows.shape[0] - 1
@@ -273,28 +246,53 @@ def _blend(table, klo, steps, order, out, spare=None):
         )
 
 
-def _evaluate(cfg, f, upto, order, x):
-    """``order``-th derivative at ``x`` of the operator on the node derivatives
-    up to ``upto``: the body of every public operator entry point.  The
-    output is written ``_TILE`` points at a time.  On the render grid a tile
-    is a block of offsets ``j / M`` against as many node cells as fit, with
-    ``_steps`` taken once per block of offsets; the end point ``b`` (cell
-    ``n - 1``, ``s = 1``) is blended on its own."""
+def _grid_blend(cfg, table, upto, order, m, step, out):
+    """Write into ``out`` the blend at the ``n M / step + 1`` points of stride
+    ``step`` of ``linspace(a, b, n M + 1)``, ``step`` dividing ``M``: a tile
+    is a block of offsets ``j / M``, ``j`` a multiple of ``step``, against as
+    many node cells as fit, with ``_steps`` taken once per block of offsets;
+    the end point ``b`` (cell ``n - 1``, ``s = 1``) is blended on its own.
+    ``out`` is contiguous, so its rows are views."""
+    cols = m // step
+    block = out[:-1].reshape(cfg.n, cols)
+    width = min(cols, _TILE)
+    rows = _TILE // width
+    klo = np.arange(cfg.n)[:, None]
+    for j in range(0, cols, width):
+        steps = _steps(cfg, np.arange(j, min(j + width, cols)) * step / m, order, upto)
+        for k in range(0, cfg.n, rows):
+            _blend(table, klo[k : k + rows], steps, order, block[k : k + rows, j : j + width])
+    _blend(table, np.array([cfg.n - 1]), _steps(cfg, np.ones(1), order, upto), order, out[-1:])
+
+
+def _evaluate(cfg, f, upto, order, x, grid, stride, out):
+    """``order``-th derivative at ``x[::stride]`` of the operator on the node
+    derivatives up to ``upto``, written into ``out`` (a contiguous array of
+    that shape) or a new array: the body of every public operator entry
+    point, which passes its keywords on.
+
+    ``grid`` declares that ``x`` is ``linspace(x[0], x[-1], x.size)``.  When
+    its ends are ``a`` and ``b`` and ``n`` divides its cells, ``n M``, the grid
+    path runs: with ``stride`` dividing ``M`` on the stride's offsets alone,
+    else on every point, of which every ``stride``-th is kept.  Any other
+    input is bracketed point by point, ``_TILE`` points at a time.  Both
+    paths are elementwise, so a strided call is bitwise the same call
+    without a stride, sliced."""
+    if stride < 1:
+        raise InvalidConfig("stride must be a positive integer")
     table = _weight_table(cfg, f, upto)
     arr = np.asarray(x, dtype=float)
-    out = np.empty(arr.shape)
-    m = _grid_step(cfg, arr)
-    if m:
-        block = out[:-1].reshape(cfg.n, m)  # a view: _blend writes into out
-        width = min(m, _TILE)
-        rows = _TILE // width
-        klo = np.arange(cfg.n)[:, None]
-        for j in range(0, m, width):
-            steps = _steps(cfg, np.arange(j, min(j + width, m)) / m, order, upto)
-            for k in range(0, cfg.n, rows):
-                _blend(table, klo[k : k + rows], steps, order,
-                       block[k : k + rows, j : j + width])
-        _blend(table, np.array([cfg.n - 1]), _steps(cfg, np.ones(1), order, upto), order, out[-1:])
+    cells = arr.size - 1
+    on_grid = grid and arr.ndim == 1 and cells > 0 and arr[0] == cfg.a and arr[-1] == cfg.b
+    m = cells // cfg.n if on_grid and cells % cfg.n == 0 else 0
+    arr = arr[::stride] if stride > 1 else arr
+    out = np.empty(arr.shape) if out is None else out
+    if m and m % stride == 0:
+        _grid_blend(cfg, table, upto, order, m, stride, out)
+    elif m:
+        every = np.empty(cells + 1)
+        _grid_blend(cfg, table, upto, order, m, 1, every)
+        out[...] = every[::stride]
     else:
         _check_points(cfg, arr)
         points, into = arr.reshape(-1), out.reshape(-1)  # a view of out
@@ -307,21 +305,22 @@ def _evaluate(cfg, f, upto, order, x):
     return _shaped(out, x)
 
 
-def nn_eval(cfg: OperatorConfig, f: FunctionInput, x):
-    """Zeroth-order operator value at ``x`` (scalar or array)."""
-    return _evaluate(cfg, f, 0, 0, x)
+def nn_eval(cfg: OperatorConfig, f: FunctionInput, x, *, grid=False, stride=1, out=None):
+    """Zeroth-order operator value at ``x`` (scalar or array); ``grid``,
+    ``stride`` and ``out`` as in ``_evaluate``."""
+    return _evaluate(cfg, f, 0, 0, x, grid, stride, out)
 
 
-def nn_eval_four_layer(cfg: OperatorConfig, f: FunctionInput, x):
+def nn_eval_four_layer(cfg: OperatorConfig, f: FunctionInput, x, *, grid=False, stride=1, out=None):
     """Operator with ``cfg.r`` derivative channels; equals nn_eval at r=0."""
-    return _evaluate(cfg, f, cfg.r, 0, x)
+    return _evaluate(cfg, f, cfg.r, 0, x, grid, stride, out)
 
 
-def nn_eval_derivative(cfg: OperatorConfig, f: FunctionInput, order: int, x):
+def nn_eval_derivative(cfg: OperatorConfig, f: FunctionInput, order: int, x, *, grid=False,
+                       stride=1, out=None):
     """Closed-form ``order``-th derivative of the four-layer operator."""
     if not (isinstance(order, int) and order >= 1):
         raise InvalidConfig("derivative order must be a positive integer")
     if order > cfg.r:
         raise InvalidConfig("derivative order exceeds the layer order r")
-    return _evaluate(cfg, f, cfg.r, order, x)
-
+    return _evaluate(cfg, f, cfg.r, order, x, grid, stride, out)

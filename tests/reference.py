@@ -16,12 +16,15 @@ def rb_apply(problem, values):
     The partition must be uniform: that closes the uniform grid for any cell
     count, so the sweep is an exact ``_grid_index`` gather, independent of the
     strided sweep of the solver that it is the bitwise reference for.  The
-    end coefficients are zeroed, so the ends take the height's values.
+    end coefficients are zeroed, so the ends take the height's values.  The
+    grid is the partition's linspace, so height and base are evaluated on
+    it as the solver evaluates them: by the operator's grid path, with the
+    base at every point.
     """
     part = problem.partition
     assert part.is_uniform, "the reference sweep needs a uniform partition"
     cells = values.size - 1
-    pieces = problem.pieces()
+    pieces = problem.pieces(grid=True)
     x = _render_grid(part, cells)
     i_idx, k = _grid_index(part.size, cells)
     coeff = problem.scaling.values_at(i_idx, x[k])

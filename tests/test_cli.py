@@ -961,6 +961,36 @@ def test_table_writer_matches_savetxt_across_block_seams(tmp_path):
     assert path.read_text() == savetxt_table(["a", "b", "c"], columns)
 
 
+@pytest.mark.parametrize("delimiter", [",", "  "])
+def test_table_writer_skips_only_the_passes_no_cell_of_a_block_needs(delimiter):
+    # cells of 1e-3 to 10 in size need neither the point shifted into d1..d16
+    # nor an exponent; a block that holds one cell that does must still give
+    # it its passes.  Below 1e-4 and 1e17 the log10 estimate is one too high:
+    # only the fixed-up exponent says that nextafter(1e-4, 0) is scientific
+    # and that nextafter(1e17, 0) has 17 integer digits
+    rows = 6 * BLOCK_ROWS + 3
+    rng = np.random.default_rng(5)
+    columns = [rng.uniform(1e-3, 9.99, rows) * rng.choice([-1.0, 1.0], rows)
+               for _ in range(3)]
+    planted = {
+        (BLOCK_ROWS + 17, 1): 12.345,  # shift
+        (2 * BLOCK_ROWS + 5, 2): -98765.4321,  # shift
+        (3 * BLOCK_ROWS + 9, 1): math.nextafter(1e-4, 0.0),  # scientific
+        (4 * BLOCK_ROWS + 40, 0): math.nextafter(1e17, 0.0),
+        (5 * BLOCK_ROWS - 1, 2): 2.5e-7,  # the seam: scientific,
+        (5 * BLOCK_ROWS, 0): -31.25,  # then shift
+        (6 * BLOCK_ROWS + 2, 1): 6.02e23,  # the last, short block
+    }
+    for (row, col), v in planted.items():
+        columns[col][row] = v
+    fh = io.StringIO()
+    write_rows(fh, ["a", "b", "c"], columns, delimiter)
+    want = delimiter.join("abc") + "\n" + "".join(
+        delimiter.join(f"{v:.17g}" for v in row) + "\n" for row in zip(*columns)
+    )
+    assert fh.getvalue() == want
+
+
 def test_table_writer_memory_is_bounded(tmp_path):
     # 2^18 rows x 6 columns, 12.6 MB of input: formatted in one piece the
     # cell buffers take about 360 MB, in blocks of BLOCK_ROWS rows 3 MB

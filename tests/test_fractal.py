@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -920,11 +921,13 @@ def test_strided_sweep_is_bitwise_the_reference_gather(count, scaling):
         "linear": linear_scaling(count, 0.9, 0.1),
     }[scaling]
     prob = FifProblem(part, sv, OperatorConfig(ramp(), 0.0, 1.0, 16), make_function("exp"))
-    # N^2 2^5 cells lie outside render's contract: the plan is built by hand
+    # N^2 2^5 cells lie outside render's contract: the plan is built by hand,
+    # with the base at x[::N], where the update reads it
     cells = count**2 * 2**5
     x = _render_grid(part, cells)
-    pieces = prob.pieces()
-    plan = _GridPlan(sv.rows_at(x[::count]), pieces.height_eval(x), pieces.base_eval(x))
+    pieces = prob.pieces(grid=True)
+    plan = _GridPlan(sv.rows_at(x[::count]), pieces.height_eval(x),
+                     functools.partial(pieces.base_eval, x, stride=count))
     phi = np.exp(x) + x * (1.0 - x) * np.cos(7.0 * x)
     want = rb_apply(prob, phi)
     assert plan.apply(phi).tobytes() == want.tobytes()
@@ -1097,8 +1100,8 @@ def test_junction_limit_scales_with_the_data_yet_catches_a_defect(monkeypatch, n
     solve_fif(prob, cells=4 * 2**10)
     derivative = fractal.nn_eval_derivative
 
-    def off(cfg, f, order, x):
-        values = derivative(cfg, f, order, x)
+    def off(cfg, f, order, x, **at):
+        values = derivative(cfg, f, order, x, **at)
         values[[0, -1]] *= 1 + 1e-3
         return values
 
@@ -1125,22 +1128,23 @@ def test_smooth_junctions_are_checked_before_any_level_is_solved(monkeypatch):
 
 def test_every_level_is_evaluated_once_on_the_render_grid(monkeypatch):
     # level 0 needs the operator, level k f^(k) and (Lf)^(k); the junction
-    # and knot checks read those arrays at the knots and the ends
+    # and knot checks read those arrays at the knots and the ends.  The
+    # update reads the operator at the pre-images x[::N] alone, so it is
+    # evaluated at cells / N + 1 points, f^(k) at all cells + 1
     calls = []
 
-    def counting(name, x_arg):
+    def counting(name):
         fn = getattr(fif.fractal, name)
 
-        def counted(*args):
-            calls.append((name, np.size(args[x_arg])))
-            return fn(*args)
+        def counted(*args, **at):
+            out = fn(*args, **at)
+            calls.append((name, np.size(out)))
+            return out
 
         monkeypatch.setattr(fif.fractal, name, counted)
 
-    counting("nn_eval", 2)
-    counting("nn_eval_four_layer", 2)
-    counting("nn_eval_derivative", 3)
-    counting("input_derivative", 2)
+    for name in ("nn_eval", "nn_eval_four_layer", "nn_eval_derivative", "input_derivative"):
+        counting(name)
     cells = 4 * 2**8
     part = Partition.uniform(0.0, 1.0, 4)
     op = OperatorConfig(smoothstep(2), 0.0, 1.0, 32, r=2)
@@ -1151,10 +1155,11 @@ def test_every_level_is_evaluated_once_on_the_render_grid(monkeypatch):
         "input_derivative", "input_derivative",
         "nn_eval_derivative", "nn_eval_derivative", "nn_eval_four_layer",
     ]
-    assert all(size == cells + 1 for _, size in calls)
+    assert all(size == (cells + 1 if name == "input_derivative" else cells // 4 + 1)
+               for name, size in calls)
     calls.clear()
     solve_fif(sine_problem(), cells=cells)
-    assert calls == [("nn_eval", cells + 1)]
+    assert calls == [("nn_eval", cells // 4 + 1)]
 
 
 def test_smooth_requires_analytic_input():

@@ -266,9 +266,10 @@ RENDER_GRIDS = [
 
 
 def _operator_and_derivatives(cfg, f):
-    """Evaluators of the four-layer operator and its derivatives up to r."""
-    return [lambda x: nn_eval_four_layer(cfg, f, x)] + [
-        lambda x, q=q: nn_eval_derivative(cfg, f, q, x) for q in range(1, cfg.r + 1)
+    """Evaluators of the four-layer operator and its derivatives up to r; each
+    passes its keywords (``grid``, ``stride``, ``out``) on."""
+    return [lambda x, **at: nn_eval_four_layer(cfg, f, x, **at)] + [
+        lambda x, q=q, **at: nn_eval_derivative(cfg, f, q, x, **at) for q in range(1, cfg.r + 1)
     ]
 
 
@@ -279,8 +280,9 @@ def _operator_and_derivatives(cfg, f):
     ids=["2^12", "5*2^12", "3*2^12", "pi-2^12", "pi-15*2^10"],
 )
 def test_render_grid_path_matches_the_pointwise_path(name, n, a, b, cells):
-    """A 1-d ``linspace(a, b, n M + 1)`` takes the grid path, which uses the
-    exact offsets ``j / M``; a 2-d view of it is bracketed point by point,
+    """A 1-d ``linspace(a, b, n M + 1)`` declared with ``grid=True`` takes the
+    grid path, which uses the exact offsets ``j / M``; undeclared, it is
+    bracketed point by point, as is a 2-d view of it,
     which rounds each offset from ``x``.  Where that rounding is exact
     (power-of-two cells on [0, 1]: ``h`` and every ``x`` are dyadic) the two
     agree bit for bit.  Elsewhere the shifted offset redraws the rounding of
@@ -299,7 +301,8 @@ def test_render_grid_path_matches_the_pointwise_path(name, n, a, b, cells):
         # every derivative of sin is at most 1, so |T_k^(j)| <= sum_l h^l / l!
         t_max = [sum(cfg.h**l / math.factorial(l) for l in range(r + 1 - j)) for j in range(r + 1)]
         for q, evaluate in enumerate(_operator_and_derivatives(cfg, f)):
-            grid, pointwise = evaluate(x), evaluate(x[None, :])[0]
+            grid, pointwise = evaluate(x, grid=True), evaluate(x[None, :])[0]
+            assert evaluate(x).tobytes() == pointwise.tobytes(), (r, q)
             if exact or cells % n:
                 assert np.array_equal(grid, pointwise), (r, q)
                 continue
@@ -318,7 +321,39 @@ def test_benchmark_shapes_take_the_grid_path_bit_for_bit(kernel, n, r, cells):
     f = FunctionInput.analytic(np.exp, (np.exp, np.exp))
     x = np.linspace(0.0, 1.0, cells + 1)
     for evaluate in _operator_and_derivatives(cfg, f):
-        assert np.array_equal(evaluate(x), evaluate(x[None, :])[0])
+        assert np.array_equal(evaluate(x, grid=True), evaluate(x))
+
+
+@pytest.mark.parametrize("name", ["ramp", "smoothstep:2", "bump"])
+@pytest.mark.parametrize("stride", [2, 3, 4, 5, 8])
+def test_strided_evaluation_is_bitwise_the_grid_path_sliced(name, stride):
+    """``stride=N`` evaluates at ``x[::N]`` alone, bitwise the same call without
+    a stride sliced ``[::N]``, on the render grid of ``N 2^7`` cells: ``n = 16``
+    divides ``cells / N`` (the grid path on the stride's offsets), ``n = N``
+    and ``n = cells`` divide ``cells`` alone (the grid path on every point,
+    sliced; ``n = N`` divides ``cells / N`` too at even ``N``), ``n = 7``
+    does not divide ``cells`` (the pointwise path on ``x[::N]``).  Off a grid
+    the pointwise path runs on ``x[::N]`` as well.  Every order up to ``r``,
+    and a tabulated input at order 0; ``out`` is written and returned."""
+    kernel = kernel_from_name(name)
+    f = FunctionInput.analytic(np.sin, (np.cos, lambda t: -np.sin(t)))
+    cells = stride * 2**7
+    x = np.linspace(0.0, math.pi, cells + 1)
+    orbit = np.random.default_rng(4).uniform(0.0, math.pi, cells + 1)
+    for n in (16, stride, cells, 7):
+        table = FunctionInput.tabulated(np.random.default_rng(n).standard_normal(n + 1))
+        for r in range(min(2, kernel.smoothness) + 1):
+            cfg = OperatorConfig(kernel, 0.0, math.pi, n, r)
+            evaluators = [lambda x, **at: nn_eval(cfg, table, x, **at)]
+            evaluators += _operator_and_derivatives(cfg, f)
+            for q, evaluate in enumerate(evaluators):
+                for points, grid in ((x, True), (orbit, False)):
+                    whole = evaluate(points, grid=grid)
+                    strided = evaluate(points, grid=grid, stride=stride)
+                    assert strided.tobytes() == whole[::stride].tobytes(), (n, r, q, grid)
+                out = np.empty(cells // stride + 1)
+                assert evaluate(x, grid=True, stride=stride, out=out) is out
+                assert out.tobytes() == evaluate(x, grid=True)[::stride].tobytes()
 
 
 def _record_profile_sizes(monkeypatch):
@@ -353,6 +388,8 @@ def _pointwise_expression(cfg, values, x):
 
 
 def test_off_grid_points_keep_the_pointwise_path(monkeypatch):
+    # only a declared grid whose ends are the operator's and whose cells n
+    # divides takes the grid path; nothing is inferred from the values
     cfg = OperatorConfig(smooth_bump(), 0.0, 1.0, 32)
     alpha = ScalingVector.constant([0.3, 0.3])
     base = FunctionInput.analytic(np.sin)
@@ -361,11 +398,15 @@ def test_off_grid_points_keep_the_pointwise_path(monkeypatch):
     orbit, _ = chaos_game_render(uniform, 2000, seed=5)
     closed = solve_fif(skewed, cells=2 * 2**10).grid  # G_K: 2^11 cells, not uniform
     coarse = np.linspace(0.0, 1.0, 1001)  # 32 does not divide 1000 cells
+    bare = np.linspace(0.0, 1.0, 32 * 8 + 1)  # a render grid, but not declared one
+    other = np.linspace(0.0, 0.5, 32 * 8 + 1)  # declared, but not on [a, b]
     values = np.random.default_rng(2).standard_normal(cfg.n + 1)
     f = FunctionInput.tabulated(values)
-    for x in (orbit, closed, coarse):
+    for x, grid in ((orbit, False), (closed, False), (coarse, True), (bare, False),
+                    (other, True)):
         sizes = _record_profile_sizes(monkeypatch)
-        assert np.array_equal(nn_eval(cfg, f, x), _pointwise_expression(cfg, values, x))
+        got = nn_eval(cfg, f, x, grid=grid)
+        assert np.array_equal(got, _pointwise_expression(cfg, values, x))
         assert sizes == [x.size]
 
 
@@ -380,8 +421,9 @@ def _tiling_inputs():
     pointwise[1][[0, -1]] = 0.0, 1.0
     grids = [(1, 2 * TILE), (3, TILE + 5), (256, 256)]
     return (
-        [(1, x) for x in pointwise] + [(3, 0.3), (3, rng.uniform(0.0, 1.0, (3, TILE + 1)))]
-        + [(n, np.linspace(0.0, 1.0, n * m + 1)) for n, m in grids]
+        [(1, x, False) for x in pointwise]
+        + [(3, 0.3, False), (3, rng.uniform(0.0, 1.0, (3, TILE + 1)), False)]
+        + [(n, np.linspace(0.0, 1.0, n * m + 1), True) for n, m in grids]
     )
 
 
@@ -390,13 +432,13 @@ def test_tiled_evaluation_is_bitwise_one_tile(monkeypatch, name):
     kernel = kernel_from_name(name)
     f = FunctionInput.analytic(np.sin, (np.cos, lambda t: -np.sin(t)))
     for r in range(min(2, kernel.smoothness) + 1):
-        for n, x in _tiling_inputs():
+        for n, x, grid in _tiling_inputs():
             cfg = OperatorConfig(kernel, 0.0, 1.0, n, r)
             for q, evaluate in enumerate(_operator_and_derivatives(cfg, f)):
                 monkeypatch.setattr(fif.operators, "_TILE", TILE)
-                tiled = evaluate(x)
+                tiled = evaluate(x, grid=grid)
                 monkeypatch.setattr(fif.operators, "_TILE", 2 * np.size(x))
-                whole = evaluate(x)
+                whole = evaluate(x, grid=grid)
                 assert np.shape(tiled) == np.shape(x)
                 assert np.asarray(tiled).tobytes() == np.asarray(whole).tobytes(), (r, q, n)
 
@@ -430,15 +472,6 @@ def test_pointwise_path_is_bitwise_the_reference(name):
                 assert isinstance(evaluate(float(x[0])), float)
 
 
-def test_render_grid_is_found_one_tile_at_a_time():
-    from fif.operators import _linspace_part
-
-    for a, b, num in [(0.0, 1.0, 3 * TILE + 2), (0.0, math.pi, 2 * TILE + 1),
-                      (-1.5, 0.1, TILE), (-0.0, 1.5e-323, 8)]:
-        parts = [_linspace_part(a, b, num, lo, min(lo + TILE, num)) for lo in range(0, num, TILE)]
-        assert np.concatenate(parts).tobytes() == np.linspace(a, b, num).tobytes()
-
-
 def _traced_peak(call):
     tracemalloc.start()
     try:
@@ -460,7 +493,7 @@ def test_operator_temporaries_are_bounded_by_the_tile(kind):
         x = np.random.default_rng(3).uniform(0.0, 1.0, 10**6)
     else:
         x = np.linspace(0.0, 1.0, 2**20 + 1)
-    assert _traced_peak(lambda: nn_eval(cfg, f, x)) <= 4 * 2**20
+    assert _traced_peak(lambda: nn_eval(cfg, f, x, grid=kind == "grid")) <= 4 * 2**20
 
 
 def test_target_function_sees_tiles_and_gives_one_call_bits():
@@ -507,13 +540,13 @@ def test_negative_zero_node_values_blend_to_positive_zero():
     grid = np.linspace(0.0, 1.0, 4 * 64 + 1)
     points = np.random.default_rng(6).uniform(0.0, 1.0, 1000)
     for x in (grid, points):
-        out = nn_eval(cfg, f, x)
+        out = nn_eval(cfg, f, x, grid=x is grid)
         assert np.all(out == 0.0) and not np.any(np.signbit(out))
     negative_zero = lambda t: np.full_like(t, -0.0)
     smooth = FunctionInput.analytic(negative_zero, (negative_zero,))
     cfg = OperatorConfig(smoothstep(1), 0.0, 1.0, 4, r=1)
     for x in (grid, points):
-        assert not np.any(np.signbit(nn_eval_four_layer(cfg, smooth, x)))
+        assert not np.any(np.signbit(nn_eval_four_layer(cfg, smooth, x, grid=x is grid)))
 
 
 @pytest.mark.parametrize("kernel", FAMILIES, ids=["ramp", "smoothstep:1", "bump"])
